@@ -42,6 +42,13 @@ def _prime(s: str) -> int:
     return p
 
 
+def _quadratic(s: str) -> IntPolynomial:
+    try:
+        return IntPolynomial(int(c) for c in s.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a comma-separated list of integers")
+
+
 def _group(s: str) -> groups.GroupId:
     try:
         return groups.parse_group(s)
@@ -74,8 +81,7 @@ def cmd_weil_check(args) -> int:
         if args.b is not None:
             w = weil.validate_elliptic(q, args.b)
         elif args.square is not None:
-            coeffs = [int(c) for c in args.square.split(",")]
-            w = weil.validate_surface_simple(q, square_of=IntPolynomial(coeffs))
+            w = weil.validate_surface_simple(q, square_of=args.square)
         elif args.a1 is not None and args.a2 is not None:
             w = weil.validate_surface_simple(q, a1=args.a1, a2=args.a2)
         else:
@@ -325,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, help="elliptic trace of Frobenius")
     p.add_argument("--a1", type=int, help="quartic coefficient a1")
     p.add_argument("--a2", type=int, help="quartic coefficient a2")
-    p.add_argument("--square", help="monic quadratic P (coefficients c0,c1,1) for f = P^2")
+    p.add_argument("--square", type=_quadratic,
+                   help="monic quadratic P (coefficients c0,c1,1) for f = P^2")
     add_json(p)
     p.set_defaults(func=cmd_weil_check)
 

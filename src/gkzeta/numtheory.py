@@ -15,11 +15,18 @@ from math import gcd, isqrt
 # ---------------------------------------------------------------------------
 # primes and factorization
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson-Webster,
+# Math. Comp. 86, 2017), about 3.317e24
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin to the 13 prime bases 2..41, proven for
+    all n < 3317044064679887385961981 (about 3.317e24); raises ValueError
+    at or above that bound."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is only proven below {_MR_BOUND}")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -435,47 +442,3 @@ def _lower_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
                 break
         hull.append(pt)
     return hull
-
-
-# ---------------------------------------------------------------------------
-# resultants (Sylvester matrix, fraction-free Bareiss determinant)
-
-def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
-    """Res(f, g) over Z."""
-    m, n = f.degree, g.degree
-    if f.is_zero() or g.is_zero():
-        return 0
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = []
-    fr = f.coeffs[::-1]
-    gr = g.coeffs[::-1]
-    for i in range(n):
-        rows.append([0] * i + list(fr) + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + list(gr) + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(mat: list[list[int]]) -> int:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]

@@ -1,5 +1,6 @@
 """Independent oracles used by the tests: brute-force scans and exact
 power-series arithmetic, implemented separately from the library code.
+Some are the library's earlier, slower algorithms, kept as references.
 """
 from __future__ import annotations
 
@@ -122,3 +123,99 @@ def series_log_coeffs_of_inverse_product(factors, n):
     for k in range(1, n):
         out[k] = num[k - 1] / k
     return out
+
+
+# ---------------------------------------------------------------------------
+# quartic irreducibility by divisor scan
+
+def brute_quartic_is_irreducible(f: IntPolynomial) -> bool:
+    """Irreducibility over Q of a monic quartic with nonzero constant term,
+    by a scan of the divisors of the constant term for a linear or a
+    quadratic factor over Z; O(|f(0)|^(1/2)) steps."""
+    c0 = f[0]
+    # rational roots would be integer divisors of the constant term
+    d = 1
+    while d * d <= abs(c0):
+        if abs(c0) % d == 0:
+            for root in {d, -d, abs(c0) // d, -abs(c0) // d}:
+                if f(root) == 0:
+                    return False
+        d += 1
+    # quadratic factor t^2 + u t + v with integer u, v
+    a1, a2 = f[3], f[2]
+    vs = set()
+    d = 1
+    while d * d <= abs(c0):
+        if abs(c0) % d == 0:
+            vs.update({d, -d, abs(c0) // d, -abs(c0) // d})
+        d += 1
+    for v in vs:
+        v2, rem = divmod(c0, v)
+        if rem:
+            continue
+        # u + u2 = a1 and u*v2 + u2*v = f[1]
+        if v2 == v:
+            # u*v + u2*v = f[1] forces v | f[1]
+            if f[1] % v:
+                continue
+            u_sum, u_cross = a1, f[1] // v
+            if u_sum != u_cross:
+                continue
+            # u + u2 = a1, u*u2 = a2 - v - v2
+            disc = a1 * a1 - 4 * (a2 - v - v2)
+            if disc >= 0 and isqrt(disc) ** 2 == disc and (a1 + isqrt(disc)) % 2 == 0:
+                return False
+            continue
+        num = f[1] - a1 * v
+        den = v2 - v
+        u, rem = divmod(num, den)
+        if rem:
+            continue
+        u2 = a1 - u
+        if v + v2 + u * u2 == a2:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# resultants by the Sylvester matrix and a fraction-free Bareiss determinant
+
+def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
+    """Res(f, g) over Z."""
+    m, n = f.degree, g.degree
+    if f.is_zero() or g.is_zero():
+        return 0
+    if m == 0:
+        return f.coeffs[0] ** n
+    if n == 0:
+        return g.coeffs[0] ** m
+    size = m + n
+    rows = []
+    fr = f.coeffs[::-1]
+    gr = g.coeffs[::-1]
+    for i in range(n):
+        rows.append([0] * i + list(fr) + [0] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + list(gr) + [0] * (size - n - 1 - i))
+    return _bareiss_det(rows)
+
+
+def _bareiss_det(mat: list[list[int]]) -> int:
+    n = len(mat)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]

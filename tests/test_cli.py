@@ -46,6 +46,11 @@ class TestWeilCommands:
         assert code == 0
         assert "quaternion" in out
 
+    def test_weil_check_malformed_square(self, capsys):
+        code, _, err = run(capsys, "weil-check", "--q", "7", "--square=a,b")
+        assert code == 2
+        assert "Traceback" not in err
+
     def test_invalid_q(self, capsys):
         code, _, _ = run(capsys, "weil-list", "--q", "12")
         assert code == 2
@@ -66,6 +71,12 @@ class TestEmbedAndExists:
         data = json.loads(out)
         assert code == 0
         assert data["verdict"] is True
+
+    def test_embed_check_pseudoprime_p(self, capsys):
+        # 318665857834031151167461 = 399165290221 * 798330580441
+        code, _, _ = run(capsys, "embed-check", "--group", "C8",
+                         "--p", "318665857834031151167461")
+        assert code == 2
 
     def test_embed_check_uncovered(self, capsys):
         code, _, err = run(capsys, "embed-check", "--group", "C2", "--p", "3")

@@ -15,14 +15,13 @@ from gkzeta.numtheory import (
     moebius,
     mult_order,
     newton_slopes,
-    resultant,
     splitting_in_cyclotomic,
     splitting_in_quadratic,
     squarefree_part,
     valuation,
 )
 
-from oracles import direct_newton_slopes
+from oracles import direct_newton_slopes, resultant
 
 
 PRIMES_BELOW_100 = [p for p in range(2, 100) if is_prime(p)]
@@ -39,6 +38,17 @@ class TestPrimes:
     def test_composites(self):
         for n in (0, 1, 4, 9, 25, 91, 561, 1105):
             assert not is_prime(n)
+
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert not is_prime(n)
+
+    def test_refuses_above_proven_bound(self):
+        assert not is_prime(3317044064679887385961980)
+        # the least strong pseudoprime to every prime base 2..41
+        with pytest.raises(ValueError):
+            is_prime(3317044064679887385961981)
 
     def test_prime_power(self):
         q = PrimePower.from_q(49)

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gkzeta.numtheory import IntPolynomial, PrimePower
+from gkzeta import weil
+from gkzeta.numtheory import IntPolynomial, PrimePower, is_prime
 from gkzeta.weil import (
     NewtonType,
     Rejected,
@@ -17,6 +20,8 @@ from gkzeta.weil import (
 
 from oracles import (
     brute_elliptic_traces,
+    brute_quartic_is_irreducible,
+    resultant,
     series_exp,
     series_inv,
     series_from_poly,
@@ -25,6 +30,20 @@ from oracles import (
 
 PRIME_POWERS_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
                    27, 29, 31, 32, 37, 41, 43, 47, 49]
+
+
+def prime_powers_upto(bound: int) -> list[PrimePower]:
+    return [PrimePower(p, n) for p in range(2, bound + 1) if is_prime(p)
+            for n in range(1, bound.bit_length()) if p ** n <= bound]
+
+
+def weil_box(qq: int):
+    """The (a1, a2) that pass the Weil bounds of validate_surface_simple:
+    a1^2 <= 16q, 4 a2 <= a1^2 + 8q and a2 + 2q >= 2 |a1| sqrt(q)."""
+    for a1 in range(-isqrt(16 * qq), isqrt(16 * qq) + 1):
+        for a2 in range(-2 * qq, (a1 * a1 + 8 * qq) // 4 + 1):
+            if (a2 + 2 * qq) ** 2 >= 4 * a1 * a1 * qq:
+                yield a1, a2
 
 
 class TestElliptic:
@@ -109,6 +128,21 @@ class TestSurfaceQuartic:
         f = p * p
         with pytest.raises(Rejected):
             validate_surface_simple(PrimePower(5, 1), a1=f[3], a2=f[2])
+        # (t^2 - 3)^2, although a1^2 - 4 a2 + 8q = 48 is not a square
+        with pytest.raises(Rejected, match="reducible"):
+            validate_surface_simple(PrimePower(3, 1), a1=0, a2=-6)
+
+    def test_irreducibility_matches_divisor_scan_below_100(self):
+        pairs = reducible = 0
+        for q in prime_powers_upto(99):
+            qq = q.q
+            for a1, a2 in weil_box(qq):
+                f = IntPolynomial([qq * qq, a1 * qq, a2, a1, 1])
+                want = brute_quartic_is_irreducible(f)
+                assert weil._quartic_is_irreducible(qq, a1, a2) == want, (qq, a1, a2)
+                pairs += 1
+                reducible += not want
+        assert (pairs, reducible) == (110683, 11589)
 
     def test_weil_bounds(self):
         with pytest.raises(Rejected):
@@ -162,6 +196,12 @@ class TestPointCountsAndZeta:
         n1 = abelian_point_count(w, 1)
         assert n1 == w.poly(1)
 
+    def test_zeta_parity_check_is_not_an_assert(self, monkeypatch):
+        w = validate_surface_simple(PrimePower(5, 1), a1=1, a2=3)
+        monkeypatch.setattr(weil, "_power_sums", lambda f, upto: [0, 1] + [0] * (upto - 1))
+        with pytest.raises(Rejected):
+            abelian_zeta(w)
+
     def test_zeta_factor_degrees(self):
         w = validate_surface_simple(PrimePower(5, 1), a1=1, a2=3)
         ps = abelian_zeta(w)
@@ -211,3 +251,35 @@ class TestPointCountsAndZeta:
         for r in range(1, n):
             logarg[r] = Fraction(abelian_point_count(w, r), r)
         assert zeta == series_exp(logarg, n)
+
+
+PRIME_POWERS_10K = prime_powers_upto(10 ** 4)
+
+
+@st.composite
+def weil_classes(draw):
+    """Validated classes over F_q, q <= 10^4: elliptic, simple quartic (a1, a2)
+    drawn from the Weil box, and squares f = P^2."""
+    q = draw(st.sampled_from(PRIME_POWERS_10K))
+    qq, r = q.q, isqrt(q.q)
+    kind = draw(st.sampled_from(["elliptic", "quartic", "square"]))
+    try:
+        if kind == "elliptic":
+            return validate_elliptic(q, draw(st.integers(-2 * r - 1, 2 * r + 1)))
+        if kind == "quartic":
+            a1 = draw(st.integers(-isqrt(16 * qq), isqrt(16 * qq)))
+            lo = isqrt(4 * a1 * a1 * qq - 1) + 1 - 2 * qq if a1 else -2 * qq
+            a2 = draw(st.integers(lo, max(lo, (a1 * a1 + 8 * qq) // 4)))
+            return validate_surface_simple(q, a1=a1, a2=a2)
+        b = draw(st.sampled_from([0, r, -r]))
+        c0 = draw(st.sampled_from([qq, -qq]))
+        return validate_surface_simple(q, square_of=IntPolynomial([c0, -b, 1]))
+    except Rejected:
+        assume(False)
+
+
+@given(weil_classes(), st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_point_count_matches_resultant(w, r):
+    want = abs(resultant(w.poly, IntPolynomial.x_pow(r) - IntPolynomial([1])))
+    assert abelian_point_count(w, r) == want
