@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import Rejected
 from .numtheory import (
     euler_phi,
     is_prime,
@@ -20,12 +21,8 @@ from .numtheory import (
 )
 
 
-class ReciprocityError(ValueError):
+class ReciprocityError(Rejected):
     """Local invariants that violate a global constraint."""
-
-
-class UnsupportedGroup(ValueError):
-    """A group whose rigid algebra is outside the tabulated embedding rows."""
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +355,16 @@ def m2_hp(p: int) -> CSADescriptor:
 def rigid_embeds_in_m2hp(g, p: int) -> bool:
     """Does the rigid group algebra of g embed into M(2, H_p)?
 
-    Computed from local invariant arithmetic, then cross-checked against the
-    explicit congruence conditions per algebra.
+    Computed from local invariant arithmetic, for the algebras of the
+    tabulated embedding rows; others are rejected.
     """
     from .groups import rigid_algebra
 
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     alg = rigid_algebra(g)
-    key = _embedding_row_key(alg)
-    computed = _embeds_by_invariants(alg, p)
-    tabulated = _embeds_by_congruence(key, p)
-    if computed != tabulated:
-        raise AssertionError(
-            f"embedding test disagreement for {alg} at p={p}: "
-            f"computed {computed}, table says {tabulated}")
-    return computed
+    _embedding_row_key(alg)  # rejects algebras outside the tabulated rows
+    return _embeds_by_invariants(alg, p)
 
 
 def _embedding_row_key(alg: CSADescriptor) -> str:
@@ -387,7 +378,7 @@ def _embedding_row_key(alg: CSADescriptor) -> str:
     if alg.degree == 2 and c.kind == "quad" and c.param in (2, 3, 5):
         if alg.invariants and all(pl[0] == "inf" for pl, _ in alg.invariants):
             return f"Hinf{c.param}"
-    raise UnsupportedGroup(f"{alg} is not among the tabulated embedding rows")
+    raise Rejected(f"{alg} is not among the tabulated embedding rows")
 
 
 def _embeds_by_invariants(alg: CSADescriptor, p: int) -> bool:
@@ -405,20 +396,3 @@ def _embeds_by_invariants(alg: CSADescriptor, p: int) -> bool:
     # center, i.e. iff p does not split in Q(sqrt(d))
     return hp_into_hinfty(p, c.param)
 
-
-def _embeds_by_congruence(key: str, p: int) -> bool:
-    if key in ("zeta3", "zeta4", "H2", "H3"):
-        return True
-    if key == "zeta5":
-        return p % 5 != 1
-    if key == "zeta8":
-        return p % 8 != 1
-    if key == "zeta12":
-        return p % 12 != 1
-    if key == "Hinf5":
-        return p % 5 not in (1, 4)
-    if key == "Hinf2":
-        return p % 8 not in (1, 7)
-    if key == "Hinf3":
-        return p % 12 not in (1, 11)
-    raise UnsupportedGroup(key)

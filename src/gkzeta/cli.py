@@ -10,14 +10,8 @@ import json
 import sys
 
 from . import brauer, existence, groups, kummer, weil
+from .errors import Rejected
 from .numtheory import IntPolynomial, PrimePower, is_prime
-
-
-class DomainError(Exception):
-    def __init__(self, reason: str, citation: str = ""):
-        super().__init__(reason)
-        self.reason = reason
-        self.citation = citation
 
 
 def _emit(args, human_lines, payload):
@@ -49,6 +43,13 @@ def _quadratic(s: str) -> IntPolynomial:
         raise argparse.ArgumentTypeError(f"{s!r} is not a comma-separated list of integers")
 
 
+def _notation(s: str) -> kummer.NSCharPoly:
+    try:
+        return kummer.parse_zeta_notation(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a notation such as 1^20,2^2: {exc}")
+
+
 def _group(s: str) -> groups.GroupId:
     try:
         return groups.parse_group(s)
@@ -77,18 +78,15 @@ def cmd_weil_list(args) -> int:
 
 def cmd_weil_check(args) -> int:
     q = args.q
-    try:
-        if args.b is not None:
-            w = weil.validate_elliptic(q, args.b)
-        elif args.square is not None:
-            w = weil.validate_surface_simple(q, square_of=args.square)
-        elif args.a1 is not None and args.a2 is not None:
-            w = weil.validate_surface_simple(q, a1=args.a1, a2=args.a2)
-        else:
-            print("weil-check needs --b, or --a1 and --a2, or --square", file=sys.stderr)
-            return 2
-    except weil.Rejected as exc:
-        raise DomainError(exc.reason, "Weil polynomial classification")
+    if args.b is not None:
+        w = weil.validate_elliptic(q, args.b)
+    elif args.square is not None:
+        w = weil.validate_surface_simple(q, square_of=args.square)
+    elif args.a1 is not None and args.a2 is not None:
+        w = weil.validate_surface_simple(q, a1=args.a1, a2=args.a2)
+    else:
+        print("weil-check needs --b, or --a1 and --a2, or --square", file=sys.stderr)
+        return 2
     slopes = ",".join(str(s) for s in sorted(w.slopes()))
     lines = [
         f"valid: f = {w.poly} over F_{q.q} (dim {w.dim}, e = {w.e})",
@@ -105,10 +103,7 @@ def cmd_weil_check(args) -> int:
 
 
 def cmd_embed_check(args) -> int:
-    try:
-        ok = brauer.rigid_embeds_in_m2hp(args.group, args.p)
-    except brauer.UnsupportedGroup as exc:
-        raise DomainError(str(exc), "embedding table")
+    ok = brauer.rigid_embeds_in_m2hp(args.group, args.p)
     alg = groups.rigid_algebra(args.group)
     verdict = "embeds" if ok else "does not embed"
     lines = [f"Q[{args.group}]^rig = {alg} {verdict} in M(2, H_{args.p}) [embedding table]"]
@@ -148,35 +143,29 @@ def _verdict_payload(cmd: str, v: existence.ExistenceVerdict, extra: dict) -> di
 
 def cmd_exists(args) -> int:
     g = args.group
-    try:
-        if args.refine:
-            q = args.q if args.q else PrimePower(args.p, 2 if args.parity == "even" else 1)
-            v = existence.katsura_refinement(g, q)
-            extra = {"q": q.q, "refine": True}
-        elif args.parity == "even":
-            v = existence.exists_over_even_degree(g, args.p)
-            extra = {"p": args.p, "parity": "even"}
-        elif args.parity == "prime":
-            v = existence.exists_over_prime_field(g, args.p)
-            extra = {"p": args.p, "parity": "prime"}
-        else:
-            q = args.q if args.q else PrimePower(args.p, 1)
-            if not q.degree_is_odd:
-                print("--parity odd needs an odd-degree --q", file=sys.stderr)
-                return 2
-            v = existence.exists_over_odd_degree(g, q)
-            extra = {"q": q.q, "parity": "odd"}
-    except existence.Rejected as exc:
-        raise DomainError(exc.reason, "existence classification")
+    if args.refine:
+        q = args.q if args.q else PrimePower(args.p, 2 if args.parity == "even" else 1)
+        v = existence.katsura_refinement(g, q)
+        extra = {"q": q.q, "refine": True}
+    elif args.parity == "even":
+        v = existence.exists_over_even_degree(g, args.p)
+        extra = {"p": args.p, "parity": "even"}
+    elif args.parity == "prime":
+        v = existence.exists_over_prime_field(g, args.p)
+        extra = {"p": args.p, "parity": "prime"}
+    else:
+        q = args.q if args.q else PrimePower(args.p, 1)
+        if not q.degree_is_odd:
+            print("--parity odd needs an odd-degree --q", file=sys.stderr)
+            return 2
+        v = existence.exists_over_odd_degree(g, q)
+        extra = {"q": q.q, "parity": "odd"}
     _emit(args, _verdict_lines(v), _verdict_payload("exists", v, extra))
     return 0
 
 
 def cmd_sing_config(args) -> int:
-    try:
-        cfgs = kummer.singular_configs(args.group)
-    except kummer.Rejected as exc:
-        raise DomainError(exc.reason, "singularity configuration table")
+    cfgs = kummer.singular_configs(args.group)
     lines, rows = [], []
     for cfg in cfgs:
         bound, exact = kummer.ns_rank_bound(cfg)
@@ -205,21 +194,16 @@ def _parse_orbit(spec: str) -> kummer.SingularOrbit:
 
 def cmd_zeta_assemble(args) -> int:
     q = args.q
-    try:
-        if args.notation:
-            cp = kummer.parse_zeta_notation(args.notation)
-        else:
-            h = kummer.invariant_h_poly(args.group, args.eps, q)
-            cp = kummer.assemble_ns(args.orbit or (), h)
-        if not kummer.artin_check(q, cp):
-            raise DomainError(
-                f"{cp} is impossible over a field of odd degree",
-                "odd-degree trace constraint")
-        tr = kummer.trace_of(cp)
-        n1 = kummer.k3_point_count(q, cp)
-        z = kummer.k3_zeta(q, cp)
-    except kummer.Rejected as exc:
-        raise DomainError(exc.reason, "zeta assembly")
+    if args.notation:
+        cp = args.notation
+    else:
+        cp = kummer.assemble_ns(args.orbit or (), kummer.invariant_h_poly(args.group, args.eps))
+    if not kummer.artin_check(q, cp):
+        raise Rejected(f"{cp} is impossible over a field of odd degree",
+                       "odd-degree trace constraint")
+    tr = kummer.trace_of(cp)
+    n1 = kummer.k3_point_count(q, cp)
+    z = kummer.k3_zeta(q, cp)
     lines = [
         f"characteristic polynomial: {cp}",
         f"trace: {tr}",
@@ -248,7 +232,7 @@ def cmd_tables(args) -> int:
             lines.append(f"Tr = {row.trace:3d}  Z = {row.notation:18s} G = {row.group}  "
                          f"({row.p_condition})  f = {row.weil_shape}")
             rows.append({"trace": row.trace, "notation": row.notation,
-                         "group": str(row.group), "p_condition": row.p_condition,
+                         "group": str(row.group), "p_condition": str(row.p_condition),
                          "weil_shape": row.weil_shape})
     elif args.which == "rigidalg":
         for g in groups.GroupId:
@@ -260,10 +244,9 @@ def cmd_tables(args) -> int:
             print("tables --which alginj needs --p", file=sys.stderr)
             return 2
         for g in groups.GroupId:
-            try:
-                ok = brauer.rigid_embeds_in_m2hp(g, args.p)
-            except brauer.UnsupportedGroup:
+            if g not in existence.EVEN_DEGREE_GROUPS:
                 continue
+            ok = brauer.rigid_embeds_in_m2hp(g, args.p)
             verdict = "embeds" if ok else "does not embed"
             lines.append(f"Q[{g}]^rig {verdict} in M(2, H_{args.p})")
             rows.append({"group": str(g), "embeds": ok})
@@ -290,23 +273,20 @@ def cmd_selftest(args) -> int:
             checks.append((f"trace row {parity}/{row.notation}",
                            kummer.trace_of(cp) == row.trace))
 
-    # embedding congruences agree with local invariant arithmetic
-    ok = True
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        for g in groups.GroupId:
-            try:
-                brauer.rigid_embeds_in_m2hp(g, p)
-            except brauer.UnsupportedGroup:
-                continue
-            except AssertionError:
-                ok = False
-    checks.append(("embedding cross-check p < 50", ok))
+    # local invariant arithmetic agrees with column I of the even-degree table
+    checks.append(("embedding cross-check p < 50", all(
+        brauer.rigid_embeds_in_m2hp(g, p) == existence.exists_over_even_degree(g, p).exists_rigid
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+        for g in existence.EVEN_DEGREE_GROUPS)))
 
-    failed = [name for name, good in checks if not good]
-    for name, good in checks:
-        print(f"{'ok' if good else 'FAIL'}  {name}")
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return 0 if not failed else 1
+    passed = sum(good for _, good in checks)
+    lines = [f"{'ok' if good else 'FAIL'}  {name}" for name, good in checks]
+    lines.append(f"{passed}/{len(checks)} checks passed")
+    payload = {"query": {"command": "selftest"},
+               "result": [{"check": name, "ok": good} for name, good in checks],
+               "passed": passed, "total": len(checks)}
+    _emit(args, lines, payload)
+    return 0 if passed == len(checks) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weil-list", help="enumerate elliptic isogeny classes over F_q")
     p.add_argument("--q", type=_prime_power, required=True)
     add_json(p)
-    p.set_defaults(func=cmd_weil_list)
+    p.set_defaults(func=cmd_weil_list, citation="elliptic isogeny classification")
 
     p = sub.add_parser("weil-check", help="validate a Weil polynomial")
     p.add_argument("--q", type=_prime_power, required=True)
@@ -334,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--square", type=_quadratic,
                    help="monic quadratic P (coefficients c0,c1,1) for f = P^2")
     add_json(p)
-    p.set_defaults(func=cmd_weil_check)
+    p.set_defaults(func=cmd_weil_check, citation="Weil polynomial classification")
 
     p = sub.add_parser("embed-check", help="rigid group algebra into M(2, H_p)")
     p.add_argument("--group", type=_group, required=True)
     p.add_argument("--p", type=_prime, required=True)
     add_json(p)
-    p.set_defaults(func=cmd_embed_check)
+    p.set_defaults(func=cmd_embed_check, citation="embedding table")
 
     p = sub.add_parser("exists", help="existence of rigid/symplectic actions")
     p.add_argument("--group", type=_group, required=True)
@@ -350,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true",
                    help="apply the quotient-surface refinement")
     add_json(p)
-    p.set_defaults(func=cmd_exists)
+    p.set_defaults(func=cmd_exists, citation="existence classification")
 
     p = sub.add_parser("sing-config", help="singularity configuration of the quotient")
     p.add_argument("--group", type=_group, required=True)
     add_json(p)
-    p.set_defaults(func=cmd_sing_config)
+    p.set_defaults(func=cmd_sing_config, citation="singularity configuration table")
 
     p = sub.add_parser("zeta-assemble", help="assemble the NS characteristic polynomial")
     p.add_argument("--q", type=_prime_power, required=True)
@@ -363,20 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=int, choices=(1, -1), default=-1)
     p.add_argument("--orbit", type=_parse_orbit, action="append",
                    help="orbit spec ADE,count,degree,action (repeatable)")
-    p.add_argument("--notation", help="direct notation such as 1^20,2^2")
+    p.add_argument("--notation", type=_notation, help="direct notation such as 1^20,2^2")
     add_json(p)
-    p.set_defaults(func=cmd_zeta_assemble)
+    p.set_defaults(func=cmd_zeta_assemble, citation="zeta assembly")
 
     p = sub.add_parser("tables", help="print a stored or derived table")
     p.add_argument("--which", choices=("sing", "sszeta1", "sszeta2", "rigidalg", "alginj"),
                    required=True)
     p.add_argument("--p", type=_prime)
     add_json(p)
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func=cmd_tables, citation="reference tables")
 
     p = sub.add_parser("selftest", help="run internal consistency checks")
     add_json(p)
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, citation="selftest")
 
     return parser
 
@@ -401,9 +381,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except DomainError as exc:
-        tag = f" [{exc.citation}]" if exc.citation else ""
-        print(f"rejected: {exc.reason}{tag}", file=sys.stderr)
+    except Rejected as exc:
+        print(f"rejected: {exc.reason} [{exc.citation or args.citation}]", file=sys.stderr)
         return 1
 
 

@@ -6,18 +6,12 @@ for the quotient construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
+from .errors import Rejected
 from .groups import CONFIG_GROUPS, GroupId, facts, order
-from .numtheory import IntPolynomial, PrimePower
+from .numtheory import Condition, IntPolynomial, PrimePower
 
 G = GroupId
-
-
-class Rejected(ValueError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,6 @@ class ExistenceVerdict:
     symplectic: Finding
     conditions: tuple  # of (condition text, evaluated bool)
     weil_options: tuple = ()
-    supersingular_forced: bool = True
 
     @property
     def exists_rigid(self):
@@ -48,10 +41,6 @@ class ExistenceVerdict:
     @property
     def exists_rigid_symplectic(self):
         return self.symplectic.value
-
-    @property
-    def reasons(self) -> tuple:
-        return self.conditions
 
 
 @dataclass(frozen=True)
@@ -64,37 +53,30 @@ class WeilOption:
     satisfied: object  # True | False | None
 
 
-def _cond(text: str, value) -> tuple:
-    return (text, value)
-
-
 # ---------------------------------------------------------------------------
 # even-degree fields (containing F_{p^2})
 
-# column I: rigid action exists; column II: rigid and symplectic
+# (column I: rigid action exists, column II: rigid and symplectic), or None
+# when both hold for every p
 _EVEN_TABLE = {
-    G.C3: (None, None), G.C6: (None, None), G.C4: (None, None),
-    G.C8: (("p != 1 mod 8",), ("p != +-1 mod 8",)),
-    G.C5: (("p != 1 mod 5",), ("p != +-1 mod 5",)),
-    G.C10: (("p != 1 mod 5",), ("p != +-1 mod 5",)),
-    G.C12: (("p != 1 mod 12",), ("p != +-1 mod 12",)),
-    G.Q8: (None, None), G.Q12: (None, None),
-    G.Q16: (("p != +-1 mod 8",), ("p != +-1 mod 8",)),
-    G.Q20: (("p != +-1 mod 5",), ("p != +-1 mod 5",)),
-    G.Q24: (("p != +-1 mod 12",), ("p != +-1 mod 12",)),
-    G.SL2F3: (None, None),
-    G.ESL2F3: (("p != +-1 mod 8",), ("p != +-1 mod 8",)),
-    G.SL2F5: (("p != +-1 mod 5",), ("p != +-1 mod 5",)),
+    G.C3: None, G.C6: None, G.C4: None,
+    G.C8: (Condition("p != 1 mod 8"), Condition("p != +-1 mod 8")),
+    G.C5: (Condition("p != 1 mod 5"), Condition("p != +-1 mod 5")),
+    G.C10: (Condition("p != 1 mod 5"), Condition("p != +-1 mod 5")),
+    G.C12: (Condition("p != 1 mod 12"), Condition("p != +-1 mod 12")),
+    G.Q8: None, G.Q12: None,
+    G.Q16: (Condition("p != +-1 mod 8"),) * 2,
+    G.Q20: (Condition("p != +-1 mod 5"),) * 2,
+    G.Q24: (Condition("p != +-1 mod 12"),) * 2,
+    G.SL2F3: None,
+    G.ESL2F3: (Condition("p != +-1 mod 8"),) * 2,
+    G.SL2F5: (Condition("p != +-1 mod 5"),) * 2,
 }
 
-_COND_EVAL = {
-    "p != 1 mod 8": lambda p: p % 8 != 1,
-    "p != +-1 mod 8": lambda p: p % 8 not in (1, 7),
-    "p != 1 mod 5": lambda p: p % 5 != 1,
-    "p != +-1 mod 5": lambda p: p % 5 not in (1, 4),
-    "p != 1 mod 12": lambda p: p % 12 != 1,
-    "p != +-1 mod 12": lambda p: p % 12 not in (1, 11),
-}
+# the groups of the even-degree classification; the M(2, H_p) embedding
+# test (brauer.rigid_embeds_in_m2hp) covers the same groups, and column I
+# is its answer
+EVEN_DEGREE_GROUPS = frozenset(_EVEN_TABLE)
 
 
 def exists_over_even_degree(g: GroupId, p: int) -> ExistenceVerdict:
@@ -103,33 +85,25 @@ def exists_over_even_degree(g: GroupId, p: int) -> ExistenceVerdict:
     """
     if g not in _EVEN_TABLE:
         raise Rejected(f"{g} is not covered by the even-degree classification")
-    col1, col2 = _EVEN_TABLE[g]
-    conds = []
-    if col1 is None:
-        rigid_val = True
-        conds.append(_cond("any p coprime to |G|", True))
-    else:
-        (text,) = col1
-        rigid_val = _COND_EVAL[text](p)
-        conds.append(_cond(text, rigid_val))
-    if col2 is None:
-        sympl_val = True
-    else:
-        (text,) = col2
-        sympl_val = _COND_EVAL[text](p)
-        conds.append(_cond(f"symplectic: {text}", sympl_val))
-    return ExistenceVerdict(
-        g,
-        Finding(rigid_val, "even-degree classification"),
-        Finding(sympl_val, "even-degree classification"),
-        tuple(conds),
-    )
+    cite = "even-degree classification"
+    if _EVEN_TABLE[g] is None:
+        yes = Finding(True, cite)
+        return ExistenceVerdict(g, yes, yes, (("any p coprime to |G|", True),))
+    rigid, sympl = _EVEN_TABLE[g]
+    r, s = rigid.holds(p), sympl.holds(p)
+    return ExistenceVerdict(g, Finding(r, cite), Finding(s, cite),
+                            ((str(rigid), r), (f"symplectic: {sympl}", s)))
 
 
 # ---------------------------------------------------------------------------
 # prime fields
 
-_PRIME_FIELD_ANY = (G.C2, G.C3, G.C4, G.C6)
+_PRIME_FIELD = {
+    G.C2: Condition("any p"), G.C3: Condition("any p"),
+    G.C4: Condition("any p"), G.C6: Condition("any p"),
+    G.Q8: Condition("p != 2"), G.SL2F3: Condition("p != 2"),
+    G.Q12: Condition("p > 3"),
+}
 
 
 def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
@@ -137,31 +111,40 @@ def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
 
     Cases outside the sufficiency list come back undetermined, not refuted.
     """
-    if g in _PRIME_FIELD_ANY:
-        val, cond = True, _cond("any p", True)
-    elif g in (G.Q8, G.SL2F3):
-        ok = p != 2
-        val, cond = (True if ok else None), _cond("p != 2", ok)
-    elif g == G.Q12:
-        ok = p > 3
-        val, cond = (True if ok else None), _cond("p > 3", ok)
+    cond = _PRIME_FIELD.get(g)
+    if cond is None:
+        val, conds = None, (("group outside the prime-field sufficiency list", False),)
     else:
-        val, cond = None, _cond("group outside the prime-field sufficiency list", False)
-    return ExistenceVerdict(
-        g,
-        Finding(val, "prime-field sufficiency"),
-        Finding(val, "prime-field sufficiency"),
-        (cond,),
-    )
+        ok = cond.holds(p)
+        val, conds = (True if ok else None), ((str(cond), ok),)
+    found = Finding(val, "prime-field sufficiency")
+    return ExistenceVerdict(g, found, found, conds)
 
 
 # ---------------------------------------------------------------------------
 # odd-degree fields
 
-def _square_poly(qq: int, c: int) -> IntPolynomial:
-    """(t^2 + c)^2 as an explicit quartic."""
-    base = IntPolynomial([c, 0, 1])
-    return base * base
+# the admissible Frobenius shapes t^4 + u q t^2 + q^2, by their coefficient u
+_SHAPES = {"t^4 + q^2": 0, "t^4 + q t^2 + q^2": 1, "t^4 - q t^2 + q^2": -1,
+           "(t^2 - q)^2": -2, "(t^2 + q)^2": 2}
+
+_SQUARE_ROWS = (("(t^2 - q)^2", Condition("p > 2")), ("(t^2 + q)^2", Condition("p > 2")))
+_C3_ROWS = (("t^4 + q t^2 + q^2", Condition("any p")),
+            ("t^4 - q t^2 + q^2", Condition("any p"))) + _SQUARE_ROWS
+_Q8_ROWS = (("(t^2 - q)^2", Condition("p != 1 mod 8")),
+            ("(t^2 + q)^2", Condition("p != -1 mod 8")))
+_ODD_TABLE = {
+    G.C4: (("t^4 + q^2", Condition("any p")),) + _SQUARE_ROWS,
+    G.C3: _C3_ROWS, G.C6: _C3_ROWS,
+    G.Q8: _Q8_ROWS, G.SL2F3: _Q8_ROWS,
+    G.Q12: (("(t^2 - q)^2", Condition("p != 2 mod 3")),
+            ("(t^2 + q)^2", Condition("p != 1 mod 3"))),
+}
+
+# characteristic-special shapes, by p; the exact quartic is left symbolic
+# because the printed shape is ambiguous as stated
+_SPECIAL_SHAPES = {3: ((G.C4, G.C8, G.Q8), "(t^2 +- 3^r ... + q)^2"),
+                   2: ((G.C3,), "(t^2 +- 2^r ... + q)^2")}
 
 
 def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
@@ -176,35 +159,12 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
         raise Rejected("only groups of order > 2 are classified here")
     p, qq = q.p, q.q
 
-    opts: list[WeilOption] = []
-
-    def add(shape, poly, condition, satisfied):
-        opts.append(WeilOption(shape, poly, condition, satisfied))
-
-    if g == G.C4:
-        add("t^4 + q^2", IntPolynomial([qq * qq, 0, 0, 0, 1]), "any p", True)
-        add("(t^2 - q)^2", _square_poly(qq, -qq), "p > 2", p > 2)
-        add("(t^2 + q)^2", _square_poly(qq, qq), "p > 2", p > 2)
-    elif g in (G.C3, G.C6):
-        add("t^4 + q t^2 + q^2", IntPolynomial([qq * qq, 0, qq, 0, 1]), "any p", True)
-        add("t^4 - q t^2 + q^2", IntPolynomial([qq * qq, 0, -qq, 0, 1]), "any p", True)
-        add("(t^2 - q)^2", _square_poly(qq, -qq), "p > 2", p > 2)
-        add("(t^2 + q)^2", _square_poly(qq, qq), "p > 2", p > 2)
-    elif g in (G.Q8, G.SL2F3):
-        add("(t^2 - q)^2", _square_poly(qq, -qq), "p != 1 mod 8", p % 8 != 1)
-        add("(t^2 + q)^2", _square_poly(qq, qq), "p != -1 mod 8", p % 8 != 7)
-    elif g == G.Q12:
-        add("(t^2 - q)^2", _square_poly(qq, -qq), "p != 2 mod 3", p % 3 != 2)
-        add("(t^2 + q)^2", _square_poly(qq, qq), "p != 1 mod 3", p % 3 != 1)
-    else:
-        pass  # no general rows: existence can only come from the special shapes
-
-    # characteristic-special shapes; the exact quartic is left symbolic
-    # because the printed shape is ambiguous as stated
-    if p == 3 and g in (G.C4, G.C8, G.Q8):
-        add("(t^2 +- 3^r ... + q)^2", None, "p = 3 (shape stated ambiguously)", None)
-    if p == 2 and g == G.C3:
-        add("(t^2 +- 2^r ... + q)^2", None, "p = 2 (shape stated ambiguously)", None)
+    opts = [WeilOption(shape, IntPolynomial([qq * qq, 0, _SHAPES[shape] * qq, 0, 1]),
+                       str(cond), cond.holds(p))
+            for shape, cond in _ODD_TABLE.get(g, ())]
+    special_groups, shape = _SPECIAL_SHAPES.get(p, ((), ""))
+    if g in special_groups:
+        opts.append(WeilOption(shape, None, f"p = {p} (shape stated ambiguously)", None))
 
     if order(g) % p == 0 and not any(o.satisfied is None for o in opts):
         raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
@@ -212,16 +172,11 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     val = any(o.satisfied is True for o in opts)
     if not val and any(o.satisfied is None for o in opts):
         val = None
-    conds = tuple(_cond(f"{o.shape}: {o.condition}", o.satisfied) for o in opts)
+    conds = tuple((f"{o.shape}: {o.condition}", o.satisfied) for o in opts)
     if not opts:
-        conds = (_cond("group matches no odd-degree classification row", False),)
-    return ExistenceVerdict(
-        g,
-        Finding(val, "odd-degree classification"),
-        Finding(val, "odd-degree classification"),
-        conds,
-        weil_options=tuple(opts),
-    )
+        conds = (("group matches no odd-degree classification row", False),)
+    found = Finding(val, "odd-degree classification")
+    return ExistenceVerdict(g, found, found, conds, weil_options=tuple(opts))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +184,9 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
 
 _REFINE_DIRECT = (G.C2, G.C3, G.C4, G.C6, G.Q8, G.Q12, G.SL2F3)
 
-# groups needing the extra congruence clause, with the cyclic orders that
-# trigger it (orders n in {5, 8, 12} of elements of G)
-_REFINE_TRIGGERS = {5, 8, 12}
+# the extra congruence clause, by the element orders n in {5, 8, 12} of G
+# that trigger it
+_REFINE_CONDITIONS = {n: Condition(f"p != +-1 mod {n}") for n in (5, 8, 12)}
 
 
 def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
@@ -249,22 +204,11 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     if g not in CONFIG_GROUPS:
         raise Rejected(f"{g} is not in the quotient-construction list")
     if g in _REFINE_DIRECT:
-        return ExistenceVerdict(
-            g,
-            Finding(True, "quotient refinement"),
-            Finding(True, "quotient refinement"),
-            (_cond("group in the unconditional list", True),),
-        )
-    triggers = sorted(facts(g).cyclic_subgroup_orders & _REFINE_TRIGGERS)
-    conds = [_cond("field degree even", not q.degree_is_odd)]
-    ok = not q.degree_is_odd
-    for n in triggers:
-        c = p % n not in (1, n - 1)
-        conds.append(_cond(f"p != +-1 mod {n}", c))
-        ok = ok and c
-    return ExistenceVerdict(
-        g,
-        Finding(ok, "quotient refinement"),
-        Finding(ok, "quotient refinement"),
-        tuple(conds),
-    )
+        found = Finding(True, "quotient refinement")
+        return ExistenceVerdict(g, found, found, (("group in the unconditional list", True),))
+    conds = [("field degree even", not q.degree_is_odd)]
+    for n in sorted(facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys()):
+        cond = _REFINE_CONDITIONS[n]
+        conds.append((str(cond), cond.holds(p)))
+    found = Finding(all(holds for _, holds in conds), "quotient refinement")
+    return ExistenceVerdict(g, found, found, tuple(conds))

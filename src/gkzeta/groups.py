@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import brauer
-from .numtheory import divisors
 
 
 class GroupId(Enum):

@@ -6,11 +6,13 @@ zeta functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
+from .errors import Rejected
 from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, subgroup_order
 from .numtheory import (
+    Condition,
     IntPolynomial,
     PrimePower,
     cyclotomic,
@@ -21,12 +23,6 @@ from .numtheory import (
 )
 
 G = GroupId
-
-
-class Rejected(ValueError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +232,11 @@ class NSCharPoly:
         object.__setattr__(self, "parts", items)
         for r, d in items:
             if r < 1 or d < 1:
-                raise ValueError("orders and degrees must be positive")
+                raise Rejected("orders and degrees must be positive")
             if d % euler_phi(r):
-                raise ValueError(f"degree {d} at order {r} is not a multiple of phi({r})")
+                raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
         if sum(d for _, d in items) != 22:
-            raise ValueError(f"total degree {sum(d for _, d in items)} != 22")
+            raise Rejected(f"total degree {sum(d for _, d in items)} != 22")
 
     def degree_at(self, r: int) -> int:
         return dict(self.parts).get(r, 0)
@@ -310,7 +306,7 @@ def exceptional_charpoly(orbit: SingularOrbit) -> dict[int, int]:
     raise Rejected("cannot assemble an orbit with unknown graph action")
 
 
-def invariant_h_poly(g: GroupId, eps: int, q: PrimePower = None) -> dict[int, int]:
+def invariant_h_poly(g: GroupId, eps: int) -> dict[int, int]:
     """Contribution {r: d_r} of the rank-4 invariant sublattice, for the
     square Weil classes f = (t^2 + eps q)^2.
 
@@ -363,31 +359,10 @@ class ZetaFunction:
 
     def __str__(self):
         def fmt(f, m):
-            s = f"({_ascending(f)})"
+            s = f"({f.format(ascending=True)})"
             return s if m == 1 else f"{s}^{m}"
 
         return "1/(" + " ".join(fmt(f, m) for f, m in self.denominator) + ")"
-
-
-def _ascending(f: IntPolynomial) -> str:
-    """Print a polynomial constant term first, the usual zeta convention."""
-    parts = []
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        if i == 0:
-            term = str(abs(a))
-        else:
-            mag = "" if abs(a) == 1 else str(abs(a))
-            term = f"{mag}t" if i == 1 else f"{mag}t^{i}"
-        parts.append(("-" if a < 0 else "+", term))
-    if not parts:
-        return "0"
-    sign0, term0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + term0
-    for sign, term in parts[1:]:
-        out += f" {sign} {term}"
-    return out
 
 
 def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
@@ -426,49 +401,43 @@ class TraceRow:
     trace: int
     notation: str
     group: GroupId
-    p_condition: str
+    p_condition: Condition
     weil_shape: str
 
-    def condition_holds(self, p: int) -> bool:
-        return _TRACE_CONDS[self.p_condition](p)
+
+def _rows(*rows) -> tuple[TraceRow, ...]:
+    return tuple(TraceRow(tr, nt, g, Condition(cond), shape) for tr, nt, g, cond, shape in rows)
 
 
-_TRACE_CONDS = {
-    "p > 2": lambda p: p > 2,
-    "p != 1 mod 12": lambda p: p > 2 and p % 12 != 1,
-    "p = 1 mod 4": lambda p: p % 4 == 1,
-    "p = 3 mod 4": lambda p: p % 4 == 3,
-}
-
-_EVEN_ROWS = (
-    TraceRow(22, "1^22", G.C2, "p > 2", "(t +- sqrt(q))^4"),
-    TraceRow(18, "1^20,2^2", G.C4, "p > 2", "(t^2 - q)^2"),
-    TraceRow(14, "1^18,2^4", G.C2, "p > 2", "(t^2 - q)^2"),
-    TraceRow(10, "1^14,2^4,4^4", G.C2, "p > 2", "(t^2 + q)(t +- sqrt(q))^2"),
-    TraceRow(8, "1^15,2^7", G.C4, "p > 2", "(t^2 - q)^2"),
-    TraceRow(6, "1^14,2^8", G.C2, "p > 2", "(t^2 +- q)^2"),
-    TraceRow(4, "1^10,3^12", G.C2, "p > 2", "(t^2 +- sqrt(q) t + q)^2"),
-    TraceRow(2, "1^12,2^10", G.C2, "p > 2", "(t^2 - q)^2"),
-    TraceRow(0, "1^6,2^4,3^8,6^4", G.C2, "p != 1 mod 12", "t^4 - q t^2 + q^2"),
+_EVEN_ROWS = _rows(
+    (22, "1^22", G.C2, "p > 2", "(t +- sqrt(q))^4"),
+    (18, "1^20,2^2", G.C4, "p > 2", "(t^2 - q)^2"),
+    (14, "1^18,2^4", G.C2, "p > 2", "(t^2 - q)^2"),
+    (10, "1^14,2^4,4^4", G.C2, "p > 2", "(t^2 + q)(t +- sqrt(q))^2"),
+    (8, "1^15,2^7", G.C4, "p > 2", "(t^2 - q)^2"),
+    (6, "1^14,2^8", G.C2, "p > 2", "(t^2 +- q)^2"),
+    (4, "1^10,3^12", G.C2, "p > 2", "(t^2 +- sqrt(q) t + q)^2"),
+    (2, "1^12,2^10", G.C2, "p > 2", "(t^2 - q)^2"),
+    (0, "1^6,2^4,3^8,6^4", G.C2, "p != 1 mod 12", "t^4 - q t^2 + q^2"),
 )
 
-_ODD_ROWS = (
-    TraceRow(20, "1^21,2", G.Q8, "p = 3 mod 4", "(t^2 - q)^2"),
-    TraceRow(18, "1^20,2^2", G.C4, "p = 1 mod 4", "(t^2 - q)^2"),
-    TraceRow(18, "1^20,2^2", G.C2, "p = 3 mod 4", "(t^2 + q)^2"),
-    TraceRow(14, "1^18,2^4", G.C2, "p = 1 mod 4", "(t^2 - q)^2"),
-    TraceRow(10, "1^16,2^6", G.C2, "p = 3 mod 4", "(t^2 + q)^2"),
-    TraceRow(8, "1^15,2^7", G.C4, "p = 1 mod 4", "(t^2 - q)^2"),
-    TraceRow(6, "1^14,2^8", G.C2, "p > 2", "(t^2 + q)^2"),
-    TraceRow(2, "1^12,2^10", G.C2, "p > 2", "(t^2 - q)^2"),
-    TraceRow(0, "1^6,2^4,3^8,6^4", G.C2, "p > 2", "t^4 - q t^2 + q^2"),
+_ODD_ROWS = _rows(
+    (20, "1^21,2", G.Q8, "p = 3 mod 4", "(t^2 - q)^2"),
+    (18, "1^20,2^2", G.C4, "p = 1 mod 4", "(t^2 - q)^2"),
+    (18, "1^20,2^2", G.C2, "p = 3 mod 4", "(t^2 + q)^2"),
+    (14, "1^18,2^4", G.C2, "p = 1 mod 4", "(t^2 - q)^2"),
+    (10, "1^16,2^6", G.C2, "p = 3 mod 4", "(t^2 + q)^2"),
+    (8, "1^15,2^7", G.C4, "p = 1 mod 4", "(t^2 - q)^2"),
+    (6, "1^14,2^8", G.C2, "p > 2", "(t^2 + q)^2"),
+    (2, "1^12,2^10", G.C2, "p > 2", "(t^2 - q)^2"),
+    (0, "1^6,2^4,3^8,6^4", G.C2, "p > 2", "t^4 - q t^2 + q^2"),
 )
 
 
 def trace_table(parity: str, p: int = None) -> tuple[TraceRow, ...]:
     """Realizable (trace, char. polynomial) pairs for supersingular quotient
     surfaces over fields of the given degree parity, optionally filtered by
-    the row conditions at p."""
+    the row conditions at p.  Every row needs an odd p."""
     if parity == "even":
         rows = _EVEN_ROWS
     elif parity == "odd":
@@ -477,4 +446,6 @@ def trace_table(parity: str, p: int = None) -> tuple[TraceRow, ...]:
         raise ValueError("parity must be 'even' or 'odd'")
     if p is None:
         return rows
-    return tuple(row for row in rows if row.condition_holds(p))
+    if p == 2:
+        return ()
+    return tuple(row for row in rows if row.p_condition.holds(p))

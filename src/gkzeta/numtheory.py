@@ -1,15 +1,17 @@
-"""Exact elementary number theory: prime powers, integer polynomials,
-cyclotomic polynomials, residue symbols and p-adic Newton polygons.
+"""Exact elementary number theory: prime powers, conditions on a prime,
+integer polynomials, cyclotomic polynomials, residue symbols and p-adic
+Newton polygons.
 
 Everything here is pure integer/rational arithmetic; no floats anywhere.
 Polynomials are dense coefficient tuples, constant term first.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,46 @@ class PrimePower:
 
 
 # ---------------------------------------------------------------------------
+# conditions on a prime
+
+_CONDITION = re.compile(r"any p|p > (?P<gt>\d+)|p != (?P<ne>\d+)"
+                        r"|p (?P<op>!?=) (?P<sign>\+-|-)?(?P<r>\d+) mod (?P<m>\d+)")
+
+
+class Condition:
+    """A condition on the prime p, parsed from the paper's text and printed
+    as that text: 'any p', 'p > N', 'p != N', 'p = R mod M' or 'p != R mod M',
+    where R may read -R or +-R (either of R and -R).
+
+    Each form is read as p > bound, p != excluded, and p mod modulus in
+    residues (negated for !=), with the parts it does not name always true.
+    """
+
+    def __init__(self, text: str):
+        m = _CONDITION.fullmatch(text)
+        if m is None:
+            raise ValueError(f"{text!r} is not a condition on p")
+        self.text = text
+        self.bound = int(m["gt"] or 0)
+        self.excluded = int(m["ne"] or 0)
+        self.modulus = mod = int(m["m"] or 1)
+        r = int(m["r"] or 0)
+        self.residues = frozenset({r % mod, -r % mod} if m["sign"] == "+-"
+                                  else {(-r if m["sign"] else r) % mod})
+        self.negated = m["op"] == "!="
+
+    def holds(self, p: int) -> bool:
+        return (p > self.bound and p != self.excluded
+                and (p % self.modulus in self.residues) != self.negated)
+
+    def __str__(self):
+        return self.text
+
+    def __repr__(self):
+        return f"Condition({self.text!r})"
+
+
+# ---------------------------------------------------------------------------
 # integer polynomials
 
 class IntPolynomial:
@@ -162,10 +204,6 @@ class IntPolynomial:
     @classmethod
     def x_pow(cls, k: int, c: int = 1) -> "IntPolynomial":
         return cls([0] * k + [c])
-
-    @classmethod
-    def from_roots_free(cls, *coeffs: int) -> "IntPolynomial":
-        return cls(coeffs)
 
     # -- structure ---------------------------------------------------------
 
@@ -264,35 +302,31 @@ class IntPolynomial:
         """f(c*t)."""
         return IntPolynomial([a * c ** i for i, a in enumerate(self.coeffs)])
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            a = self[i]
+    def format(self, ascending: bool = False) -> str:
+        """The polynomial in t, highest power first, or constant term first
+        (the usual zeta convention) when ascending."""
+        powers = range(len(self.coeffs)) if ascending else range(self.degree, -1, -1)
+        terms = []
+        for i in powers:
+            a = self.coeffs[i]
             if a == 0:
                 continue
-            if i == 0:
-                term = str(abs(a))
-            else:
-                mag = "" if abs(a) == 1 else str(abs(a))
-                term = f"{mag}t" if i == 1 else f"{mag}t^{i}"
-            sign = "-" if a < 0 else "+"
-            parts.append((sign, term))
-        sign0, term0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + term0
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
+            mag = "" if abs(a) == 1 and i else str(abs(a))
+            term = mag if i == 0 else f"{mag}t" if i == 1 else f"{mag}t^{i}"
+            terms.append(("- " if a < 0 else "+ ") + term)
+        if not terms:
+            return "0"
+        out = " ".join(terms)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
+
+    def __str__(self):
+        return self.format()
 
     def __repr__(self):
         return f"IntPolynomial({self})"
 
 
-# common short forms
-ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
-T = IntPolynomial([0, 1])
 
 
 # ---------------------------------------------------------------------------

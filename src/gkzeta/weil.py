@@ -9,18 +9,8 @@ from enum import Enum
 from fractions import Fraction
 from math import isqrt
 
+from .errors import Rejected
 from .numtheory import IntPolynomial, PrimePower, newton_slopes
-
-
-class Rejected(ValueError):
-    """A candidate polynomial fails some validity condition.
-
-    Carries the first condition that failed, as a short human-readable string.
-    """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class NewtonType(Enum):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from gkzeta.brauer import (
     CSADescriptor,
     ReciprocityError,
-    UnsupportedGroup,
     cyclotomic_field,
     extend_scalars,
     field_algebra,
@@ -24,6 +23,7 @@ from gkzeta.brauer import (
     real_cyclotomic,
     rigid_embeds_in_m2hp,
 )
+from gkzeta.errors import Rejected
 from gkzeta.groups import GroupId as G
 from gkzeta.numtheory import is_prime
 
@@ -186,5 +186,5 @@ class TestRigidEmbedsTable:
 
     def test_uncovered_groups_rejected(self):
         for g in (G.C2, G.C5_C8, G.C3_C8, G.C3xQ8, G.C3_Q16, G.ESL2F5):
-            with pytest.raises(UnsupportedGroup):
+            with pytest.raises(Rejected):
                 rigid_embeds_in_m2hp(g, 7)

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkzeta.cli import main
+from gkzeta.groups import GroupId as G
+from gkzeta.numtheory import is_prime
 
 
 def run(capsys, *argv):
@@ -169,6 +175,18 @@ class TestSingAndZeta:
         assert code == 1
         assert "odd degree" in err
 
+    @pytest.mark.parametrize("notation", ["1^x", "0^22", "1^21"])
+    def test_zeta_assemble_bad_notation(self, capsys, notation):
+        code, _, err = run(capsys, "zeta-assemble", "--q", "9", "--notation", notation)
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_zeta_assemble_orbits_not_degree_22(self, capsys):
+        code, _, err = run(capsys, "zeta-assemble", "--q", "3", "--group", "Q8",
+                           "--orbit", "A1,1,1,trivial")
+        assert code == 1
+        assert err == "rejected: total degree 4 != 22 [zeta assembly]\n"
+
     def test_zeta_assemble_missing_input(self, capsys):
         code, _, _ = run(capsys, "zeta-assemble", "--q", "3")
         assert code == 2
@@ -212,3 +230,84 @@ class TestTablesAndSelftest:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_selftest_json(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["query"] == {"command": "selftest"}
+        assert data["passed"] == data["total"] == len(data["result"])
+        assert all(r["ok"] for r in data["result"])
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on generated argv: exit 0, 1 with a cited rejection, or 2
+
+SMALL = [n for n in range(2, 10 ** 4) if is_prime(n)]
+PRIME_POWERS = sorted({p ** k for p in SMALL[:25] for k in range(1, 14) if p ** k < 10 ** 4}
+                      | set(SMALL[:200]))
+JUNK = st.sampled_from(["", "x", "-1", "0", "1", "1e3", "1^x", "0^22", "1^21", "a,b", ",",
+                        "--json", "--q", "FOO", "C5:C8", "2^2,1^20", "A1,1,1,trivial"])
+INT = st.integers(-50, 10 ** 4 - 1).map(str)
+Q = st.one_of(st.sampled_from(PRIME_POWERS).map(str), INT, JUNK)
+P = st.one_of(st.sampled_from(SMALL).map(str), INT, JUNK)
+GROUP = st.one_of(st.sampled_from([g.value for g in G]), JUNK)
+COEF = st.integers(-400, 400).map(str)
+ORBIT = st.one_of(
+    st.builds(lambda ade, n, d, act: f"{ade},{n},{d},{act}",
+              st.sampled_from(["A1", "A2", "A3", "A5", "A0", "D4", "D5", "E6", "E8", "B2"]),
+              st.integers(0, 20), st.integers(0, 4),
+              st.sampled_from(["trivial", "chain-flip", "unknown", "x"])),
+    JUNK)
+NOTATION = st.one_of(
+    st.lists(st.builds(lambda r, d: f"{r}^{d}", st.integers(0, 13), st.integers(0, 22)),
+             min_size=1, max_size=4).map(",".join),
+    JUNK)
+
+GRAMMAR = {
+    "weil-list": {"--q": Q},
+    "weil-check": {"--q": Q, "--b": st.one_of(COEF, JUNK), "--a1": COEF, "--a2": INT,
+                   "--square": st.one_of(st.lists(COEF, min_size=1, max_size=4).map(",".join),
+                                         JUNK)},
+    "embed-check": {"--group": GROUP, "--p": P},
+    "exists": {"--group": GROUP, "--p": P, "--q": Q,
+               "--parity": st.one_of(st.sampled_from(["even", "odd", "prime"]), JUNK),
+               "--refine": None},
+    "sing-config": {"--group": GROUP},
+    "zeta-assemble": {"--q": Q, "--group": GROUP, "--eps": st.sampled_from(["1", "-1", "0"]),
+                      "--orbit": ORBIT, "--notation": NOTATION},
+    "tables": {"--which": st.one_of(
+        st.sampled_from(["sing", "sszeta1", "sszeta2", "rigidalg", "alginj"]), JUNK),
+        "--p": P},
+    "selftest": {},
+    "frobnicate": {},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    options = GRAMMAR[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(options) + ["--json"]), max_size=6)):
+        value = options.get(flag)
+        argv.append(flag)
+        if value is not None:
+            argv.append(draw(value))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    return argv
+
+
+REJECT_LINE = re.compile(r"^rejected: .+ \[.+\]$", re.M)
+
+
+@given(cli_argv())
+@settings(max_examples=400, deadline=None)
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert REJECT_LINE.search(err.getvalue()), (argv, err.getvalue())

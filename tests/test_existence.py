@@ -1,7 +1,8 @@
 import pytest
 
-from gkzeta.brauer import UnsupportedGroup, rigid_embeds_in_m2hp
+from gkzeta.brauer import rigid_embeds_in_m2hp
 from gkzeta.existence import (
+    EVEN_DEGREE_GROUPS,
     Rejected,
     exists_over_even_degree,
     exists_over_odd_degree,
@@ -65,9 +66,19 @@ class TestEvenDegree:
             for p in PRIMES_200:
                 try:
                     emb = rigid_embeds_in_m2hp(g, p)
-                except UnsupportedGroup:
+                except Rejected:
                     continue
                 assert exists_over_even_degree(g, p).exists_rigid == emb, (g, p)
+
+    def test_same_groups_as_embedding_test(self):
+        for g in G:
+            covered = g in EVEN_DEGREE_GROUPS
+            assert covered == (g in EVEN_TABLE_LITERAL)
+            if not covered:
+                with pytest.raises(Rejected):
+                    rigid_embeds_in_m2hp(g, 7)
+                with pytest.raises(Rejected):
+                    exists_over_even_degree(g, 7)
 
     def test_rejects_uncovered(self):
         with pytest.raises(Rejected):

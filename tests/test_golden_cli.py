@@ -59,8 +59,15 @@ REJECTED = (
     ["zeta-assemble", "--q", "3", "--notation", "1^22"],
 )
 
+# malformed notation (exit 2) and orbits whose degrees do not sum to 22 (exit 1)
+MENDED = (
+    ["zeta-assemble", "--q", "9", "--notation", "1^x"],
+    ["zeta-assemble", "--q", "9", "--notation", "0^22"],
+    ["zeta-assemble", "--q", "3", "--group", "Q8", "--orbit", "A1,1,1,trivial"],
+)
+
 ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], ["--json"])) \
-    + REJECTED
+    + REJECTED + MENDED
 
 
 def replay(argv):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkzeta.numtheory import (
+    Condition,
     IntPolynomial,
     ONE,
     PrimePower,
@@ -88,6 +89,49 @@ class TestPolynomials:
 
     def test_str(self):
         assert str(IntPolynomial([9, 0, -1, 1])) == "t^3 - t^2 + 9"
+        assert str(IntPolynomial([1, -2, 0, -1])) == "-t^3 - 2t + 1"
+        assert str(IntPolynomial()) == "0"
+
+    def test_format_ascending(self):
+        assert IntPolynomial([9, 0, -1, 1]).format(ascending=True) == "9 - t^2 + t^3"
+        assert IntPolynomial([-1, 3]).format(ascending=True) == "-1 + 3t"
+        assert IntPolynomial([0, -1]).format(ascending=True) == "-t"
+        assert IntPolynomial().format(ascending=True) == "0"
+
+
+# every condition text of the paper's tables, with its meaning written out
+CONDITIONS_LITERAL = {
+    "any p": lambda p: True,
+    "p > 2": lambda p: p > 2,
+    "p > 3": lambda p: p > 3,
+    "p != 2": lambda p: p != 2,
+    "p = 1 mod 4": lambda p: p % 4 == 1,
+    "p = 3 mod 4": lambda p: p % 4 == 3,
+    "p != 1 mod 3": lambda p: p % 3 != 1,
+    "p != 2 mod 3": lambda p: p % 3 != 2,
+    "p != 1 mod 5": lambda p: p % 5 != 1,
+    "p != 1 mod 8": lambda p: p % 8 != 1,
+    "p != -1 mod 8": lambda p: p % 8 != 7,
+    "p != 1 mod 12": lambda p: p % 12 != 1,
+    "p != +-1 mod 5": lambda p: p % 5 not in (1, 4),
+    "p != +-1 mod 8": lambda p: p % 8 not in (1, 7),
+    "p != +-1 mod 12": lambda p: p % 12 not in (1, 11),
+}
+
+
+class TestCondition:
+    @pytest.mark.parametrize("text", sorted(CONDITIONS_LITERAL))
+    def test_matches_literal(self, text):
+        cond = Condition(text)
+        assert str(cond) == text
+        for p in range(2, 5000):
+            if is_prime(p):
+                assert cond.holds(p) == CONDITIONS_LITERAL[text](p), (text, p)
+
+    @pytest.mark.parametrize("text", ["", "p", "p >= 2", "p = 1 mod", "any q", "p != 1 mod 8 "])
+    def test_rejects_unparsed_text(self, text):
+        with pytest.raises(ValueError):
+            Condition(text)
 
 
 class TestCyclotomic:
