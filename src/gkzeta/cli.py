@@ -368,14 +368,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # argument cross-requirements
-    if args.command == "exists" and not args.refine and args.p is None and args.q is None:
-        print("exists needs --p (or --q)", file=sys.stderr)
-        return 2
-    if args.command == "exists" and args.p is None and args.q is not None:
-        args.p = args.q.p
-    if args.command == "exists" and args.refine and args.q is None and args.p is None:
-        print("exists --refine needs --q or --p", file=sys.stderr)
-        return 2
+    if args.command == "exists":
+        if args.p is None and args.q is None:
+            print("exists --refine needs --q or --p" if args.refine
+                  else "exists needs --p (or --q)", file=sys.stderr)
+            return 2
+        if args.p is None:
+            args.p = args.q.p
+        elif args.q is not None and args.q.p != args.p:
+            print(f"exists: --q {args.q.q} is not a power of --p {args.p}", file=sys.stderr)
+            return 2
     if args.command == "zeta-assemble" and not args.notation and args.group is None:
         print("zeta-assemble needs --group (with --orbit) or --notation", file=sys.stderr)
         return 2

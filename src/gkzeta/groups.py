@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from . import brauer
 
@@ -175,9 +176,14 @@ CONFIG_GROUPS = (
 # ---------------------------------------------------------------------------
 # rigid group algebras
 
+@cache
 def rigid_algebra(g: GroupId) -> brauer.CSADescriptor:
     """The image of Q[G] acting on the rigid part: a field, a quaternion
-    algebra, or a 2x2 matrix algebra over one of these."""
+    algebra, or a 2x2 matrix algebra over one of these.
+
+    Built and validated on the first call per group, then shared: the
+    descriptor is frozen.
+    """
     if is_cyclic(g):
         return brauer.field_algebra(brauer.cyclotomic_field(cyclic_order(g)))
     if g == G.Q8:

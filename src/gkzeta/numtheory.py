@@ -8,27 +8,38 @@ Polynomials are dense coefficient tuples, constant term first.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 # ---------------------------------------------------------------------------
 # primes and factorization
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# the least strong pseudoprime to all of _MR_BASES (Sorenson-Webster,
-# Math. Comp. 86, 2017), about 3.317e24
-_MR_BOUND = 3317044064679887385961981
+# psi_k, the least strong pseudoprime to the first k bases of _MR_BASES
+# (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster, Math.
+# Comp. 86, 2017). The last one, about 3.317e24, bounds is_prime.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
+_MR_BOUND = _PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin to the 13 prime bases 2..41, proven for
-    all n < 3317044064679887385961981 (about 3.317e24); raises ValueError
-    at or above that bound."""
-    if n >= _MR_BOUND:
-        raise ValueError(f"is_prime is only proven below {_MR_BOUND}")
+    """Deterministic Miller-Rabin, proven for all n < 3317044064679887385961981
+    (about 3.317e24).
+
+    n is tested to the first k + 1 prime bases 2, 3, 5, ..., 41, where k
+    counts the psi_j <= n: below psi_{k+1}, the least strong pseudoprime to
+    the first k + 1 prime bases, those bases decide (OEIS A014233;
+    Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster, Math. Comp. 86, 2017).
+    A False answer is a proof at any size; at or above the bound, an n that
+    passes all 13 bases raises ValueError.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -38,9 +49,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            return True
+    # n > 13 here, so every base used is below n
+    for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -50,7 +60,27 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is only proven below {_MR_BOUND}")
     return True
+
+
+def iroot(x: int, k: int) -> int:
+    """The integer k-th root floor(x^(1/k)) of x >= 0, by integer Newton steps."""
+    if x < 0 or k < 1:
+        raise ValueError("iroot expects x >= 0 and k >= 1")
+    if k == 1 or x < 2:
+        return x
+    if k == 2:
+        return isqrt(x)
+    # 2^ceil(bits/k) is above the root, and Newton steps from above fall
+    # monotonically to the floor of the root
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -132,11 +162,17 @@ class PrimePower:
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
-        fac = factorize(q)
-        if len(fac) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        ((p, n),) = fac.items()
-        return cls(p, n)
+        """q = p^n read off the largest n for which q is an exact n-th power:
+        q is a prime power iff that root is prime. O(log q) integer roots."""
+        if q < 1:
+            raise ValueError("factorize expects a positive integer")
+        for n in range(q.bit_length() - 1, 0, -1):
+            r = iroot(q, n)
+            if r ** n == q:
+                if is_prime(r):
+                    return cls(r, n)
+                break
+        raise ValueError(f"{q} is not a prime power")
 
     def __str__(self):
         return f"{self.p}^{self.n}" if self.n > 1 else str(self.p)

@@ -90,8 +90,17 @@ def validate_elliptic(q: PrimePower, b: int) -> WeilDescriptor:
     return WeilDescriptor(q, 1, f, 1, NewtonType.SUPERSINGULAR, endo, case)
 
 
+# enumerate_elliptic validates all 4 sqrt(q) + 1 traces; at this limit that
+# takes about 1 s (CPython 3.11 on one core of a 2-CPU x86-64 VM)
+ENUMERATE_LIMIT = 10 ** 8
+
+
 def enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
-    """All isogeny classes of elliptic curves over F_q, ascending in b."""
+    """All isogeny classes of elliptic curves over F_q, ascending in b, for
+    q up to ENUMERATE_LIMIT; raises Rejected above it."""
+    if q.q > ENUMERATE_LIMIT:
+        raise Rejected(f"q = {q.q} is above the enumeration limit {ENUMERATE_LIMIT}",
+                       "elliptic isogeny classification")
     bound = isqrt(4 * q.q)
     out = []
     for b in range(-bound, bound + 1):

@@ -7,7 +7,37 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from gkzeta.numtheory import IntPolynomial, PrimePower
+from gkzeta.numtheory import IntPolynomial, PrimePower, factorize
+
+
+# ---------------------------------------------------------------------------
+# primes, roots and prime powers by the definitions
+
+def prime_sieve(n: int) -> bytearray:
+    """Sieve of Eratosthenes for n >= 2: out[m] == 1 iff m < n is prime."""
+    out = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for d in range(2, isqrt(n - 1) + 1):
+        if out[d]:
+            out[d * d::d] = bytes(len(range(d * d, n, d)))
+    return out
+
+
+def brute_iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) by counting up."""
+    r = 0
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
+def prime_power_by_factorization(q: int) -> PrimePower:
+    """PrimePower.from_q by trial division, with the same ValueError texts
+    (the library's earlier algorithm)."""
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    ((p, n),) = fac.items()
+    return PrimePower(p, n)
 
 
 # ---------------------------------------------------------------------------

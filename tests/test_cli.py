@@ -57,6 +57,13 @@ class TestWeilCommands:
         assert code == 2
         assert "Traceback" not in err
 
+    def test_weil_list_above_limit(self, capsys):
+        code, out, err = run(capsys, "weil-list", "--q", "1000000007")
+        assert code == 1
+        assert out == ""
+        assert err == ("rejected: q = 1000000007 is above the enumeration limit 100000000 "
+                       "[elliptic isogeny classification]\n")
+
     def test_invalid_q(self, capsys):
         code, _, _ = run(capsys, "weil-list", "--q", "12")
         assert code == 2
@@ -131,6 +138,18 @@ class TestEmbedAndExists:
     def test_exists_missing_p(self, capsys):
         code, _, _ = run(capsys, "exists", "--group", "C4")
         assert code == 2
+
+    def test_exists_p_and_q_disagree(self, capsys):
+        code, out, err = run(capsys, "exists", "--group", "C8", "--p", "5", "--q", "9",
+                             "--parity", "even")
+        assert code == 2
+        assert out == ""
+        assert err == "exists: --q 9 is not a power of --p 5\n"
+
+    def test_exists_p_and_q_agree(self, capsys):
+        assert run(capsys, "exists", "--group", "Q8", "--p", "7", "--q", "343",
+                   "--parity", "odd") == run(capsys, "exists", "--group", "Q8", "--q", "343",
+                                             "--parity", "odd")
 
 
 class TestSingAndZeta:

@@ -59,11 +59,14 @@ REJECTED = (
     ["zeta-assemble", "--q", "3", "--notation", "1^22"],
 )
 
-# malformed notation (exit 2) and orbits whose degrees do not sum to 22 (exit 1)
+# malformed notation (exit 2), orbits whose degrees do not sum to 22 (exit 1),
+# a --q that is not a power of --p (exit 2) and a q past the weil-list limit (exit 1)
 MENDED = (
     ["zeta-assemble", "--q", "9", "--notation", "1^x"],
     ["zeta-assemble", "--q", "9", "--notation", "0^22"],
     ["zeta-assemble", "--q", "3", "--group", "Q8", "--orbit", "A1,1,1,trivial"],
+    ["exists", "--group", "C8", "--p", "5", "--q", "9", "--parity", "even"],
+    ["weil-list", "--q", "1000000007"],
 )
 
 ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], ["--json"])) \

@@ -129,6 +129,11 @@ class TestRigidAlgebra:
         assert rigid_algebra(G.C3xQ8).center == brauer.cyclotomic_field(3)
         assert rigid_algebra(G.C3_Q16) == brauer.matrix_over(brauer.make_hp(3), 2)
 
+    def test_cached_and_equal_to_a_fresh_build(self):
+        for g in G:
+            assert rigid_algebra(g) is rigid_algebra(g)
+            assert rigid_algebra(g) == rigid_algebra.__wrapped__(g)
+
     def test_dims(self):
         for g in G:
             alg = rigid_algebra(g)

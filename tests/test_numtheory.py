@@ -10,7 +10,9 @@ from gkzeta.numtheory import (
     PrimePower,
     cyclotomic,
     divisors,
+    _PSI,
     euler_phi,
+    iroot,
     is_prime,
     legendre,
     moebius,
@@ -22,7 +24,13 @@ from gkzeta.numtheory import (
     valuation,
 )
 
-from oracles import direct_newton_slopes, resultant
+from oracles import (
+    brute_iroot,
+    direct_newton_slopes,
+    prime_power_by_factorization,
+    prime_sieve,
+    resultant,
+)
 
 
 PRIMES_BELOW_100 = [p for p in range(2, 100) if is_prime(p)]
@@ -58,6 +66,22 @@ class TestPrimes:
         with pytest.raises(ValueError):
             PrimePower.from_q(12)
 
+    def test_composites_above_bound_are_proven(self):
+        # a base that witnesses compositeness is a proof at any size
+        assert not is_prime((10 ** 12 + 39) * (10 ** 13 + 37))
+        with pytest.raises(ValueError):
+            is_prime(2 ** 89 - 1)  # a Mersenne prime above the bound
+
+    def test_each_psi_k_is_caught(self):
+        # psi_k is a strong pseudoprime to the first k bases; it is the least
+        # input the base prefix must test with k + 1 bases
+        for psi in _PSI[:-1]:
+            assert not is_prime(psi)
+
+    def test_matches_sieve_below_10_6(self):
+        sieve = prime_sieve(10 ** 6)
+        assert [n for n in range(10 ** 6) if is_prime(n) != sieve[n]] == []
+
     def test_valuation(self):
         assert valuation(48, 2) == 4
         assert valuation(-27, 3) == 3
@@ -67,6 +91,59 @@ class TestPrimes:
         assert squarefree_part(12) == 3
         assert squarefree_part(-8) == -2
         assert squarefree_part(7) == 7
+
+
+def _outcome(f, q):
+    try:
+        return f(q)
+    except ValueError as exc:
+        return str(exc)
+
+
+PRIMES_NEAR_2E4 = [p for p in range(19_900, 20_100) if is_prime(p)]
+PRIMES_NEAR_1E12 = [p for p in range(10 ** 12, 10 ** 12 + 200) if is_prime(p)]
+
+
+class TestPrimePowerByRoots:
+    def test_matches_factorization_below_10_5(self):
+        qs = range(-3, 10 ** 5)
+        assert [q for q in qs if _outcome(PrimePower.from_q, q)
+                != _outcome(prime_power_by_factorization, q)] == []
+
+    def test_error_texts(self):
+        assert _outcome(PrimePower.from_q, 0) == "factorize expects a positive integer"
+        assert _outcome(PrimePower.from_q, -8) == "factorize expects a positive integer"
+        assert _outcome(PrimePower.from_q, 1) == "1 is not a prime power"
+        assert _outcome(PrimePower.from_q, 36) == "36 is not a prime power"
+
+    def test_matches_factorization_near_2e4(self):
+        qs = [p ** k * m for p in PRIMES_NEAR_2E4 for k in (1, 2, 3, 4)
+              for m in (1, 2, 6, p + 2, p ** 2 + 2)]
+        assert [q for q in qs if _outcome(PrimePower.from_q, q)
+                != _outcome(prime_power_by_factorization, q)] == []
+
+    def test_near_1e12(self):
+        # trial division to 10^12 is out of reach; q = p^k is known by construction
+        for p in PRIMES_NEAR_1E12:
+            for k in (1, 2, 3, 4, 7):
+                assert _outcome(PrimePower.from_q, p ** k) == PrimePower(p, k)
+            for q in (2 * p, p * p * 3, (6 * p) ** 2, (6 * p) ** 3, p * (p + 2)):
+                assert _outcome(PrimePower.from_q, q) == f"{q} is not a prime power"
+
+    def test_iroot_matches_counting(self):
+        assert [(x, k) for x in range(1500) for k in range(1, 13)
+                if iroot(x, k) != brute_iroot(x, k)] == []
+
+    @given(st.integers(0, 2 ** 300), st.integers(1, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_iroot_brackets_the_root(self, x, k):
+        r = iroot(x, k)
+        assert r ** k <= x < (r + 1) ** k
+
+    def test_iroot_rejects(self):
+        for x, k in ((-1, 2), (8, 0)):
+            with pytest.raises(ValueError):
+                iroot(x, k)
 
 
 class TestPolynomials:
