@@ -7,11 +7,12 @@ tests, and embedding tests for maximal subfields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Rejected
+from .groups import rigid_algebra
 from .numtheory import (
+    Value,
     euler_phi,
     is_prime,
     squarefree_part,
@@ -35,29 +36,27 @@ def _canonical_cyclotomic_index(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class FieldDesc:
+class FieldDesc(Value):
     """A small number field: Q, Q(sqrt(d)), Q(zeta_m), or Q(zeta_m)^+."""
 
-    kind: str  # 'Q' | 'quad' | 'cyc' | 'realcyc'
-    param: int = 0
+    __slots__ = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc' | 'realcyc'
 
-    def __post_init__(self):
-        if self.kind == "Q":
-            if self.param:
+    def __init__(self, kind: str, param: int = 0):
+        if kind == "Q":
+            if param:
                 raise ValueError("Q takes no parameter")
-        elif self.kind == "quad":
-            d = self.param
-            if d in (0, 1) or squarefree_part(d) != d:
-                raise ValueError(f"{d} is not a valid squarefree discriminant base")
-        elif self.kind in ("cyc", "realcyc"):
-            m = self.param
-            if m < 3 or m % 4 == 2:
-                raise ValueError(f"cyclotomic index {m} is not in canonical form")
-            if self.kind == "realcyc" and euler_phi(m) < 4:
+        elif kind == "quad":
+            if param in (0, 1) or squarefree_part(param) != param:
+                raise ValueError(f"{param} is not a valid squarefree discriminant base")
+        elif kind in ("cyc", "realcyc"):
+            if param < 3 or param % 4 == 2:
+                raise ValueError(f"cyclotomic index {param} is not in canonical form")
+            if kind == "realcyc" and euler_phi(param) < 4:
                 raise ValueError("real subfield would be Q itself")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
 
     @property
     def degree(self) -> int:
@@ -140,22 +139,18 @@ def _place_key(pl: Place):
 # ---------------------------------------------------------------------------
 # algebras
 
-@dataclass(frozen=True)
-class CSADescriptor:
+class CSADescriptor(Value):
     """A central simple algebra: center, degree, sparse local invariants.
 
     Invariants are fractions in (0, 1); places with invariant 0 are omitted.
     """
 
-    center: FieldDesc
-    degree: int
-    invariants: tuple = field(default=())
+    __slots__ = ("center", "degree", "invariants")
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, center: FieldDesc, degree: int, invariants: tuple = ()):
+        if degree < 1:
             raise ValueError("degree must be >= 1")
-        invs = tuple(sorted(self.invariants, key=lambda pi: _place_key(pi[0])))
-        object.__setattr__(self, "invariants", invs)
+        invs = tuple(sorted(invariants, key=lambda pi: _place_key(pi[0])))
         seen = set()
         total = Fraction(0)
         for pl, inv in invs:
@@ -165,18 +160,21 @@ class CSADescriptor:
             inv = Fraction(inv)
             if not 0 < inv < 1:
                 raise ValueError(f"invariant {inv} not in (0, 1)")
-            if self.degree % inv.denominator:
+            if degree % inv.denominator:
                 raise ReciprocityError(
-                    f"invariant {inv} has period not dividing the degree {self.degree}")
+                    f"invariant {inv} has period not dividing the degree {degree}")
             if pl[0] == "inf" and inv != Fraction(1, 2):
                 raise ReciprocityError(f"real place invariant must be 1/2, got {inv}")
-            if pl[0] == "inf" and pl[1] >= self.center.real_place_count:
-                raise ValueError(f"center {self.center} has no real place #{pl[1]}")
+            if pl[0] == "inf" and pl[1] >= center.real_place_count:
+                raise ValueError(f"center {center} has no real place #{pl[1]}")
             if pl[0] == "fin" and not is_prime(pl[1]):
                 raise ValueError(f"{pl[1]} is not prime")
             total += inv
         if total.denominator != 1:
             raise ReciprocityError(f"local invariants sum to {total}, not an integer")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "invariants", invs)
 
     @property
     def dim_over_q(self) -> int:
@@ -358,8 +356,6 @@ def rigid_embeds_in_m2hp(g, p: int) -> bool:
     Computed from local invariant arithmetic, for the algebras of the
     tabulated embedding rows; others are rejected.
     """
-    from .groups import rigid_algebra
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     alg = rigid_algebra(g)

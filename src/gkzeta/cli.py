@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 1 when the query is rejected on mathematical
 grounds (with a one-line cited reason), 2 on invalid arguments.
+
+Each subcommand and argument type imports the layers it uses when it runs,
+so a one-shot call loads only those (see README, "Start-up").
 """
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import brauer, existence, groups, kummer, weil
 from .errors import Rejected
 from .numtheory import IntPolynomial, PrimePower, is_prime
 
@@ -44,6 +46,8 @@ def _quadratic(s: str) -> IntPolynomial:
 
 
 def _notation(s: str) -> kummer.NSCharPoly:
+    from . import kummer
+
     try:
         return kummer.parse_zeta_notation(s)
     except ValueError as exc:
@@ -51,6 +55,8 @@ def _notation(s: str) -> kummer.NSCharPoly:
 
 
 def _group(s: str) -> groups.GroupId:
+    from . import groups
+
     try:
         return groups.parse_group(s)
     except ValueError as exc:
@@ -61,6 +67,8 @@ def _group(s: str) -> groups.GroupId:
 # subcommands
 
 def cmd_weil_list(args) -> int:
+    from . import weil
+
     q = args.q
     descs = weil.enumerate_elliptic(q)
     lines = [f"isogeny classes of elliptic curves over F_{q.q}:"]
@@ -77,6 +85,8 @@ def cmd_weil_list(args) -> int:
 
 
 def cmd_weil_check(args) -> int:
+    from . import weil
+
     q = args.q
     if args.b is not None:
         w = weil.validate_elliptic(q, args.b)
@@ -103,6 +113,8 @@ def cmd_weil_check(args) -> int:
 
 
 def cmd_embed_check(args) -> int:
+    from . import brauer, groups
+
     ok = brauer.rigid_embeds_in_m2hp(args.group, args.p)
     alg = groups.rigid_algebra(args.group)
     verdict = "embeds" if ok else "does not embed"
@@ -142,6 +154,8 @@ def _verdict_payload(cmd: str, v: existence.ExistenceVerdict, extra: dict) -> di
 
 
 def cmd_exists(args) -> int:
+    from . import existence
+
     g = args.group
     if args.refine:
         q = args.q if args.q else PrimePower(args.p, 2 if args.parity == "even" else 1)
@@ -165,6 +179,8 @@ def cmd_exists(args) -> int:
 
 
 def cmd_sing_config(args) -> int:
+    from . import kummer
+
     cfgs = kummer.singular_configs(args.group)
     lines, rows = [], []
     for cfg in cfgs:
@@ -184,6 +200,8 @@ def cmd_sing_config(args) -> int:
 
 def _parse_orbit(spec: str) -> kummer.SingularOrbit:
     # format: ADE,count,degree,action  e.g.  A3,2,2,trivial
+    from . import kummer
+
     try:
         ade_s, count_s, deg_s, action = spec.split(",")
         ade = kummer.ADEType(ade_s[0].upper(), int(ade_s[1:]))
@@ -193,6 +211,8 @@ def _parse_orbit(spec: str) -> kummer.SingularOrbit:
 
 
 def cmd_zeta_assemble(args) -> int:
+    from . import kummer
+
     q = args.q
     if args.notation:
         cp = args.notation
@@ -220,6 +240,8 @@ def cmd_zeta_assemble(args) -> int:
 def cmd_tables(args) -> int:
     lines, rows = [], []
     if args.which == "sing":
+        from . import groups, kummer
+
         for g in groups.CONFIG_GROUPS:
             for cfg in kummer.singular_configs(g):
                 bound, exact = kummer.ns_rank_bound(cfg)
@@ -227,6 +249,8 @@ def cmd_tables(args) -> int:
                 lines.append(f"{cfg}   [rho {rel} {bound}]")
                 rows.append({"group": str(g), "case": cfg.case, "config": str(cfg)})
     elif args.which in ("sszeta1", "sszeta2"):
+        from . import kummer
+
         parity = "even" if args.which == "sszeta1" else "odd"
         for row in kummer.trace_table(parity, args.p):
             lines.append(f"Tr = {row.trace:3d}  Z = {row.notation:18s} G = {row.group}  "
@@ -235,6 +259,8 @@ def cmd_tables(args) -> int:
                          "group": str(row.group), "p_condition": str(row.p_condition),
                          "weil_shape": row.weil_shape})
     elif args.which == "rigidalg":
+        from . import groups
+
         for g in groups.GroupId:
             alg = groups.rigid_algebra(g)
             lines.append(f"Q[{g}]^rig = {alg}")
@@ -243,6 +269,8 @@ def cmd_tables(args) -> int:
         if args.p is None:
             print("tables --which alginj needs --p", file=sys.stderr)
             return 2
+        from . import brauer, existence, groups
+
         for g in groups.GroupId:
             if g not in existence.EVEN_DEGREE_GROUPS:
                 continue
@@ -258,6 +286,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import brauer, existence, groups, kummer
+
     checks = []
 
     # every singularity configuration is orbit-consistent and within rank 22

@@ -5,34 +5,38 @@ for the quotient construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import Rejected
 from .groups import CONFIG_GROUPS, GroupId, facts, order
-from .numtheory import Condition, IntPolynomial, PrimePower
+from .numtheory import Condition, IntPolynomial, PrimePower, Value
 
 G = GroupId
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Value):
     """A yes/no/undetermined answer with its supporting citation tag."""
 
-    value: object  # True | False | None
-    citation: str
+    __slots__ = ("value", "citation")  # value: True | False | None
+
+    def __init__(self, value, citation: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "citation", citation)
 
     def __str__(self):
         word = {True: "yes", False: "no", None: "not determined"}[self.value]
         return f"{word} [{self.citation}]"
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
-    group: GroupId
-    rigid: Finding
-    symplectic: Finding
-    conditions: tuple  # of (condition text, evaluated bool)
-    weil_options: tuple = ()
+class ExistenceVerdict(Value):
+    # conditions: (condition text, evaluated bool) pairs; weil_options: WeilOption
+    __slots__ = ("group", "rigid", "symplectic", "conditions", "weil_options")
+
+    def __init__(self, group: GroupId, rigid: Finding, symplectic: Finding,
+                 conditions: tuple, weil_options: tuple = ()):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rigid", rigid)
+        object.__setattr__(self, "symplectic", symplectic)
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "weil_options", weil_options)
 
     @property
     def exists_rigid(self):
@@ -43,14 +47,20 @@ class ExistenceVerdict:
         return self.symplectic.value
 
 
-@dataclass(frozen=True)
-class WeilOption:
-    """One admissible Frobenius polynomial shape for an odd-degree field."""
+class WeilOption(Value):
+    """One admissible Frobenius polynomial shape for an odd-degree field.
 
-    shape: str
-    poly: object  # IntPolynomial or None when the shape is ambiguous
-    condition: str
-    satisfied: object  # True | False | None
+    poly is an IntPolynomial, or None when the shape is ambiguous; satisfied
+    is True, False or None.
+    """
+
+    __slots__ = ("shape", "poly", "condition", "satisfied")
+
+    def __init__(self, shape: str, poly, condition: str, satisfied):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "satisfied", satisfied)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ All group facts are hardcoded and validated by structural sanity checks
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from . import brauer
+from .numtheory import Value
 
 
 class GroupId(Enum):
@@ -95,25 +94,31 @@ def is_small_cyclic(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # group facts
 
-@dataclass(frozen=True)
-class StabilizerTable:
+class StabilizerTable(Value):
     """Counts of points of the 16-torsion-like fixed locus by stabilizer.
 
     entries maps each nontrivial point stabilizer (a subgroup, named by its
     own GroupId) to the number of such points on the abelian surface.
     """
 
-    case: str
-    entries: tuple  # ((GroupId, int), ...)
+    __slots__ = ("case", "entries")  # entries: ((GroupId, int), ...)
+
+    def __init__(self, case: str, entries: tuple):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class GroupFacts:
-    group: GroupId
-    order: int
-    cyclic_subgroup_orders: frozenset
-    sylow_counts: dict
-    stabilizer_tables: tuple  # of StabilizerTable
+class GroupFacts(Value):
+    __slots__ = ("group", "order", "cyclic_subgroup_orders", "sylow_counts",
+                 "stabilizer_tables")  # stabilizer_tables: tuple of StabilizerTable
+
+    def __init__(self, group: GroupId, order: int, cyclic_subgroup_orders: frozenset,
+                 sylow_counts: dict, stabilizer_tables: tuple):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cyclic_subgroup_orders", cyclic_subgroup_orders)
+        object.__setattr__(self, "sylow_counts", sylow_counts)
+        object.__setattr__(self, "stabilizer_tables", stabilizer_tables)
 
 
 def _tab(case, *entries):
@@ -184,6 +189,8 @@ def rigid_algebra(g: GroupId) -> brauer.CSADescriptor:
     Built and validated on the first call per group, then shared: the
     descriptor is frozen.
     """
+    from . import brauer  # here, so that importing groups does not load brauer
+
     if is_cyclic(g):
         return brauer.field_algebra(brauer.cyclotomic_field(cyclic_order(g)))
     if g == G.Q8:

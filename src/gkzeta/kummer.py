@@ -6,7 +6,6 @@ zeta functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import Rejected
@@ -15,6 +14,7 @@ from .numtheory import (
     Condition,
     IntPolynomial,
     PrimePower,
+    Value,
     cyclotomic,
     divisors,
     euler_phi,
@@ -28,24 +28,24 @@ G = GroupId
 # ---------------------------------------------------------------------------
 # ADE types
 
-@dataclass(frozen=True)
-class ADEType:
+class ADEType(Value):
     """A rational double point type: A_m (m>=1), D_m (m>=4) or E_m (m in 6..8)."""
 
-    kind: str
-    m: int
+    __slots__ = ("kind", "m")
 
-    def __post_init__(self):
-        if self.kind == "A":
-            ok = self.m >= 1
-        elif self.kind == "D":
-            ok = self.m >= 4
-        elif self.kind == "E":
-            ok = self.m in (6, 7, 8)
+    def __init__(self, kind: str, m: int):
+        if kind == "A":
+            ok = m >= 1
+        elif kind == "D":
+            ok = m >= 4
+        elif kind == "E":
+            ok = m in (6, 7, 8)
         else:
             ok = False
         if not ok:
-            raise ValueError(f"invalid ADE type {self.kind}{self.m}")
+            raise ValueError(f"invalid ADE type {kind}{m}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
 
     @property
     def nodes(self) -> int:
@@ -85,8 +85,7 @@ def ade_of_stabilizer(h: GroupId) -> ADEType:
 # ---------------------------------------------------------------------------
 # singular configurations
 
-@dataclass(frozen=True)
-class SingularOrbit:
+class SingularOrbit(Value):
     """A Galois orbit of singular points sharing an ADE type.
 
     count is the number of geometric points in the orbit; degree and
@@ -94,18 +93,20 @@ class SingularOrbit:
     'chain-flip' or 'unknown').
     """
 
-    ade: ADEType
-    count: int = 1
-    degree: int = 1
-    graph_action: str = "unknown"
+    __slots__ = ("ade", "count", "degree", "graph_action")
 
-    def __post_init__(self):
-        if self.count < 1 or self.degree < 1:
+    def __init__(self, ade: ADEType, count: int = 1, degree: int = 1,
+                 graph_action: str = "unknown"):
+        if count < 1 or degree < 1:
             raise ValueError("count and degree must be >= 1")
-        if self.count % self.degree:
+        if count % degree:
             raise ValueError("orbit degree must divide the point count")
-        if self.graph_action not in ("trivial", "chain-flip", "unknown"):
-            raise ValueError(f"bad graph action {self.graph_action!r}")
+        if graph_action not in ("trivial", "chain-flip", "unknown"):
+            raise ValueError(f"bad graph action {graph_action!r}")
+        object.__setattr__(self, "ade", ade)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "graph_action", graph_action)
 
     @property
     def nodes(self) -> int:
@@ -116,13 +117,15 @@ class SingularOrbit:
         return head
 
 
-@dataclass(frozen=True)
-class SingularConfig:
+class SingularConfig(Value):
     """The full geometric singularity configuration of a quotient surface."""
 
-    group: GroupId
-    case: str
-    orbits: tuple  # of SingularOrbit, sorted by descending node count
+    __slots__ = ("group", "case", "orbits")  # orbits: SingularOrbit, by descending nodes
+
+    def __init__(self, group: GroupId, case: str, orbits: tuple):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "orbits", orbits)
 
     @property
     def total_nodes(self) -> int:
@@ -220,16 +223,14 @@ def default_graph_action(ade: ADEType, degree: int, at_origin: bool = False) -> 
 # ---------------------------------------------------------------------------
 # the degree-22 characteristic polynomial in cyclotomic notation
 
-@dataclass(frozen=True)
-class NSCharPoly:
+class NSCharPoly(Value):
     """det(t - F/q | NS) encoded as {r: d_r} with d_r the total degree of the
     cyclotomic factor Phi_r^(d_r / phi(r))."""
 
-    parts: tuple  # sorted ((r, d_r), ...)
+    __slots__ = ("parts",)  # sorted ((r, d_r), ...)
 
-    def __post_init__(self):
-        items = tuple(sorted((int(r), int(d)) for r, d in dict(self.parts).items()))
-        object.__setattr__(self, "parts", items)
+    def __init__(self, parts: tuple):
+        items = tuple(sorted((int(r), int(d)) for r, d in dict(parts).items()))
         for r, d in items:
             if r < 1 or d < 1:
                 raise Rejected("orders and degrees must be positive")
@@ -237,6 +238,7 @@ class NSCharPoly:
                 raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
         if sum(d for _, d in items) != 22:
             raise Rejected(f"total degree {sum(d for _, d in items)} != 22")
+        object.__setattr__(self, "parts", items)
 
     def degree_at(self, r: int) -> int:
         return dict(self.parts).get(r, 0)
@@ -350,12 +352,14 @@ def k3_point_count(q: PrimePower, cp: NSCharPoly) -> int:
     return 1 + q.q * trace_of(cp) + q.q * q.q
 
 
-@dataclass(frozen=True)
-class ZetaFunction:
+class ZetaFunction(Value):
     """1 / prod of the listed (polynomial, multiplicity) factors."""
 
-    q: PrimePower
-    denominator: tuple  # of (IntPolynomial, int)
+    __slots__ = ("q", "denominator")  # denominator: (IntPolynomial, int) pairs
+
+    def __init__(self, q: PrimePower, denominator: tuple):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "denominator", denominator)
 
     def __str__(self):
         def fmt(f, m):
@@ -396,13 +400,16 @@ def artin_check(q: PrimePower, cp: NSCharPoly) -> bool:
 # ---------------------------------------------------------------------------
 # trace tables
 
-@dataclass(frozen=True)
-class TraceRow:
-    trace: int
-    notation: str
-    group: GroupId
-    p_condition: Condition
-    weil_shape: str
+class TraceRow(Value):
+    __slots__ = ("trace", "notation", "group", "p_condition", "weil_shape")
+
+    def __init__(self, trace: int, notation: str, group: GroupId, p_condition: Condition,
+                 weil_shape: str):
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "notation", notation)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "p_condition", p_condition)
+        object.__setattr__(self, "weil_shape", weil_shape)
 
 
 def _rows(*rows) -> tuple[TraceRow, ...]:

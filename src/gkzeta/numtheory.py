@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +137,61 @@ def squarefree_part(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# value types
+
+class Value:
+    """Base of the library's immutable value types.
+
+    A subclass names its fields in order in __slots__, and its __init__
+    validates them and sets them with object.__setattr__. Instances compare
+    equal only within their class, hash by their fields, print as
+    Name(field=value, ...), and refuse assignment and deletion, so that a
+    cached instance is safe to share. (The value types are not dataclasses:
+    importing dataclasses takes longer than most CLI calls spend computing.)
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # prime powers
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(Value):
     """A finite-field size q = p**n."""
 
-    p: int
-    n: int
+    __slots__ = ("p", "n")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1:
+    def __init__(self, p: int, n: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n < 1:
             raise ValueError("exponent must be >= 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
 
     @property
     def q(self) -> int:
@@ -165,7 +206,7 @@ class PrimePower:
         """q = p^n read off the largest n for which q is an exact n-th power:
         q is a prime power iff that root is prime. O(log q) integer roots."""
         if q < 1:
-            raise ValueError("factorize expects a positive integer")
+            raise ValueError(f"{q} is not a positive integer")
         for n in range(q.bit_length() - 1, 0, -1):
             r = iroot(q, n)
             if r ** n == q:

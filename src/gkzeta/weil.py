@@ -4,13 +4,12 @@ zeta functions, all in exact integer arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
 
 from .errors import Rejected
-from .numtheory import IntPolynomial, PrimePower, newton_slopes
+from .numtheory import IntPolynomial, PrimePower, Value, newton_slopes
 
 
 class NewtonType(Enum):
@@ -19,32 +18,37 @@ class NewtonType(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class EndoDescriptor:
+class EndoDescriptor(Value):
     """Shape of the endomorphism algebra of the corresponding isogeny class.
 
     kind is one of 'field', 'quaternion-Hp', 'quaternion-Hinfty',
     'quaternion-over-field'; detail is a printable refinement.
     """
 
-    kind: str
-    detail: str = ""
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self):
         return f"{self.kind}({self.detail})" if self.detail else self.kind
 
 
-@dataclass(frozen=True)
-class WeilDescriptor:
+class WeilDescriptor(Value):
     """A validated isogeny class: q, dimension, char. polynomial f = P^e."""
 
-    q: PrimePower
-    dim: int
-    poly: IntPolynomial
-    e: int
-    newton: NewtonType
-    endo: EndoDescriptor
-    case: str
+    __slots__ = ("q", "dim", "poly", "e", "newton", "endo", "case")
+
+    def __init__(self, q: PrimePower, dim: int, poly: IntPolynomial, e: int,
+                 newton: NewtonType, endo: EndoDescriptor, case: str):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "newton", newton)
+        object.__setattr__(self, "endo", endo)
+        object.__setattr__(self, "case", case)
 
     def slopes(self) -> tuple[Fraction, ...]:
         return newton_slopes(self.poly, self.q)

@@ -33,6 +33,8 @@ def brute_iroot(x: int, k: int) -> int:
 def prime_power_by_factorization(q: int) -> PrimePower:
     """PrimePower.from_q by trial division, with the same ValueError texts
     (the library's earlier algorithm)."""
+    if q < 1:
+        raise ValueError(f"{q} is not a positive integer")
     fac = factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")

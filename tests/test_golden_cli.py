@@ -60,13 +60,15 @@ REJECTED = (
 )
 
 # malformed notation (exit 2), orbits whose degrees do not sum to 22 (exit 1),
-# a --q that is not a power of --p (exit 2) and a q past the weil-list limit (exit 1)
+# a --q that is not a power of --p (exit 2), a q past the weil-list limit (exit 1)
+# and a --q below 1 (exit 2)
 MENDED = (
     ["zeta-assemble", "--q", "9", "--notation", "1^x"],
     ["zeta-assemble", "--q", "9", "--notation", "0^22"],
     ["zeta-assemble", "--q", "3", "--group", "Q8", "--orbit", "A1,1,1,trivial"],
     ["exists", "--group", "C8", "--p", "5", "--q", "9", "--parity", "even"],
     ["weil-list", "--q", "1000000007"],
+    ["weil-list", "--q", "0"],
 )
 
 ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], ["--json"])) \

@@ -111,8 +111,8 @@ class TestPrimePowerByRoots:
                 != _outcome(prime_power_by_factorization, q)] == []
 
     def test_error_texts(self):
-        assert _outcome(PrimePower.from_q, 0) == "factorize expects a positive integer"
-        assert _outcome(PrimePower.from_q, -8) == "factorize expects a positive integer"
+        assert _outcome(PrimePower.from_q, 0) == "0 is not a positive integer"
+        assert _outcome(PrimePower.from_q, -8) == "-8 is not a positive integer"
         assert _outcome(PrimePower.from_q, 1) == "1 is not a prime power"
         assert _outcome(PrimePower.from_q, 36) == "36 is not a prime power"
 
