@@ -276,11 +276,23 @@ class IntPolynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
 
+    # refuses assignment and deletion, and pickles, as a Value does
+    __setattr__ = Value.__setattr__
+    __delattr__ = Value.__delattr__
+    __reduce__ = Value.__reduce__
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def x_pow(cls, k: int, c: int = 1) -> "IntPolynomial":
         return cls([0] * k + [c])
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "IntPolynomial":
+        """Wrap a tuple of ints whose last entry is nonzero, unnormalized."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", coeffs)
+        return f
 
     # -- structure ---------------------------------------------------------
 

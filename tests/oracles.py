@@ -7,7 +7,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from gkzeta.errors import Rejected
 from gkzeta.numtheory import IntPolynomial, PrimePower, factorize
+from gkzeta.weil import (
+    ENUMERATE_LIMIT,
+    EndoDescriptor,
+    NewtonType,
+    WeilDescriptor,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +78,81 @@ def brute_elliptic_traces(q: PrimePower) -> list[int]:
         if ok:
             out.append(b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# elliptic isogeny classes, validated trace by trace (the library's earlier
+# algorithm: eager formatting and one exception per rejected trace)
+
+def brute_validate_elliptic(q: PrimePower, b: int) -> WeilDescriptor:
+    """Validate the trace b of Frobenius for an elliptic curve over F_q.
+
+    Accepts exactly the realizable values and raises Rejected otherwise.
+    """
+    p, qq = q.p, q.q
+    if b * b > 4 * qq:
+        raise Rejected(f"|b| exceeds the Weil bound: b^2 = {b * b} > 4q = {4 * qq}")
+    r = isqrt(qq)
+    sq_integral = r * r == qq
+
+    f = IntPolynomial([qq, -b, 1])
+    if b * b == 4 * qq:
+        # b = +-2*sqrt(q), so q must be a square; f = (t -+ sqrt(q))^2
+        endo = EndoDescriptor("quaternion-Hp", f"p={p}")
+        return WeilDescriptor(q, 1, f, 2, NewtonType.SUPERSINGULAR, endo, "ss-inseparable")
+
+    if b % p != 0:
+        endo = EndoDescriptor("field", f"Q[t]/({f})")
+        return WeilDescriptor(q, 1, f, 1, NewtonType.ORDINARY, endo, "ordinary")
+
+    case = None
+    if b == 0:
+        if not sq_integral:
+            case = "ss-a"
+        elif p % 4 != 1:
+            case = "ss-b"
+    elif sq_integral and abs(b) == r and p % 3 != 1:
+        case = "ss-c"
+    elif p in (2, 3) and not sq_integral and b * b == p * qq:
+        case = "ss-d"
+    if case is None:
+        raise Rejected(f"b = {b} is divisible by p but matches no supersingular case over F_{qq}")
+    endo = EndoDescriptor("field", f"Q[t]/({f})")
+    return WeilDescriptor(q, 1, f, 1, NewtonType.SUPERSINGULAR, endo, case)
+
+
+def brute_enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
+    """All isogeny classes of elliptic curves over F_q, ascending in b, for
+    q up to ENUMERATE_LIMIT; raises Rejected above it."""
+    if q.q > ENUMERATE_LIMIT:
+        raise Rejected(f"q = {q.q} is above the enumeration limit {ENUMERATE_LIMIT}",
+                       "elliptic isogeny classification")
+    bound = isqrt(4 * q.q)
+    out = []
+    for b in range(-bound, bound + 1):
+        try:
+            out.append(brute_validate_elliptic(q, b))
+        except Rejected:
+            pass
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Newton type from the slope multiset
+
+def classify_newton(w: WeilDescriptor) -> NewtonType:
+    """Newton type recomputed from the slope multiset of the polynomial."""
+    slopes = sorted(w.slopes())
+    half = Fraction(1, 2)
+    if all(s == half for s in slopes):
+        return NewtonType.SUPERSINGULAR
+    if w.dim == 1 and slopes == [0, 1]:
+        return NewtonType.ORDINARY
+    if w.dim == 2 and slopes == [0, 0, 1, 1]:
+        return NewtonType.ORDINARY
+    if w.dim == 2 and slopes == [0, half, half, 1]:
+        return NewtonType.MIXED
+    raise Rejected(f"slope multiset {slopes} is not admissible for dim {w.dim}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from gkzeta.existence import (
     katsura_refinement,
 )
 from gkzeta.groups import GroupId as G, facts, order
+from gkzeta.kummer import trace_table
 from gkzeta.numtheory import PrimePower, is_prime
 
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
@@ -200,3 +201,34 @@ class TestKatsuraRefinement:
             katsura_refinement(G.SL2F5, PrimePower(3, 2))
         with pytest.raises(Rejected):
             katsura_refinement(G.C5_C8, PrimePower(3, 2))
+
+
+class TestTraceTableConsistency:
+    """The trace tables (kummer) agree with the existence tables: every row
+    that holds at an odd p < 3000 has a quotient construction over F_{p^2}
+    (even rows) or F_p (odd rows), and an odd row of a group of order > 2
+    has its Weil shape among the satisfied odd-degree options."""
+
+    ODD_PRIMES = [p for p in range(3, 3000, 2) if is_prime(p)]
+
+    @pytest.mark.parametrize("parity, degree, count", [("even", 2, 3762), ("odd", 1, 2574)])
+    def test_rows_pass_the_refinement(self, parity, degree, count):
+        rows = 0
+        for p in self.ODD_PRIMES:
+            q = PrimePower(p, degree)
+            for row in trace_table(parity, p):
+                assert katsura_refinement(row.group, q).exists_rigid, (p, row)
+                rows += 1
+        assert rows == count
+
+    def test_odd_rows_offer_their_weil_shape(self):
+        rows = 0
+        for p in self.ODD_PRIMES:
+            for row in trace_table("odd", p):
+                if order(row.group) <= 2:
+                    continue
+                options = exists_over_odd_degree(row.group, PrimePower(p, 1)).weil_options
+                assert any(o.shape == row.weil_shape and o.satisfied is True
+                           for o in options), (p, row)
+                rows += 1
+        assert rows == 640

@@ -169,6 +169,24 @@ class TestPolynomials:
         assert str(IntPolynomial([1, -2, 0, -1])) == "-t^3 - 2t + 1"
         assert str(IntPolynomial()) == "0"
 
+    def test_no_assignment_or_deletion(self):
+        # cyclotomic is cached, so a change in place would reach every caller
+        c = cyclotomic(3)
+        with pytest.raises(AttributeError):
+            c.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            del c.coeffs
+        with pytest.raises(AttributeError):
+            c.extra = 1
+        assert str(cyclotomic(3)) == "t^2 + t + 1"
+
+    def test_trusted_constructor_equals_the_normalized_one(self):
+        f = IntPolynomial._trusted((7, -3, 1))
+        assert f == IntPolynomial([7, -3, 1]) and hash(f) == hash(IntPolynomial([7, -3, 1]))
+        assert str(f) == "t^2 - 3t + 7"
+        with pytest.raises(AttributeError):
+            f.coeffs = (1,)
+
     def test_format_ascending(self):
         assert IntPolynomial([9, 0, -1, 1]).format(ascending=True) == "9 - t^2 + t^3"
         assert IntPolynomial([-1, 3]).format(ascending=True) == "-1 + 3t"

@@ -12,13 +12,15 @@ from gkzeta.weil import (
     WeilDescriptor,
     abelian_point_count,
     abelian_zeta,
-    classify_newton,
     enumerate_elliptic,
     validate_elliptic,
     validate_surface_simple,
 )
 
 from oracles import (
+    brute_enumerate_elliptic,
+    brute_validate_elliptic,
+    classify_newton,
     brute_elliptic_traces,
     brute_quartic_is_irreducible,
     resultant,
@@ -92,6 +94,36 @@ class TestElliptic:
         q = PrimePower.from_q(qv)
         got = [-w.poly[1] for w in enumerate_elliptic(q)]
         assert got == brute_elliptic_traces(q)
+
+
+class TestEllipticOracle:
+    """The one-pass classifier against the earlier trace-by-trace validation
+    (tests/oracles.py), for every prime power q < 3000."""
+
+    @staticmethod
+    def fields(w):
+        return (w.q, w.dim, w.poly, w.e, w.newton, w.case, str(w.endo))
+
+    def test_enumeration_matches_oracle(self):
+        for q in prime_powers_upto(2999):
+            got = [self.fields(w) for w in enumerate_elliptic(q)]
+            assert got == [self.fields(w) for w in brute_enumerate_elliptic(q)], q
+
+    def test_validation_matches_oracle(self):
+        checked = 0
+        for q in prime_powers_upto(2999):
+            bound = 2 * isqrt(q.q) + 1
+            for b in range(-bound, bound + 1):
+                try:
+                    want = self.fields(brute_validate_elliptic(q, b))
+                except Rejected as exc:
+                    with pytest.raises(Rejected) as info:
+                        validate_elliptic(q, b)
+                    assert str(info.value) == str(exc), (q, b)
+                else:
+                    assert self.fields(validate_elliptic(q, b)) == want, (q, b)
+                checked += 1
+        assert checked > 60000
 
 
 class TestSurfaceQuartic:
