@@ -71,8 +71,21 @@ MENDED = (
     ["weil-list", "--q", "0"],
 )
 
+# every catalog group at ramified primes and at p = 1 mod 5, 8 and 12, and
+# the alginj table at p = 1 mod 8 and 12; appended after MENDED so that the
+# records above keep their positions
+EMBED_GROUPS = ("C2", "C3", "C4", "C5", "C6", "C8", "C10", "C12",
+                "Q8", "Q12", "Q16", "Q20", "Q24", "SL2F3", "ESL2F3", "SL2F5",
+                "C5:C8", "C3:C8", "C3xQ8", "C3:Q16", "ESL2F5")
+EMBED = tuple(["embed-check", "--group", g, "--p", str(p)]
+              for g in EMBED_GROUPS for p in (2, 3, 5, 7, 13, 17, 41)) \
+    + tuple(["tables", "--which", "alginj", "--p", str(p)] for p in (17, 41, 73))
+
 ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], ["--json"])) \
     + REJECTED + MENDED
+# an argv recorded above is not recorded twice: test ids stay unique
+ARGVS += tuple(argv + tail for argv in EMBED for tail in ([], ["--json"])
+               if argv + tail not in ARGVS)
 
 
 def replay(argv):
