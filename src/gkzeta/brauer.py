@@ -2,12 +2,14 @@
 
 An algebra is stored as a center (a small number field given symbolically),
 a degree, and a sparse map from places of the center to Q/Z invariants.
-Operations: reciprocity validation, scalar extension along a field, split
-tests, and embedding tests for maximal subfields.
+Operations: reciprocity validation, split tests, and the embedding test of
+the rigid group algebras into M(2, H_p), decided by the parity of a local
+degree at p.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import Rejected
 from .groups import rigid_algebra
@@ -18,7 +20,6 @@ from .numtheory import (
     squarefree_part,
     splitting_in_cyclotomic,
     splitting_in_quadratic,
-    splitting_in_real_cyclotomic,
 )
 
 
@@ -37,9 +38,9 @@ def _canonical_cyclotomic_index(m: int) -> int:
 
 
 class FieldDesc(Value):
-    """A small number field: Q, Q(sqrt(d)), Q(zeta_m), or Q(zeta_m)^+."""
+    """A small number field: Q, Q(sqrt(d)) or Q(zeta_m)."""
 
-    __slots__ = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc' | 'realcyc'
+    __slots__ = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc'
 
     def __init__(self, kind: str, param: int = 0):
         if kind == "Q":
@@ -48,11 +49,9 @@ class FieldDesc(Value):
         elif kind == "quad":
             if param in (0, 1) or squarefree_part(param) != param:
                 raise ValueError(f"{param} is not a valid squarefree discriminant base")
-        elif kind in ("cyc", "realcyc"):
+        elif kind == "cyc":
             if param < 3 or param % 4 == 2:
                 raise ValueError(f"cyclotomic index {param} is not in canonical form")
-            if kind == "realcyc" and euler_phi(param) < 4:
-                raise ValueError("real subfield would be Q itself")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -64,17 +63,13 @@ class FieldDesc(Value):
             return 1
         if self.kind == "quad":
             return 2
-        if self.kind == "cyc":
-            return euler_phi(self.param)
-        return euler_phi(self.param) // 2
+        return euler_phi(self.param)
 
     @property
     def is_totally_real(self) -> bool:
-        if self.kind in ("Q", "realcyc"):
-            return True
         if self.kind == "quad":
             return self.param > 0
-        return False
+        return self.kind == "Q"
 
     @property
     def real_place_count(self) -> int:
@@ -85,9 +80,7 @@ class FieldDesc(Value):
             return "Q"
         if self.kind == "quad":
             return f"Q(sqrt({self.param}))"
-        if self.kind == "cyc":
-            return f"Q(zeta_{self.param})"
-        return f"Q(zeta_{self.param})^+"
+        return f"Q(zeta_{self.param})"
 
 
 def rationals() -> FieldDesc:
@@ -106,12 +99,13 @@ def cyclotomic_field(m: int) -> FieldDesc:
 
 
 def real_cyclotomic(m: int) -> FieldDesc:
+    """Q(zeta_m)^+, for the m whose real subfield is Q or quadratic."""
     m = _canonical_cyclotomic_index(m)
     if m <= 2 or euler_phi(m) == 2:
         return rationals()
-    if euler_phi(m) == 4:
-        return quadratic(_REAL_QUAD[m])
-    return FieldDesc("realcyc", m)
+    if m not in _REAL_QUAD:
+        raise ValueError(f"the real subfield of Q(zeta_{m}) is not quadratic")
+    return quadratic(_REAL_QUAD[m])
 
 
 # phi(m) = 4: the real subfield of Q(zeta_m) is the quadratic field below
@@ -176,19 +170,6 @@ class CSADescriptor(Value):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "invariants", invs)
 
-    @property
-    def dim_over_q(self) -> int:
-        return self.degree ** 2 * self.center.degree
-
-    def invariant_at(self, pl: Place) -> Fraction:
-        for place, inv in self.invariants:
-            if place == pl:
-                return inv
-        return Fraction(0)
-
-    def is_division_quaternion(self) -> bool:
-        return self.degree == 2 and bool(self.invariants)
-
     def __str__(self):
         if not self.invariants:
             if self.degree == 1:
@@ -243,152 +224,50 @@ def make_h_infty(k: FieldDesc) -> CSADescriptor:
 
 
 # ---------------------------------------------------------------------------
-# scalar extension along L/Q
-
-def _local_degrees_inf(l: FieldDesc) -> list[int]:
-    """Local degrees [L_w : R] over the real place of Q."""
-    if l.is_totally_real:
-        return [1] * l.degree
-    # totally imaginary cases here: cyc, or quad with d < 0
-    return [2] * (l.degree // 2)
-
-
-def _local_degrees_fin(l: FieldDesc, p: int) -> list[int]:
-    """Local degrees [L_w : Q_p] over p, one entry per place w of L."""
-    if l.kind == "Q":
-        return [1]
-    if l.kind == "quad":
-        kind = splitting_in_quadratic(p, l.param)
-        return [1, 1] if kind == "split" else [2]
-    if l.kind == "cyc":
-        e, f, g = splitting_in_cyclotomic(p, l.param)
-        return [e * f] * g
-    e, f, g = splitting_in_real_cyclotomic(p, l.param)
-    return [e * f] * g
-
-
-def extend_scalars(a: CSADescriptor, l: FieldDesc) -> CSADescriptor:
-    """A tensor_Q L as an algebra with center L.
-
-    Each invariant inv_v becomes [L_w : Q_v] * inv_v at every place w over v.
-    Only centers equal to Q are supported.
-    """
-    if a.center != rationals():
-        raise ValueError("extend_scalars requires center Q")
-    new: list[tuple[Place, Fraction]] = []
-    for pl, inv in a.invariants:
-        if pl[0] == "inf":
-            degs = _local_degrees_inf(l)
-            for i, d in enumerate(degs):
-                if l.is_totally_real:
-                    w = inf_place(i)
-                else:
-                    continue  # complex place kills every invariant
-                v = (d * inv) % 1
-                if v:
-                    new.append((w, v))
-        else:
-            p = pl[1]
-            for j, d in enumerate(_local_degrees_fin(l, p)):
-                v = (d * inv) % 1
-                if v:
-                    new.append((fin_place(p, j), v))
-    return CSADescriptor(l, a.degree, tuple(new))
-
-
-# ---------------------------------------------------------------------------
-# embedding tests
-
-def field_embeds_in_csa(l: FieldDesc, a: CSADescriptor) -> bool:
-    """Does the field L embed into the algebra A as a maximal subfield?
-
-    Requires [L : center] = degree(A); L embeds iff A tensor L splits.
-    """
-    if a.center == rationals():
-        if l.degree != a.degree:
-            raise ValueError(
-                f"[{l}:Q] = {l.degree} != degree {a.degree}: not a maximal-subfield test")
-        return is_split(extend_scalars(a, l))
-    # relative case: L a CM quadratic extension of the totally real center,
-    # algebra ramified only at real places (which all become complex in L)
-    if a.degree != 2:
-        raise ValueError("relative embedding only supported for quaternion algebras")
-    if not _is_cm_quadratic_over(l, a.center):
-        raise ValueError(f"{l} is not a CM quadratic extension of {a.center}")
-    if any(pl[0] != "inf" for pl, _ in a.invariants):
-        raise ValueError("relative embedding with finite ramification not supported")
-    return True
-
-
-def _is_cm_quadratic_over(l: FieldDesc, k: FieldDesc) -> bool:
-    if l.kind != "cyc":
-        return False
-    m = l.param
-    if k.kind == "realcyc":
-        return k.param == m
-    if k.kind == "quad":
-        return _REAL_QUAD.get(m) == k.param
-    if k.kind == "Q":
-        return euler_phi(m) == 2
-    return False
-
-
-def hp_into_hinfty(p: int, d: int) -> bool:
-    """Does H_p embed into H_infty(Q(sqrt(d))) over Q(sqrt(d))?
-
-    Equivalent to p being non-split in Q(sqrt(d)).
-    """
-    if d <= 1:
-        raise ValueError("need a real quadratic field")
-    return splitting_in_quadratic(p, d) != "split"
-
-
-# ---------------------------------------------------------------------------
 # rigid algebra into M(2, H_p)
-
-def m2_hp(p: int) -> CSADescriptor:
-    return matrix_over(make_hp(p), 2)
-
 
 def rigid_embeds_in_m2hp(g, p: int) -> bool:
     """Does the rigid group algebra of g embed into M(2, H_p)?
 
-    Computed from local invariant arithmetic, for the algebras of the
+    Decided by the parity of a local degree at p, for the algebras of the
     tabulated embedding rows; others are rejected.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    test, arg = _embedding_test(g)
+    if test == "always":
+        return True
+    if test == "cyc":
+        e, f, _ = splitting_in_cyclotomic(p, arg)
+        return e * f % 2 == 0
+    if test == "nonsplit":
+        return splitting_in_quadratic(p, arg) != "split"
+    raise Rejected(arg)
+
+
+@cache
+def _embedding_test(g) -> tuple[str, int | str]:
+    """How rigid_embeds_in_m2hp decides for g, read once from its rigid
+    algebra: ('always', 0), ('cyc', m), ('nonsplit', d) or ('rejected', reason).
+    """
     alg = rigid_algebra(g)
-    _embedding_row_key(alg)  # rejects algebras outside the tabulated rows
-    return _embeds_by_invariants(alg, p)
-
-
-def _embedding_row_key(alg: CSADescriptor) -> str:
     c = alg.center
     if alg.degree == 1 and c.kind == "cyc" and c.param in (3, 4, 5, 8, 12):
-        return f"zeta{c.param}"
+        if c.degree == 2:
+            # quartic M(2, H_p) contains M(2, K) for every quadratic K
+            return "always", 0
+        # Q(zeta_m) of degree 4 is a maximal subfield iff it splits H_p: its
+        # places are complex, so iff e*f is even at p
+        return "cyc", c.param
     if alg.degree == 2 and c == rationals() and len(alg.invariants) == 2:
         fin = [pl[1] for pl, _ in alg.invariants if pl[0] == "fin"]
         if fin and fin[0] in (2, 3):
-            return f"H{fin[0]}"
+            # a rational quaternion algebra D sits inside M(2, H_p) through
+            # M(2, K) for a shared splitting field K; no condition on p
+            return "always", 0
     if alg.degree == 2 and c.kind == "quad" and c.param in (2, 3, 5):
         if alg.invariants and all(pl[0] == "inf" for pl, _ in alg.invariants):
-            return f"Hinf{c.param}"
-    raise Rejected(f"{alg} is not among the tabulated embedding rows")
-
-
-def _embeds_by_invariants(alg: CSADescriptor, p: int) -> bool:
-    c = alg.center
-    if alg.degree == 1:
-        if c.degree == 2:
-            # quartic M(2, H_p) contains M(2, K) for every quadratic K
-            return True
-        return field_embeds_in_csa(c, m2_hp(p))
-    if c == rationals():
-        # a rational quaternion algebra D sits inside M(2, H_p) through
-        # M(2, K) for a shared splitting field K; no condition on p
-        return True
-    # H_infty(Q(sqrt(d))): embeds iff H_p stays a division algebra over the
-    # center, i.e. iff p does not split in Q(sqrt(d))
-    return hp_into_hinfty(p, c.param)
-
+            # H_infty(Q(sqrt(d))): embeds iff H_p stays a division algebra over
+            # the center, i.e. iff p does not split in Q(sqrt(d))
+            return "nonsplit", c.param
+    return "rejected", f"{alg} is not among the tabulated embedding rows"

@@ -71,15 +71,18 @@ def cmd_weil_list(args) -> int:
 
     q = args.q
     descs = weil.enumerate_elliptic(q)
-    lines = [f"isogeny classes of elliptic curves over F_{q.q}:"]
-    rows = []
-    for w in descs:
-        b = -w.poly[1]
-        lines.append(f"  b = {b:4d}  f = {w.poly}  {w.newton.value:14s} [{w.case}]")
-        rows.append({"b": b, "poly": str(w.poly), "newton": w.newton.value, "case": w.case})
-    payload = {"query": {"command": "weil-list", "q": q.q},
-               "result": rows,
-               "citations": ["elliptic isogeny classification"]}
+    # only the selected output is built: each polynomial is formatted once
+    lines = payload = None
+    if args.json:
+        rows = [{"b": -w.poly[1], "poly": str(w.poly), "newton": w.newton.value, "case": w.case}
+                for w in descs]
+        payload = {"query": {"command": "weil-list", "q": q.q},
+                   "result": rows,
+                   "citations": ["elliptic isogeny classification"]}
+    else:
+        lines = [f"isogeny classes of elliptic curves over F_{q.q}:"]
+        lines += [f"  b = {-w.poly[1]:4d}  f = {w.poly}  {w.newton.value:14s} [{w.case}]"
+                  for w in descs]
     _emit(args, lines, payload)
     return 0
 
@@ -303,7 +306,7 @@ def cmd_selftest(args) -> int:
             checks.append((f"trace row {parity}/{row.notation}",
                            kummer.trace_of(cp) == row.trace))
 
-    # local invariant arithmetic agrees with column I of the even-degree table
+    # local-degree test agrees with column I of the even-degree table
     checks.append(("embedding cross-check p < 50", all(
         brauer.rigid_embeds_in_m2hp(g, p) == existence.exists_over_even_degree(g, p).exists_rigid
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

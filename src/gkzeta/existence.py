@@ -84,8 +84,8 @@ _EVEN_TABLE = {
 }
 
 # the groups of the even-degree classification; the M(2, H_p) embedding
-# test (brauer.rigid_embeds_in_m2hp) covers the same groups, and column I
-# is its answer
+# test by local degrees (brauer.rigid_embeds_in_m2hp) covers the same
+# groups, and column I is its answer
 EVEN_DEGREE_GROUPS = frozenset(_EVEN_TABLE)
 
 

@@ -69,8 +69,6 @@ _ORDERS = {
     GroupId.C3xQ8: 24, GroupId.C3_Q16: 48, GroupId.ESL2F5: 240,
 }
 
-SMALL_CYCLIC_ORDERS = frozenset({1, 2, 3, 4, 5, 6, 8, 10, 12})
-
 
 def order(g: GroupId) -> int:
     return _ORDERS[g]
@@ -84,11 +82,6 @@ def cyclic_order(g: GroupId) -> int:
     if not is_cyclic(g):
         raise ValueError(f"{g} is not cyclic")
     return _ORDERS[g]
-
-
-def is_small_cyclic(n: int) -> bool:
-    """Is C_n allowed as the cyclic order of an element in the catalog?"""
-    return n in SMALL_CYCLIC_ORDERS
 
 
 # ---------------------------------------------------------------------------

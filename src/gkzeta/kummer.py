@@ -18,7 +18,6 @@ from .numtheory import (
     cyclotomic,
     divisors,
     euler_phi,
-    factorize,
     moebius,
 )
 
@@ -161,13 +160,6 @@ def singular_configs(g: GroupId) -> tuple[SingularConfig, ...]:
     return tuple(out)
 
 
-def singular_config(g: GroupId, case: str = "") -> SingularConfig:
-    for cfg in singular_configs(g):
-        if cfg.case == case:
-            return cfg
-    raise Rejected(f"{g} has no configuration case {case!r}")
-
-
 def ns_rank_bound(cfg: SingularConfig) -> tuple[int, bool]:
     """(bound, exact): rank of NS is exactly 22 when the exceptional locus
     has 20 nodes, otherwise at least nodes + 1."""
@@ -177,19 +169,6 @@ def ns_rank_bound(cfg: SingularConfig) -> tuple[int, bool]:
     if n == 20:
         return 22, True
     return n + 1, False
-
-
-def cyclic_fixed_points(n: int) -> int:
-    """Number of fixed points of a small-order cyclic action, n = l^r:
-    l^(4 / ((l-1) l^(r-1))) when the exponent is integral."""
-    fac = factorize(n)
-    if len(fac) != 1:
-        raise Rejected(f"{n} is not a prime power")
-    ((l, r),) = fac.items()
-    denom = (l - 1) * l ** (r - 1)
-    if 4 % denom:
-        raise Rejected(f"order {n} admits no fixed points: (l-1)l^(r-1) = {denom} does not divide 4")
-    return l ** (4 // denom)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +186,6 @@ def graph_frobenius(n: int, r: int, q: PrimePower) -> str:
     if m < 2:
         raise Rejected("trivial stabilizer quotient: no chain to act on")
     return "chain-flip" if (q.q ** r - 1) % m else "trivial"
-
-
-def default_graph_action(ade: ADEType, degree: int, at_origin: bool = False) -> str:
-    """Conservative default for D/E orbits: the action is known to be
-    trivial on a D4 graph over the origin, unknown otherwise unless the
-    orbit is rational (degree 1) at the origin."""
-    if ade.kind == "A":
-        return "unknown"
-    if at_origin and degree == 1:
-        return "trivial"
-    return "unknown"
 
 
 # ---------------------------------------------------------------------------

@@ -521,18 +521,6 @@ def splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
     return e, f, g
 
 
-def splitting_in_real_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
-    """(e, f, g) for p unramified in the totally real subfield of Q(zeta_m)."""
-    if m % p == 0:
-        raise ValueError("ramified case not supported for real cyclotomic fields")
-    half = euler_phi(m) // 2
-    k, x = 1, p % m
-    while x != 1 and x != m - 1:
-        x = x * p % m
-        k += 1
-    return 1, k, half // k
-
-
 # ---------------------------------------------------------------------------
 # Newton polygons
 

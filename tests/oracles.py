@@ -7,8 +7,30 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from gkzeta.brauer import (
+    CSADescriptor,
+    FieldDesc,
+    Place,
+    fin_place,
+    inf_place,
+    is_split,
+    make_h_infty,
+    make_hp,
+    matrix_over,
+    quadratic,
+    rationals,
+)
 from gkzeta.errors import Rejected
-from gkzeta.numtheory import IntPolynomial, PrimePower, factorize
+from gkzeta.groups import rigid_algebra
+from gkzeta.numtheory import (
+    IntPolynomial,
+    PrimePower,
+    euler_phi,
+    factorize,
+    is_prime,
+    splitting_in_cyclotomic,
+    splitting_in_quadratic,
+)
 from gkzeta.weil import (
     ENUMERATE_LIMIT,
     EndoDescriptor,
@@ -333,3 +355,129 @@ def _bareiss_det(mat: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# central simple algebras by local invariant arithmetic (the library's
+# earlier embedding algorithm: scalar extension, then a split test)
+
+# phi(m) = 4: the real subfield of Q(zeta_m) is the quadratic field below
+_REAL_QUAD = {5: 5, 8: 2, 12: 3}
+
+
+def m2_hp(p: int) -> CSADescriptor:
+    return matrix_over(make_hp(p), 2)
+
+
+def _local_degrees_inf(l: FieldDesc) -> list[int]:
+    """Local degrees [L_w : R] over the real place of Q."""
+    if l.is_totally_real:
+        return [1] * l.degree
+    # totally imaginary cases here: cyc, or quad with d < 0
+    return [2] * (l.degree // 2)
+
+
+def _local_degrees_fin(l: FieldDesc, p: int) -> list[int]:
+    """Local degrees [L_w : Q_p] over p, one entry per place w of L."""
+    if l.kind == "Q":
+        return [1]
+    if l.kind == "quad":
+        kind = splitting_in_quadratic(p, l.param)
+        return [1, 1] if kind == "split" else [2]
+    e, f, g = splitting_in_cyclotomic(p, l.param)
+    return [e * f] * g
+
+
+def extend_scalars(a: CSADescriptor, l: FieldDesc) -> CSADescriptor:
+    """A tensor_Q L as an algebra with center L.
+
+    Each invariant inv_v becomes [L_w : Q_v] * inv_v at every place w over v.
+    Only centers equal to Q are supported.
+    """
+    if a.center != rationals():
+        raise ValueError("extend_scalars requires center Q")
+    new: list[tuple[Place, Fraction]] = []
+    for pl, inv in a.invariants:
+        if pl[0] == "inf":
+            degs = _local_degrees_inf(l)
+            for i, d in enumerate(degs):
+                if l.is_totally_real:
+                    w = inf_place(i)
+                else:
+                    continue  # complex place kills every invariant
+                v = (d * inv) % 1
+                if v:
+                    new.append((w, v))
+        else:
+            p = pl[1]
+            for j, d in enumerate(_local_degrees_fin(l, p)):
+                v = (d * inv) % 1
+                if v:
+                    new.append((fin_place(p, j), v))
+    return CSADescriptor(l, a.degree, tuple(new))
+
+
+def field_embeds_in_csa(l: FieldDesc, a: CSADescriptor) -> bool:
+    """Does the field L embed into the algebra A as a maximal subfield?
+
+    Requires [L : center] = degree(A); L embeds iff A tensor L splits.
+    """
+    if a.center == rationals():
+        if l.degree != a.degree:
+            raise ValueError(
+                f"[{l}:Q] = {l.degree} != degree {a.degree}: not a maximal-subfield test")
+        return is_split(extend_scalars(a, l))
+    # relative case: L a CM quadratic extension of the totally real center,
+    # algebra ramified only at real places (which all become complex in L)
+    if a.degree != 2:
+        raise ValueError("relative embedding only supported for quaternion algebras")
+    if not _is_cm_quadratic_over(l, a.center):
+        raise ValueError(f"{l} is not a CM quadratic extension of {a.center}")
+    if any(pl[0] != "inf" for pl, _ in a.invariants):
+        raise ValueError("relative embedding with finite ramification not supported")
+    return True
+
+
+def _is_cm_quadratic_over(l: FieldDesc, k: FieldDesc) -> bool:
+    if l.kind != "cyc":
+        return False
+    m = l.param
+    if k.kind == "quad":
+        return _REAL_QUAD.get(m) == k.param
+    if k.kind == "Q":
+        return euler_phi(m) == 2
+    return False
+
+
+def hp_into_hinfty(p: int, d: int) -> bool:
+    """Does H_p embed into H_infty(Q(sqrt(d))) over Q(sqrt(d))?
+
+    Decided by comparing H_p tensor Q(sqrt(d)) with H_infty, invariant by
+    invariant.
+    """
+    if d <= 1:
+        raise ValueError("need a real quadratic field")
+    return extend_scalars(make_hp(p), quadratic(d)) == make_h_infty(quadratic(d))
+
+
+def rigid_embeds_by_invariants(g, p: int) -> bool:
+    """brauer.rigid_embeds_in_m2hp by local invariant arithmetic, with the
+    same ValueError and Rejected texts."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    alg = rigid_algebra(g)
+    c = alg.center
+    if alg.degree == 1 and c.kind == "cyc" and c.param in (3, 4, 5, 8, 12):
+        if c.degree == 2:
+            # quartic M(2, H_p) contains M(2, K) for every quadratic K
+            return True
+        return field_embeds_in_csa(c, m2_hp(p))
+    if alg.degree == 2 and c == rationals() and len(alg.invariants) == 2:
+        fin = [pl[1] for pl, _ in alg.invariants if pl[0] == "fin"]
+        if fin and fin[0] in (2, 3):
+            # D and H_p share a splitting field K, so D < M(2, K) < M(2, H_p)
+            return True
+    if alg.degree == 2 and c.kind == "quad" and c.param in (2, 3, 5):
+        if alg.invariants and all(pl[0] == "inf" for pl, _ in alg.invariants):
+            return hp_into_hinfty(p, c.param)
+    raise Rejected(f"{alg} is not among the tabulated embedding rows")

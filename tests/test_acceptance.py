@@ -16,7 +16,7 @@ from gkzeta.numtheory import (
     is_prime,
 )
 
-from oracles import brute_elliptic_traces, direct_newton_slopes
+from oracles import brute_elliptic_traces, direct_newton_slopes, extend_scalars
 
 PRIMES_1000 = [p for p in range(2, 1000) if is_prime(p)]
 
@@ -366,7 +366,7 @@ def test_criterion_8_property_suites():
     algebras = [brauer.make_hp(p) for p in PRIMES_1000[:50]]
     algebras += [brauer.make_h_infty(brauer.quadratic(d)) for d in (2, 3, 5, 7, 13)]
     algebras += [groups.rigid_algebra(g) for g in G]
-    algebras += [brauer.extend_scalars(brauer.make_hp(p), brauer.quadratic(d))
+    algebras += [extend_scalars(brauer.make_hp(p), brauer.quadratic(d))
                  for p in (2, 3, 5, 7, 11) for d in (2, 5, -1, -3)]
     for a in algebras:
         total = sum(inv for _, inv in a.invariants)

@@ -7,14 +7,10 @@ from gkzeta.brauer import (
     CSADescriptor,
     ReciprocityError,
     cyclotomic_field,
-    extend_scalars,
     field_algebra,
-    field_embeds_in_csa,
     fin_place,
-    hp_into_hinfty,
     inf_place,
     is_split,
-    m2_hp,
     make_h_infty,
     make_hp,
     matrix_over,
@@ -26,6 +22,15 @@ from gkzeta.brauer import (
 from gkzeta.errors import Rejected
 from gkzeta.groups import GroupId as G
 from gkzeta.numtheory import is_prime
+
+# the scalar extension and maximal-subfield tests live on as the oracle
+from oracles import (
+    extend_scalars,
+    field_embeds_in_csa,
+    hp_into_hinfty,
+    m2_hp,
+    rigid_embeds_by_invariants,
+)
 
 HALF = Fraction(1, 2)
 PRIMES_100 = [p for p in range(2, 100) if is_prime(p)]
@@ -44,6 +49,8 @@ class TestFields:
         assert real_cyclotomic(10) == quadratic(5)
         assert real_cyclotomic(12) == quadratic(3)
         assert real_cyclotomic(4) == rationals()
+        with pytest.raises(ValueError):
+            real_cyclotomic(16)  # Q(zeta_16)^+ has degree 4
 
     def test_quadratic_canonicalizes(self):
         assert quadratic(8) == quadratic(2)
@@ -55,16 +62,14 @@ class TestFields:
         assert quadratic(5).is_totally_real
         assert not quadratic(-3).is_totally_real
         assert not cyclotomic_field(5).is_totally_real
-        assert real_cyclotomic(16).is_totally_real
-        assert real_cyclotomic(16).degree == 4
+        assert real_cyclotomic(12).is_totally_real
+        assert real_cyclotomic(12).degree == 2
 
 
 class TestConstructorsAndReciprocity:
     def test_make_hp(self):
         h = make_hp(7)
-        assert h.invariant_at(inf_place()) == HALF
-        assert h.invariant_at(fin_place(7)) == HALF
-        assert h.invariant_at(fin_place(3)) == 0
+        assert h.invariants == ((inf_place(), HALF), (fin_place(7), HALF))
         assert not is_split(h)
 
     def test_make_h_infty(self):
@@ -188,3 +193,30 @@ class TestRigidEmbedsTable:
         for g in (G.C2, G.C5_C8, G.C3_C8, G.C3xQ8, G.C3_Q16, G.ESL2F5):
             with pytest.raises(Rejected):
                 rigid_embeds_in_m2hp(g, 7)
+
+
+def _outcome(fn, g, p):
+    try:
+        return fn(g, p)
+    except ValueError as exc:  # Rejected included
+        return type(exc), str(exc), getattr(exc, "citation", None)
+
+
+class TestLocalDegreeOracle:
+    @pytest.mark.parametrize("g", list(G), ids=str)
+    def test_agrees_with_invariant_arithmetic_below_20000(self, g):
+        # the parity of a local degree against scalar extension and a split
+        # test at every prime below 20000, and the same error, by type and
+        # text, for every other n: non-primes fail before the group is read
+        for p in range(-2, 20000):
+            want = _outcome(rigid_embeds_by_invariants, g, p)
+            assert _outcome(rigid_embeds_in_m2hp, g, p) == want, (g, p)
+
+    def test_rejection_is_fresh_on_every_call(self):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(Rejected) as info:
+                rigid_embeds_in_m2hp(G.C2, 7)
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+        assert errors[0].reason == errors[1].reason == "Q is not among the tabulated embedding rows"

@@ -14,8 +14,6 @@ from gkzeta.kummer import (
     SingularOrbit,
     artin_check,
     assemble_ns,
-    cyclic_fixed_points,
-    default_graph_action,
     exceptional_charpoly,
     format_zeta_notation,
     graph_frobenius,
@@ -24,7 +22,6 @@ from gkzeta.kummer import (
     k3_zeta,
     ns_rank_bound,
     parse_zeta_notation,
-    singular_config,
     singular_configs,
     trace_of,
     trace_table,
@@ -48,32 +45,15 @@ class TestADE:
         assert str(D(6)) == "D6"
 
 
-class TestCyclicFixedPoints:
-    def test_values(self):
-        assert cyclic_fixed_points(2) == 16
-        assert cyclic_fixed_points(3) == 9
-        assert cyclic_fixed_points(4) == 4
-        assert cyclic_fixed_points(5) == 5
-        assert cyclic_fixed_points(8) == 2
-
-    def test_rejections(self):
-        with pytest.raises(Rejected):
-            cyclic_fixed_points(7)
-        with pytest.raises(Rejected):
-            cyclic_fixed_points(6)
-        with pytest.raises(Rejected):
-            cyclic_fixed_points(16)
-
-
 class TestConfigs:
     def test_c6(self):
-        cfg = singular_config(G.C6)
+        (cfg,) = singular_configs(G.C6)
         assert str(cfg) == "C6: A5 + 4A2 + 5A1"
         assert ns_rank_bound(cfg) == (19, False)
 
     def test_q8_both_cases(self):
-        a = singular_config(G.Q8, "A")
-        b = singular_config(G.Q8, "B")
+        a, b = singular_configs(G.Q8)
+        assert (a.case, b.case) == ("A", "B")
         assert [(str(o.ade), o.count) for o in a.orbits] == [("D4", 4), ("A1", 3)]
         assert [(str(o.ade), o.count) for o in b.orbits] == [("D4", 2), ("A3", 3), ("A1", 2)]
 
@@ -90,8 +70,8 @@ class TestConfigs:
 
     def test_cyclic_point_total_matches_fixed_points(self):
         # for odd cyclic orders every fixed point is singular on the quotient
-        assert singular_config(G.C3).total_points == 9
-        assert singular_config(G.C5).total_points == 5
+        assert [c.total_points for c in singular_configs(G.C3)] == [9]
+        assert [c.total_points for c in singular_configs(G.C5)] == [5]
 
     def test_rejects_uncovered(self):
         with pytest.raises(Rejected):
@@ -114,11 +94,6 @@ class TestGraphFrobenius:
             graph_frobenius(4, 3, PrimePower(3, 1))
         with pytest.raises(Rejected):
             graph_frobenius(4, 4, PrimePower(3, 1))
-
-    def test_default_actions(self):
-        assert default_graph_action(D(4), 1, at_origin=True) == "trivial"
-        assert default_graph_action(D(6), 2, at_origin=True) == "unknown"
-        assert default_graph_action(E(7), 1) == "unknown"
 
 
 class TestExceptionalCharpoly:
