@@ -185,11 +185,6 @@ def _place_str(pl: Place) -> str:
     return str(pl[1]) if pl[2] == 0 else f"{pl[1]}_{pl[2]}"
 
 
-def is_split(a: CSADescriptor) -> bool:
-    """True when the algebra is a matrix algebra over its center."""
-    return not a.invariants
-
-
 # -- constructors ------------------------------------------------------------
 
 def field_algebra(k: FieldDesc) -> CSADescriptor:

@@ -17,10 +17,6 @@ class Finding(Value):
 
     __slots__ = ("value", "citation")  # value: True | False | None
 
-    def __init__(self, value, citation: str):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "citation", citation)
-
     def __str__(self):
         word = {True: "yes", False: "no", None: "not determined"}[self.value]
         return f"{word} [{self.citation}]"
@@ -29,14 +25,7 @@ class Finding(Value):
 class ExistenceVerdict(Value):
     # conditions: (condition text, evaluated bool) pairs; weil_options: WeilOption
     __slots__ = ("group", "rigid", "symplectic", "conditions", "weil_options")
-
-    def __init__(self, group: GroupId, rigid: Finding, symplectic: Finding,
-                 conditions: tuple, weil_options: tuple = ()):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "rigid", rigid)
-        object.__setattr__(self, "symplectic", symplectic)
-        object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "weil_options", weil_options)
+    _defaults = ((),)
 
     @property
     def exists_rigid(self):
@@ -55,12 +44,6 @@ class WeilOption(Value):
     """
 
     __slots__ = ("shape", "poly", "condition", "satisfied")
-
-    def __init__(self, shape: str, poly, condition: str, satisfied):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "satisfied", satisfied)
 
 
 # ---------------------------------------------------------------------------

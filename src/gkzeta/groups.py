@@ -3,8 +3,9 @@ fixed-point-collapsing actions: cyclic groups, binary dihedral groups,
 the binary tetrahedral/octahedral/icosahedral groups and a few
 characteristic-special extensions.
 
-All group facts are hardcoded and validated by structural sanity checks
-(Sylow congruences, conservation of torsion fixed points).
+All group facts are hardcoded. Nothing here checks them at run time; the
+structural checks (Sylow congruences, conservation of torsion fixed points)
+are in tests/test_groups.py.
 """
 from __future__ import annotations
 
@@ -96,22 +97,10 @@ class StabilizerTable(Value):
 
     __slots__ = ("case", "entries")  # entries: ((GroupId, int), ...)
 
-    def __init__(self, case: str, entries: tuple):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "entries", entries)
-
 
 class GroupFacts(Value):
     __slots__ = ("group", "order", "cyclic_subgroup_orders", "sylow_counts",
                  "stabilizer_tables")  # stabilizer_tables: tuple of StabilizerTable
-
-    def __init__(self, group: GroupId, order: int, cyclic_subgroup_orders: frozenset,
-                 sylow_counts: dict, stabilizer_tables: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cyclic_subgroup_orders", cyclic_subgroup_orders)
-        object.__setattr__(self, "sylow_counts", sylow_counts)
-        object.__setattr__(self, "stabilizer_tables", stabilizer_tables)
 
 
 def _tab(case, *entries):

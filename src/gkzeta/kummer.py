@@ -121,18 +121,9 @@ class SingularConfig(Value):
 
     __slots__ = ("group", "case", "orbits")  # orbits: SingularOrbit, by descending nodes
 
-    def __init__(self, group: GroupId, case: str, orbits: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "orbits", orbits)
-
     @property
     def total_nodes(self) -> int:
         return sum(o.nodes for o in self.orbits)
-
-    @property
-    def total_points(self) -> int:
-        return sum(o.count for o in self.orbits)
 
     def __str__(self):
         body = " + ".join(str(o) for o in self.orbits)
@@ -207,12 +198,6 @@ class NSCharPoly(Value):
         if sum(d for _, d in items) != 22:
             raise Rejected(f"total degree {sum(d for _, d in items)} != 22")
         object.__setattr__(self, "parts", items)
-
-    def degree_at(self, r: int) -> int:
-        return dict(self.parts).get(r, 0)
-
-    def multiplicity(self, r: int) -> int:
-        return self.degree_at(r) // euler_phi(r)
 
     def polynomial(self) -> IntPolynomial:
         out = IntPolynomial([1])
@@ -325,10 +310,6 @@ class ZetaFunction(Value):
 
     __slots__ = ("q", "denominator")  # denominator: (IntPolynomial, int) pairs
 
-    def __init__(self, q: PrimePower, denominator: tuple):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "denominator", denominator)
-
     def __str__(self):
         def fmt(f, m):
             s = f"({f.format(ascending=True)})"
@@ -370,14 +351,6 @@ def artin_check(q: PrimePower, cp: NSCharPoly) -> bool:
 
 class TraceRow(Value):
     __slots__ = ("trace", "notation", "group", "p_condition", "weil_shape")
-
-    def __init__(self, trace: int, notation: str, group: GroupId, p_condition: Condition,
-                 weil_shape: str):
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "notation", notation)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "p_condition", p_condition)
-        object.__setattr__(self, "weil_shape", weil_shape)
 
 
 def _rows(*rows) -> tuple[TraceRow, ...]:

@@ -142,18 +142,24 @@ def squarefree_part(d: int) -> int:
 class Value:
     """Base of the library's immutable value types.
 
-    A subclass names its fields in order in __slots__, and its __init__
-    validates them and sets them with object.__setattr__. Instances compare
-    equal only within their class, hash by their fields, print as
-    Name(field=value, ...), and refuse assignment and deletion, so that a
-    cached instance is safe to share. (The value types are not dataclasses:
-    importing dataclasses takes longer than most CLI calls spend computing.)
+    A subclass names its fields in order in __slots__. Unless it defines
+    __init__ (to validate or normalize), it gets a constructor compiled from
+    __slots__ once, when the class is created: like a namedtuple's, it takes
+    the fields by position or keyword, and the last len(_defaults) fields
+    default to _defaults. Instances compare equal only within their class,
+    hash by their fields, print as Name(field=value, ...), and refuse
+    assignment and deletion, so that a cached instance is safe to share.
+    (The value types are not dataclasses: importing dataclasses takes longer
+    than most CLI calls spend computing.)
     """
 
     __slots__ = ()
+    _defaults = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -175,6 +181,21 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _constructor(cls):
+    """The __init__ that sets each field of cls from the argument of the same
+    name, compiled so that a construction costs one call and no loop. Its
+    file name, <Class.__init__>, tells the classes apart in profiles."""
+    fields = cls.__slots__
+    body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
+    namespace = {"_set": object.__setattr__}
+    source = f"def __init__(self, {', '.join(fields)}):{body}"
+    exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +254,31 @@ class Condition:
 
     Each form is read as p > bound, p != excluded, and p mod modulus in
     residues (negated for !=), with the parts it does not name always true.
+    Immutable, since table rows share their conditions; equal only to itself.
     """
+
+    __slots__ = ("text", "bound", "excluded", "modulus", "residues", "negated")
 
     def __init__(self, text: str):
         m = _CONDITION.fullmatch(text)
         if m is None:
             raise ValueError(f"{text!r} is not a condition on p")
-        self.text = text
-        self.bound = int(m["gt"] or 0)
-        self.excluded = int(m["ne"] or 0)
-        self.modulus = mod = int(m["m"] or 1)
+        mod = int(m["m"] or 1)
         r = int(m["r"] or 0)
-        self.residues = frozenset({r % mod, -r % mod} if m["sign"] == "+-"
-                                  else {(-r if m["sign"] else r) % mod})
-        self.negated = m["op"] == "!="
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "bound", int(m["gt"] or 0))
+        object.__setattr__(self, "excluded", int(m["ne"] or 0))
+        object.__setattr__(self, "modulus", mod)
+        object.__setattr__(self, "residues", frozenset(
+            {r % mod, -r % mod} if m["sign"] == "+-" else {(-r if m["sign"] else r) % mod}))
+        object.__setattr__(self, "negated", m["op"] == "!=")
+
+    # refuses assignment and deletion as a Value does; copies parse the text again
+    __setattr__ = Value.__setattr__
+    __delattr__ = Value.__delattr__
+
+    def __reduce__(self):
+        return Condition, (self.text,)
 
     def holds(self, p: int) -> bool:
         return (p > self.bound and p != self.excluded

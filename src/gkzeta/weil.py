@@ -28,10 +28,7 @@ class EndoDescriptor(Value):
     """
 
     __slots__ = ("kind", "detail")
-
-    def __init__(self, kind: str, detail: str = ""):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detail", detail)
+    _defaults = ("",)
 
     def __str__(self):
         d = self.detail
@@ -44,16 +41,6 @@ class WeilDescriptor(Value):
     """A validated isogeny class: q, dimension, char. polynomial f = P^e."""
 
     __slots__ = ("q", "dim", "poly", "e", "newton", "endo", "case")
-
-    def __init__(self, q: PrimePower, dim: int, poly: IntPolynomial, e: int,
-                 newton: NewtonType, endo: EndoDescriptor, case: str):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "newton", newton)
-        object.__setattr__(self, "endo", endo)
-        object.__setattr__(self, "case", case)
 
     def slopes(self) -> tuple[Fraction, ...]:
         return newton_slopes(self.poly, self.q)

@@ -13,7 +13,6 @@ from gkzeta.brauer import (
     Place,
     fin_place,
     inf_place,
-    is_split,
     make_h_infty,
     make_hp,
     matrix_over,
@@ -363,6 +362,11 @@ def _bareiss_det(mat: list[list[int]]) -> int:
 
 # phi(m) = 4: the real subfield of Q(zeta_m) is the quadratic field below
 _REAL_QUAD = {5: 5, 8: 2, 12: 3}
+
+
+def is_split(a: CSADescriptor) -> bool:
+    """True when the algebra is a matrix algebra over its center."""
+    return not a.invariants
 
 
 def m2_hp(p: int) -> CSADescriptor:

@@ -10,7 +10,6 @@ from gkzeta.brauer import (
     field_algebra,
     fin_place,
     inf_place,
-    is_split,
     make_h_infty,
     make_hp,
     matrix_over,
@@ -23,11 +22,12 @@ from gkzeta.errors import Rejected
 from gkzeta.groups import GroupId as G
 from gkzeta.numtheory import is_prime
 
-# the scalar extension and maximal-subfield tests live on as the oracle
+# the scalar extension, split and maximal-subfield tests live on as the oracle
 from oracles import (
     extend_scalars,
     field_embeds_in_csa,
     hp_into_hinfty,
+    is_split,
     m2_hp,
     rigid_embeds_by_invariants,
 )

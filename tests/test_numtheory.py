@@ -228,6 +228,24 @@ class TestCondition:
         with pytest.raises(ValueError):
             Condition(text)
 
+    def test_is_immutable(self):
+        # the trace-table rows share their conditions: a change to one would
+        # change every later table
+        from gkzeta.kummer import trace_table
+
+        cond = trace_table("even")[0].p_condition
+        for field in ("text", "bound", "excluded", "modulus", "residues", "negated", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cond, field, 10 ** 9)
+            with pytest.raises(AttributeError):
+                delattr(cond, field)
+        assert (repr(cond), str(cond), cond.bound) == ("Condition('p > 2')", "p > 2", 2)
+        assert len(trace_table("even", 7)) == 9
+
+    def test_equality_is_identity(self):
+        cond = Condition("p > 2")
+        assert cond == cond and cond != Condition("p > 2")
+
 
 class TestCyclotomic:
     def test_values(self):

@@ -2,7 +2,8 @@
 
 The import-graph guard keeps `import gkzeta.cli` light: it loads neither
 dataclasses nor inspect, and no layer besides errors and numtheory; each
-subcommand then loads only the layers it uses. The smoke test runs one
+subcommand then loads only the layers it uses, and neither of those modules
+(the value types' constructors are compiled without them). The smoke test runs one
 golden argv per subcommand through `python -m gkzeta.cli`, which catches
 import-order and circular-import faults that the in-process golden replay,
 with every layer already imported, cannot see.
@@ -66,6 +67,8 @@ def test_subcommand_loads_only_its_layers(argv, layers):
     code, _, loaded = probe(*argv)
     assert code == 0
     assert [m for m in LAYERS if f"gkzeta.{m}" in loaded] == layers
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 with open(os.path.join(TESTS, "golden_cli.json"), encoding="utf-8") as f:

@@ -1,8 +1,10 @@
 """The contract of the library's value types (subclasses of numtheory.Value):
-construction by position and by keyword with defaults, equality and hash by
-class and fields, no assignment or deletion, literal reprs, copies and
-pickles, and the validation that every construction runs."""
+construction by position and by keyword with defaults, a signature that lists
+the fields, equality and hash by class and fields, no assignment or deletion,
+literal reprs, copies and pickles, and the validation that every construction
+runs."""
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -78,6 +80,31 @@ def test_construction_by_position_and_keyword(cls, fields, change):
     by_keyword = cls(**fields)
     assert by_position == by_keyword
     assert {f: getattr(by_keyword, f) for f in fields} == fields
+
+
+@parametrize
+def test_construction_needs_exactly_the_fields(cls, fields, change):
+    _, *rest = fields
+    with pytest.raises(TypeError):
+        cls(**{f: fields[f] for f in rest})
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+# the declared defaults of the trailing fields
+DEFAULTS = {FieldDesc: (0,), CSADescriptor: ((),), ExistenceVerdict: ((),),
+            SingularOrbit: (1, 1, "unknown"), EndoDescriptor: ("",)}
+
+
+@parametrize
+def test_signature_lists_the_fields(cls, fields, change):
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(cls.__slots__) == list(fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = tuple(p.default for p in params if p.default is not p.empty)
+    assert defaults == DEFAULTS.get(cls, ())
 
 
 @parametrize
