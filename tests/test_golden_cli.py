@@ -81,11 +81,18 @@ EMBED = tuple(["embed-check", "--group", g, "--p", str(p)]
               for g in EMBED_GROUPS for p in (2, 3, 5, 7, 13, 17, 41)) \
     + tuple(["tables", "--which", "alginj", "--p", str(p)] for p in (17, 41, 73))
 
+# weil-check on the ordinary, mixed and supersingular-outside-the-list
+# branches of the quartic, at n = 1 and n >= 3; appended after EMBED
+NEWTON = tuple(["weil-check", "--q", str(q), "--a1", str(a1), "--a2", str(a2)]
+               for q, a1, a2 in ((7, 1, 3), (7, 1, 7), (8, 1, 1), (8, 1, 0), (16, 1, 4),
+                                 (27, 1, 9), (81, -2, 9), (125, 1, 25), (121, -11, 121)))
+
 ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], ["--json"])) \
     + REJECTED + MENDED
 # an argv recorded above is not recorded twice: test ids stay unique
 ARGVS += tuple(argv + tail for argv in EMBED for tail in ([], ["--json"])
                if argv + tail not in ARGVS)
+ARGVS += tuple(argv + tail for argv in NEWTON for tail in ([], ["--json"]))
 
 
 def replay(argv):
