@@ -2,9 +2,8 @@
 
 An algebra is stored as a center (a small number field given symbolically),
 a degree, and a sparse map from places of the center to Q/Z invariants.
-Operations: reciprocity validation, split tests, and the embedding test of
-the rigid group algebras into M(2, H_p), decided by the parity of a local
-degree at p.
+Operations: reciprocity validation, and the embedding test of the rigid
+group algebras into M(2, H_p), decided by the parity of a local degree at p.
 """
 from __future__ import annotations
 

@@ -100,17 +100,21 @@ def cmd_weil_check(args) -> int:
     else:
         print("weil-check needs --b, or --a1 and --a2, or --square", file=sys.stderr)
         return 2
-    slopes = ",".join(str(s) for s in sorted(w.slopes()))
-    lines = [
-        f"valid: f = {w.poly} over F_{q.q} (dim {w.dim}, e = {w.e})",
-        f"newton: {w.newton.value} (slopes {slopes})",
-        f"endomorphism algebra: {w.endo}",
-        f"case: {w.case}",
-    ]
-    payload = {"query": {"command": "weil-check", "q": q.q},
-               "verdict": {"valid": True, "poly": str(w.poly), "e": w.e,
-                           "newton": w.newton.value, "endo": str(w.endo), "case": w.case},
-               "citations": ["Weil polynomial classification"]}
+    # only the selected output is built: the slopes are printed, not sent
+    lines = payload = None
+    if args.json:
+        payload = {"query": {"command": "weil-check", "q": q.q},
+                   "verdict": {"valid": True, "poly": str(w.poly), "e": w.e,
+                               "newton": w.newton.value, "endo": str(w.endo), "case": w.case},
+                   "citations": ["Weil polynomial classification"]}
+    else:
+        slopes = ",".join(str(s) for s in w.slopes())
+        lines = [
+            f"valid: f = {w.poly} over F_{q.q} (dim {w.dim}, e = {w.e})",
+            f"newton: {w.newton.value} (slopes {slopes})",
+            f"endomorphism algebra: {w.endo}",
+            f"case: {w.case}",
+        ]
     _emit(args, lines, payload)
     return 0
 

@@ -149,10 +149,6 @@ def facts(g: GroupId) -> GroupFacts:
     return GroupFacts(g, _ORDERS[g], frozenset(cyc), dict(syl), tabs)
 
 
-def subgroup_order(h: GroupId) -> int:
-    return _ORDERS[h]
-
-
 # groups handled by the geometric singularity classification
 CONFIG_GROUPS = (
     G.C2, G.C3, G.C4, G.C5, G.C6, G.C8, G.C10, G.C12,

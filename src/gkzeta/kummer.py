@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import Rejected
-from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, subgroup_order
+from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, order
 from .numtheory import (
     Condition,
     IntPolynomial,
@@ -69,9 +69,9 @@ def E(m):
 # stabilizer subgroup -> singularity type of its image point
 def ade_of_stabilizer(h: GroupId) -> ADEType:
     if is_cyclic(h):
-        return A(subgroup_order(h) - 1)
+        return A(order(h) - 1)
     if h.value.startswith("Q"):
-        return D(subgroup_order(h) // 4 + 2)
+        return D(order(h) // 4 + 2)
     if h == G.SL2F3:
         return E(6)
     if h == G.ESL2F3:
@@ -138,11 +138,11 @@ def singular_configs(g: GroupId) -> tuple[SingularConfig, ...]:
     if g not in CONFIG_GROUPS:
         raise Rejected(f"{g} has no recorded singularity configuration")
     out = []
-    n = subgroup_order(g)
+    n = order(g)
     for tab in facts(g).stabilizer_tables:
         orbits = []
         for h, pts in tab.entries:
-            num, rem = divmod(pts * subgroup_order(h), n)
+            num, rem = divmod(pts * order(h), n)
             if rem:
                 raise AssertionError(f"stabilizer table for {g} is not orbit-consistent")
             orbits.append(SingularOrbit(ade_of_stabilizer(h), num))

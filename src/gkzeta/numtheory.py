@@ -1,15 +1,13 @@
 """Exact elementary number theory: prime powers, conditions on a prime,
-integer polynomials, cyclotomic polynomials, residue symbols and p-adic
-Newton polygons.
+integer polynomials, cyclotomic polynomials and residue symbols.
 
-Everything here is pure integer/rational arithmetic; no floats anywhere.
+Everything here is pure integer arithmetic; no floats anywhere.
 Polynomials are dense coefficient tuples, constant term first.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import attrgetter
@@ -110,18 +108,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def squarefree_part(d: int) -> int:
@@ -551,37 +537,3 @@ def splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
     f = mult_order(p, m1)
     g = euler_phi(m1) // f
     return e, f, g
-
-
-# ---------------------------------------------------------------------------
-# Newton polygons
-
-def newton_slopes(f: IntPolynomial, q: PrimePower) -> tuple[Fraction, ...]:
-    """Slopes of the p-adic Newton polygon of f, normalized so v(q) = 1.
-
-    Returns one entry per root (with multiplicity), sorted ascending.
-    """
-    if not f.is_monic():
-        raise ValueError("newton_slopes expects a monic polynomial")
-    if f[0] == 0:
-        raise ValueError("newton_slopes expects a nonzero constant term")
-    pts = [(i, valuation(c, q.p)) for i, c in enumerate(f.coeffs) if c != 0]
-    hull = _lower_hull(pts)
-    out: list[Fraction] = []
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        s = Fraction(v1 - v2, i2 - i1) / q.n
-        out.extend([s] * (i2 - i1))
-    return tuple(sorted(out))
-
-
-def _lower_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    hull: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull

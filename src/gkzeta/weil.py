@@ -5,11 +5,10 @@ zeta functions, all in exact integer arithmetic.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import isqrt
 
 from .errors import Rejected
-from .numtheory import IntPolynomial, PrimePower, Value, newton_slopes
+from .numtheory import IntPolynomial, PrimePower, Value
 
 
 class NewtonType(Enum):
@@ -43,7 +42,16 @@ class WeilDescriptor(Value):
     __slots__ = ("q", "dim", "poly", "e", "newton", "endo", "case")
 
     def slopes(self) -> tuple[Fraction, ...]:
-        return newton_slopes(self.poly, self.q)
+        """The p-adic slopes of poly, normalized so that v(q) = 1, ascending:
+        read off the Newton type, which fixes them in dimension 1 and 2."""
+        from fractions import Fraction
+
+        d, half = self.poly.degree, Fraction(1, 2)
+        if self.newton is NewtonType.SUPERSINGULAR:
+            return (half,) * d
+        if self.newton is NewtonType.ORDINARY:
+            return (Fraction(0),) * (d // 2) + (Fraction(1),) * (d // 2)
+        return (Fraction(0), half, half, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +187,19 @@ def _validate_surface_quartic(q: PrimePower, a1: int, a2: int) -> WeilDescriptor
     if not _quartic_is_irreducible(qq, a1, a2):
         raise Rejected(f"{f} is reducible over Q")
 
-    slopes = sorted(newton_slopes(f, q))
-    half = Fraction(1, 2)
-    if slopes == [0, 0, 1, 1]:
+    # the lower hull of (4, 0), (3, v(a1)), (2, v(a2)), (1, v(a1) + n), (0, 2n)
+    # has slopes 0,0,1,1 iff p does not divide a2; 0,1/2,1/2,1 iff p does not
+    # divide a1 and h = p^ceil(n/2) divides a2; all 1/2 iff h | a1 and q | a2
+    # (Maisner-Nart, Experiment. Math. 11 (2002), Thm 2.9)
+    h = p ** ((q.n + 1) // 2)
+    if a2 % p:
         nt, case = NewtonType.ORDINARY, "ordinary"
-    elif slopes == [0, half, half, 1]:
+    elif a1 % p and a2 % h == 0:
         nt, case = NewtonType.MIXED, "mixed"
-    elif slopes == [half] * 4:
+    elif a1 % h == 0 and a2 % qq == 0:
         raise Rejected("supersingular quartic outside the classified list")
     else:
-        raise Rejected(f"unexpected Newton polygon {slopes}")
+        raise Rejected(f"the Newton polygon of {f} is not that of an abelian surface")
     endo = EndoDescriptor("field", f)
     return WeilDescriptor(q, 2, f, 1, nt, endo, case)
 

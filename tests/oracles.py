@@ -159,11 +159,57 @@ def brute_enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
 
 
 # ---------------------------------------------------------------------------
+# Newton polygons by the monotone lower hull (the library's earlier algorithm)
+
+def valuation(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    if n == 0:
+        raise ValueError("valuation of 0 is infinite")
+    v = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def newton_slopes(f: IntPolynomial, q: PrimePower) -> tuple[Fraction, ...]:
+    """Slopes of the p-adic Newton polygon of f, normalized so v(q) = 1.
+
+    Returns one entry per root (with multiplicity), sorted ascending.
+    """
+    if not f.is_monic():
+        raise ValueError("newton_slopes expects a monic polynomial")
+    if f[0] == 0:
+        raise ValueError("newton_slopes expects a nonzero constant term")
+    pts = [(i, valuation(c, q.p)) for i, c in enumerate(f.coeffs) if c != 0]
+    hull = _lower_hull(pts)
+    out: list[Fraction] = []
+    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+        s = Fraction(v1 - v2, i2 - i1) / q.n
+        out.extend([s] * (i2 - i1))
+    return tuple(sorted(out))
+
+
+def _lower_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    hull: list[tuple[int, int]] = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
+
+
+# ---------------------------------------------------------------------------
 # Newton type from the slope multiset
 
 def classify_newton(w: WeilDescriptor) -> NewtonType:
-    """Newton type recomputed from the slope multiset of the polynomial."""
-    slopes = sorted(w.slopes())
+    """Newton type recomputed from the hull's slope multiset of the polynomial."""
+    slopes = sorted(newton_slopes(w.poly, w.q))
     half = Fraction(1, 2)
     if all(s == half for s in slopes):
         return NewtonType.SUPERSINGULAR
@@ -181,7 +227,7 @@ def classify_newton(w: WeilDescriptor) -> NewtonType:
 
 def direct_newton_slopes(f: IntPolynomial, q: PrimePower) -> list[Fraction]:
     """Slopes from the polygon computed by repeated minimal-slope search,
-    a different algorithm than the library's monotone hull."""
+    a different algorithm than the monotone hull of newton_slopes."""
     def v(c):
         k = 0
         c = abs(c)

@@ -389,7 +389,7 @@ def test_criterion_8_property_suites():
             tables += 1
             for l in f.sylow_counts:
                 counted = sum(pts for h, pts in tab.entries
-                              if groups.subgroup_order(h) % l == 0)
+                              if groups.order(h) % l == 0)
                 if counted > l ** 4 or (l ** 4 - counted) % f.order:
                     ok = False
     ok = ok and tables == 17

@@ -93,6 +93,10 @@ ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], 
 ARGVS += tuple(argv + tail for argv in EMBED for tail in ([], ["--json"])
                if argv + tail not in ARGVS)
 ARGVS += tuple(argv + tail for argv in NEWTON for tail in ([], ["--json"]))
+# quartics whose Newton polygon is not an abelian surface's: slopes 1/4, 3/4
+# over F_4 and 0, 1/3, 2/3, 1 over F_8
+ARGVS += (["weil-check", "--q", "4", "--a1", "-4", "--a2", "10"],
+          ["weil-check", "--q", "8", "--a1", "-3", "--a2", "2"])
 
 
 def replay(argv):

@@ -17,19 +17,19 @@ from gkzeta.numtheory import (
     legendre,
     moebius,
     mult_order,
-    newton_slopes,
     splitting_in_cyclotomic,
     splitting_in_quadratic,
     squarefree_part,
-    valuation,
 )
 
 from oracles import (
     brute_iroot,
     direct_newton_slopes,
+    newton_slopes,
     prime_power_by_factorization,
     prime_sieve,
     resultant,
+    valuation,
 )
 
 

@@ -1,9 +1,11 @@
 """Cold start of the CLI, each check in a fresh interpreter.
 
 The import-graph guard keeps `import gkzeta.cli` light: it loads neither
-dataclasses nor inspect, and no layer besides errors and numtheory; each
-subcommand then loads only the layers it uses, and neither of those modules
-(the value types' constructors are compiled without them). The smoke test runs one
+dataclasses, inspect nor fractions, and no layer besides errors and
+numtheory; each subcommand then loads only the layers it uses, and neither
+dataclasses nor inspect (the value types' constructors are compiled without
+them). Only the subcommands that load brauer, whose local invariants are
+Fractions, load fractions. The smoke test runs one
 golden argv per subcommand through `python -m gkzeta.cli`, which catches
 import-order and circular-import faults that the in-process golden replay,
 with every layer already imported, cannot see.
@@ -48,6 +50,7 @@ def test_import_loads_no_dataclasses_and_no_layer():
     _, imported, _ = probe("weil-list", "--q", "7")
     assert "dataclasses" not in imported
     assert "inspect" not in imported
+    assert "fractions" not in imported
     assert sorted(m for m in imported if m.startswith("gkzeta.")) == [
         "gkzeta.cli", "gkzeta.errors", "gkzeta.numtheory"]
 
@@ -64,11 +67,12 @@ LOADS = (
 
 @pytest.mark.parametrize("argv, layers", LOADS, ids=[argv[0] for argv, _ in LOADS])
 def test_subcommand_loads_only_its_layers(argv, layers):
-    code, _, loaded = probe(*argv)
+    code, imported, loaded = probe(*argv)
     assert code == 0
     assert [m for m in LAYERS if f"gkzeta.{m}" in loaded] == layers
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+    assert ("fractions" in imported + loaded) == ("brauer" in layers)
 
 
 with open(os.path.join(TESTS, "golden_cli.json"), encoding="utf-8") as f:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -23,6 +24,7 @@ from oracles import (
     classify_newton,
     brute_elliptic_traces,
     brute_quartic_is_irreducible,
+    newton_slopes,
     resultant,
     series_exp,
     series_inv,
@@ -175,6 +177,42 @@ class TestSurfaceQuartic:
                 pairs += 1
                 reducible += not want
         assert (pairs, reducible) == (110683, 11589)
+
+    def test_newton_type_matches_hull_where_p_divides_a2(self):
+        # p | a2 leaves every branch but the ordinary one: each accepted type
+        # and case, and each rejection, agrees with the lower hull's slopes
+        half, outcomes = Fraction(1, 2), Counter()
+        for q in prime_powers_upto(199):
+            qq = q.q
+            for a1, a2 in weil_box(qq):
+                if a2 % q.p or not weil._quartic_is_irreducible(qq, a1, a2):
+                    continue
+                slopes = newton_slopes(IntPolynomial([qq * qq, a1 * qq, a2, a1, 1]), q)
+                try:
+                    w = validate_surface_simple(q, a1=a1, a2=a2)
+                except Rejected as exc:
+                    if slopes == (half,) * 4:
+                        assert exc.reason == "supersingular quartic outside the classified list"
+                        outcomes["ss-outside"] += 1
+                    else:
+                        assert exc.reason.endswith("is not that of an abelian surface"), exc
+                        assert set(slopes) - {0, half, 1}, (qq, a1, a2)
+                        outcomes["not-a-surface"] += 1
+                    continue
+                assert w.newton is classify_newton(w), (qq, a1, a2)
+                assert (w.newton is NewtonType.MIXED) == (w.case == "mixed"), (qq, a1, a2)
+                outcomes[w.newton.value] += 1
+        assert outcomes == {"mixed": 7764, "supersingular": 192,
+                            "ss-outside": 3, "not-a-surface": 14209}
+
+    def test_mixed_needs_h_dividing_a2(self):
+        # p | a2 with p not dividing a1 is not enough: over F_8 the pair
+        # (-3, 2) has slopes 0, 1/3, 2/3, 1, since 4 = 2^ceil(3/2) does not divide 2
+        q = PrimePower(2, 3)
+        f = IntPolynomial([64, -24, 2, -3, 1])
+        assert newton_slopes(f, q) == (0, Fraction(1, 3), Fraction(2, 3), 1)
+        with pytest.raises(Rejected, match=r"t\^4 - 3t\^3 \+ 2t\^2 - 24t \+ 64 is not that of an abelian"):
+            validate_surface_simple(q, a1=-3, a2=2)
 
     def test_weil_bounds(self):
         with pytest.raises(Rejected):
