@@ -87,6 +87,27 @@ NEWTON = tuple(["weil-check", "--q", str(q), "--a1", str(a1), "--a2", str(a2)]
                for q, a1, a2 in ((7, 1, 3), (7, 1, 7), (8, 1, 1), (8, 1, 0), (16, 1, 4),
                                  (27, 1, 9), (81, -2, 9), (125, 1, 25), (121, -11, 121)))
 
+# weil-check reaching each supersingular case whose e, Newton type and
+# endomorphism algebra no record above prints; appended after the quartics
+# outside the surface Newton polygons
+WEIL_CASES = (
+    ["weil-check", "--q", "9", "--b", "6"],                      # ss-inseparable
+    ["weil-check", "--q", "7", "--b", "0"],                      # ss-a
+    ["weil-check", "--q", "9", "--b", "0"],                      # ss-b
+    ["weil-check", "--q", "9", "--b", "3"],                      # ss-c
+    ["weil-check", "--q", "27", "--b", "9"],                     # ss-d, p = 3
+    ["weil-check", "--q", "8", "--b", "4"],                      # ss-d, p = 2
+    ["weil-check", "--q", "7", "--a1", "0", "--a2", "0"],        # ss-i
+    ["weil-check", "--q", "9", "--a1", "0", "--a2", "0"],        # ss-ii
+    ["weil-check", "--q", "7", "--a1", "0", "--a2", "-7"],       # ss-iv
+    ["weil-check", "--q", "25", "--a1", "0", "--a2", "-25"],     # ss-v
+    ["weil-check", "--q", "9", "--a1", "3", "--a2", "9"],        # ss-vi
+    ["weil-check", "--q", "5", "--a1", "5", "--a2", "15"],       # ss-vii
+    ["weil-check", "--q", "8", "--a1", "4", "--a2", "8"],        # ss-viii
+    ["weil-check", "--q", "25", "--square=25,0,1"],              # ss-square-even-b0
+    ["weil-check", "--q", "49", "--square=49,-7,1"],             # ss-square-even-bsqrt
+)
+
 ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], ["--json"])) \
     + REJECTED + MENDED
 # an argv recorded above is not recorded twice: test ids stay unique
@@ -97,6 +118,7 @@ ARGVS += tuple(argv + tail for argv in NEWTON for tail in ([], ["--json"]))
 # over F_4 and 0, 1/3, 2/3, 1 over F_8
 ARGVS += (["weil-check", "--q", "4", "--a1", "-4", "--a2", "10"],
           ["weil-check", "--q", "8", "--a1", "-3", "--a2", "2"])
+ARGVS += tuple(argv + tail for argv in WEIL_CASES for tail in ([], ["--json"]))
 
 
 def replay(argv):
