@@ -18,12 +18,13 @@ class NewtonType(Enum):
 
 
 class EndoDescriptor(Value):
-    """Shape of the endomorphism algebra of the corresponding isogeny class.
+    """Shape of the endomorphism algebra End(A) (x) Q of an isogeny class,
+    built on demand by WeilDescriptor.endo.
 
-    kind is one of 'field', 'quaternion-Hp', 'quaternion-Hinfty',
-    'quaternion-over-field'; detail is a printable refinement, or an
-    IntPolynomial f standing for the field Q[t]/(f), which is formatted only
-    when the descriptor is printed.
+    kind is 'field', 'quaternion-Hp', 'quaternion-Hinfty' or
+    'quaternion-over-field'; detail is a printable refinement, such as
+    'p=3', or an IntPolynomial f standing for the field Q[t]/(f), formatted
+    only when the descriptor is printed.
     """
 
     __slots__ = ("kind", "detail")
@@ -37,9 +38,40 @@ class EndoDescriptor(Value):
 
 
 class WeilDescriptor(Value):
-    """A validated isogeny class: q, dimension, char. polynomial f = P^e."""
+    """A validated isogeny class over F_q: its characteristic polynomial
+    poly = f = P^e and its case, 'ordinary', 'mixed' or a supersingular 'ss-*'.
+    The case fixes the rest: dim, e, the Newton type and the endomorphism
+    algebra are read off it when asked for, not stored."""
 
-    __slots__ = ("q", "dim", "poly", "e", "newton", "endo", "case")
+    __slots__ = ("q", "poly", "case")
+
+    @property
+    def dim(self) -> int:
+        return len(self.poly.coeffs) // 2
+
+    @property
+    def e(self) -> int:
+        # f = (t -+ sqrt(q))^2 or f = P^2 for a quadratic P
+        return 2 if self.case == "ss-inseparable" or self.case.startswith("ss-square") else 1
+
+    @property
+    def newton(self) -> NewtonType:
+        if self.case == "ordinary":
+            return NewtonType.ORDINARY
+        return NewtonType.MIXED if self.case == "mixed" else NewtonType.SUPERSINGULAR
+
+    @property
+    def endo(self) -> EndoDescriptor:
+        case, p = self.case, self.q.p
+        if case == "ss-inseparable":
+            return EndoDescriptor("quaternion-Hp", f"p={p}")
+        if case == "ss-square-odd":
+            return EndoDescriptor("quaternion-Hinfty", f"Q(sqrt({p}))")
+        if case.startswith("ss-square-even"):
+            # f = P^2 with P = t^2 + (f_3 / 2) t + q
+            P = IntPolynomial._trusted((self.q.q, self.poly[3] // 2, 1))
+            return EndoDescriptor("quaternion-over-field", P)
+        return EndoDescriptor("field", self.poly)
 
     def slopes(self) -> tuple[Fraction, ...]:
         """The p-adic slopes of poly, normalized so that v(q) = 1, ascending:
@@ -62,41 +94,32 @@ def validate_elliptic(q: PrimePower, b: int) -> WeilDescriptor:
 
     Accepts exactly the realizable values and raises Rejected otherwise.
     """
-    qq = q.q
+    p, qq = q.p, q.q
     if b * b > 4 * qq:
         raise Rejected(f"|b| exceeds the Weil bound: b^2 = {b * b} > 4q = {4 * qq}")
-    w = _elliptic_class(q, q.p, qq, isqrt(qq), b)
-    if w is None:
+    case = "ordinary" if b % p else _supersingular_case(p, qq, isqrt(qq), b)
+    if case is None:
         raise Rejected(f"b = {b} is divisible by p but matches no supersingular case over F_{qq}")
-    return w
+    return WeilDescriptor(q, IntPolynomial._trusted((qq, -b, 1)), case)
 
 
-def _elliptic_class(q: PrimePower, p: int, qq: int, r: int, b: int) -> WeilDescriptor | None:
-    """The isogeny class of trace b, or None if b is not realizable, for
-    b^2 <= 4q, with p = q.p, qq = q.q and r = isqrt(qq) (Waterhouse, Ann.
-    Sci. ENS 2, 1969). f = t^2 - b t + q has nonzero leading and constant
-    coefficients, so it needs no normalization."""
-    f = IntPolynomial._trusted((qq, -b, 1))
-    if b % p:
-        return WeilDescriptor(q, 1, f, 1, NewtonType.ORDINARY, EndoDescriptor("field", f), "ordinary")
-    sq_integral = r * r == qq
+def _supersingular_case(p: int, qq: int, r: int, b: int) -> str | None:
+    """Waterhouse's case of a trace b divisible by p, with b^2 <= 4q and
+    r = isqrt(q), or None if no elliptic curve over F_q has trace b
+    (Waterhouse, Ann. Sci. ENS 2, 1969)."""
     if b * b == 4 * qq:
         # b = +-2*sqrt(q), so q must be a square; f = (t -+ sqrt(q))^2
-        endo = EndoDescriptor("quaternion-Hp", f"p={p}")
-        return WeilDescriptor(q, 1, f, 2, NewtonType.SUPERSINGULAR, endo, "ss-inseparable")
-    case = None
+        return "ss-inseparable"
+    sq_integral = r * r == qq
     if b == 0:
         if not sq_integral:
-            case = "ss-a"
-        elif p % 4 != 1:
-            case = "ss-b"
-    elif sq_integral and abs(b) == r and p % 3 != 1:
-        case = "ss-c"
-    elif p in (2, 3) and not sq_integral and b * b == p * qq:
-        case = "ss-d"
-    if case is None:
-        return None
-    return WeilDescriptor(q, 1, f, 1, NewtonType.SUPERSINGULAR, EndoDescriptor("field", f), case)
+            return "ss-a"
+        return "ss-b" if p % 4 != 1 else None
+    if sq_integral and abs(b) == r and p % 3 != 1:
+        return "ss-c"
+    if p in (2, 3) and not sq_integral and b * b == p * qq:
+        return "ss-d"
+    return None
 
 
 # enumerate_elliptic classifies all 4 sqrt(q) + 1 traces in one pass; at this
@@ -111,9 +134,10 @@ def enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
     if qq > ENUMERATE_LIMIT:
         raise Rejected(f"q = {qq} is above the enumeration limit {ENUMERATE_LIMIT}",
                        "elliptic isogeny classification")
-    r, bound = isqrt(qq), isqrt(4 * qq)
-    return [w for b in range(-bound, bound + 1)
-            if (w := _elliptic_class(q, p, qq, r, b)) is not None]
+    r, bound, trusted = isqrt(qq), isqrt(4 * qq), IntPolynomial._trusted
+    # f = t^2 - b t + q needs no normalization: its end coefficients are nonzero
+    return [WeilDescriptor(q, trusted((qq, -b, 1)), case) for b in range(-bound, bound + 1)
+            if (case := "ordinary" if b % p else _supersingular_case(p, qq, r, b)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +198,7 @@ def _validate_surface_quartic(q: PrimePower, a1: int, a2: int) -> WeilDescriptor
 
     for case, test in _SS_QUARTIC_CASES:
         if test(a1, a2, qq, r, sq, odd, p):
-            endo = EndoDescriptor("field", f)
-            return WeilDescriptor(q, 2, f, 1, NewtonType.SUPERSINGULAR, endo, case)
+            return WeilDescriptor(q, f, case)
 
     # not in the supersingular list: must be ordinary or mixed
     if a1 * a1 > 16 * qq:
@@ -193,15 +216,12 @@ def _validate_surface_quartic(q: PrimePower, a1: int, a2: int) -> WeilDescriptor
     # (Maisner-Nart, Experiment. Math. 11 (2002), Thm 2.9)
     h = p ** ((q.n + 1) // 2)
     if a2 % p:
-        nt, case = NewtonType.ORDINARY, "ordinary"
-    elif a1 % p and a2 % h == 0:
-        nt, case = NewtonType.MIXED, "mixed"
-    elif a1 % h == 0 and a2 % qq == 0:
+        return WeilDescriptor(q, f, "ordinary")
+    if a1 % p and a2 % h == 0:
+        return WeilDescriptor(q, f, "mixed")
+    if a1 % h == 0 and a2 % qq == 0:
         raise Rejected("supersingular quartic outside the classified list")
-    else:
-        raise Rejected(f"the Newton polygon of {f} is not that of an abelian surface")
-    endo = EndoDescriptor("field", f)
-    return WeilDescriptor(q, 2, f, 1, nt, endo, case)
+    raise Rejected(f"the Newton polygon of {f} is not that of an abelian surface")
 
 
 def _validate_surface_square(q: PrimePower, P: IntPolynomial) -> WeilDescriptor:
@@ -214,20 +234,15 @@ def _validate_surface_square(q: PrimePower, P: IntPolynomial) -> WeilDescriptor:
     f = P * P
     if q.degree_is_odd:
         if P == IntPolynomial([-qq, 0, 1]):
-            endo = EndoDescriptor("quaternion-Hinfty", f"Q(sqrt({p}))")
-            return WeilDescriptor(q, 2, f, 2, NewtonType.SUPERSINGULAR, endo, "ss-square-odd")
+            return WeilDescriptor(q, f, "ss-square-odd")
         raise Rejected("odd-degree square classes require P = t^2 - q")
-    r = isqrt(qq)
     if P[0] != qq:
         raise Rejected("even-degree square classes require P = t^2 - b t + q")
     if b == 0 and p % 4 == 1:
-        case = "ss-square-even-b0"
-    elif abs(b) == r and p % 3 == 1:
-        case = "ss-square-even-bsqrt"
-    else:
-        raise Rejected("b and p match no even-degree square class")
-    endo = EndoDescriptor("quaternion-over-field", P)
-    return WeilDescriptor(q, 2, f, 2, NewtonType.SUPERSINGULAR, endo, case)
+        return WeilDescriptor(q, f, "ss-square-even-b0")
+    if abs(b) == isqrt(qq) and p % 3 == 1:
+        return WeilDescriptor(q, f, "ss-square-even-bsqrt")
+    raise Rejected("b and p match no even-degree square class")
 
 
 # ---------------------------------------------------------------------------

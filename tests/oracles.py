@@ -4,6 +4,7 @@ Some are the library's earlier, slower algorithms, kept as references.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -103,9 +104,13 @@ def brute_elliptic_traces(q: PrimePower) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # elliptic isogeny classes, validated trace by trace (the library's earlier
-# algorithm: eager formatting and one exception per rejected trace)
+# algorithm: eager formatting, one exception per rejected trace, and every
+# field of the class stored, not read off its case)
 
-def brute_validate_elliptic(q: PrimePower, b: int) -> WeilDescriptor:
+EllipticClass = namedtuple("EllipticClass", "q dim poly e newton endo case")
+
+
+def brute_validate_elliptic(q: PrimePower, b: int) -> EllipticClass:
     """Validate the trace b of Frobenius for an elliptic curve over F_q.
 
     Accepts exactly the realizable values and raises Rejected otherwise.
@@ -120,11 +125,11 @@ def brute_validate_elliptic(q: PrimePower, b: int) -> WeilDescriptor:
     if b * b == 4 * qq:
         # b = +-2*sqrt(q), so q must be a square; f = (t -+ sqrt(q))^2
         endo = EndoDescriptor("quaternion-Hp", f"p={p}")
-        return WeilDescriptor(q, 1, f, 2, NewtonType.SUPERSINGULAR, endo, "ss-inseparable")
+        return EllipticClass(q, 1, f, 2, NewtonType.SUPERSINGULAR, endo, "ss-inseparable")
 
     if b % p != 0:
         endo = EndoDescriptor("field", f"Q[t]/({f})")
-        return WeilDescriptor(q, 1, f, 1, NewtonType.ORDINARY, endo, "ordinary")
+        return EllipticClass(q, 1, f, 1, NewtonType.ORDINARY, endo, "ordinary")
 
     case = None
     if b == 0:
@@ -139,10 +144,10 @@ def brute_validate_elliptic(q: PrimePower, b: int) -> WeilDescriptor:
     if case is None:
         raise Rejected(f"b = {b} is divisible by p but matches no supersingular case over F_{qq}")
     endo = EndoDescriptor("field", f"Q[t]/({f})")
-    return WeilDescriptor(q, 1, f, 1, NewtonType.SUPERSINGULAR, endo, case)
+    return EllipticClass(q, 1, f, 1, NewtonType.SUPERSINGULAR, endo, case)
 
 
-def brute_enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
+def brute_enumerate_elliptic(q: PrimePower) -> list[EllipticClass]:
     """All isogeny classes of elliptic curves over F_q, ascending in b, for
     q up to ENUMERATE_LIMIT; raises Rejected above it."""
     if q.q > ENUMERATE_LIMIT:
@@ -531,3 +536,4 @@ def rigid_embeds_by_invariants(g, p: int) -> bool:
         if alg.invariants and all(pl[0] == "inf" for pl, _ in alg.invariants):
             return hp_into_hinfty(p, c.param)
     raise Rejected(f"{alg} is not among the tabulated embedding rows")
+

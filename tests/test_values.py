@@ -23,7 +23,7 @@ from gkzeta.kummer import (
     ZetaFunction,
 )
 from gkzeta.numtheory import Condition, IntPolynomial, PrimePower, Value
-from gkzeta.weil import EndoDescriptor, NewtonType, WeilDescriptor
+from gkzeta.weil import EndoDescriptor, WeilDescriptor
 
 HALF = Fraction(1, 2)
 A1 = ADEType("A", 1)
@@ -57,10 +57,8 @@ CASES = [
                 "p_condition": Condition("p > 2"), "weil_shape": "(t +- sqrt(q))^4"},
      ("trace", 20)),
     (EndoDescriptor, {"kind": "field", "detail": "Q[t]/(t^2 + 7)"}, ("detail", "")),
-    (WeilDescriptor, {"q": PrimePower(7, 1), "dim": 1, "poly": IntPolynomial([7, 0, 1]),
-                      "e": 1, "newton": NewtonType.SUPERSINGULAR,
-                      "endo": EndoDescriptor("field", "Q[t]/(t^2 + 7)"), "case": "ss-a"},
-     ("e", 2)),
+    (WeilDescriptor, {"q": PrimePower(7, 1), "poly": IntPolynomial([7, 0, 1]), "case": "ss-a"},
+     ("case", "ss-b")),
 ]
 
 IDS = [cls.__name__ for cls, _, _ in CASES]

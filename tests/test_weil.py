@@ -253,6 +253,48 @@ class TestSurfaceSquare:
             validate_surface_simple(PrimePower(3, 2), square_of=IntPolynomial([9, 0, 1]))
 
 
+SS = NewtonType.SUPERSINGULAR
+# (case, dim, e, Newton type, kind of the endomorphism algebra) for each
+# WEIL_CASES argv of the golden snapshot, in order
+CASE_FIELDS = [
+    ("ss-inseparable", 1, 2, SS, "quaternion-Hp"),
+    ("ss-a", 1, 1, SS, "field"),
+    ("ss-b", 1, 1, SS, "field"),
+    ("ss-c", 1, 1, SS, "field"),
+    ("ss-d", 1, 1, SS, "field"),
+    ("ss-d", 1, 1, SS, "field"),
+    ("ss-i", 2, 1, SS, "field"),
+    ("ss-ii", 2, 1, SS, "field"),
+    ("ss-iv", 2, 1, SS, "field"),
+    ("ss-v", 2, 1, SS, "field"),
+    ("ss-vi", 2, 1, SS, "field"),
+    ("ss-vii", 2, 1, SS, "field"),
+    ("ss-viii", 2, 1, SS, "field"),
+    ("ss-square-even-b0", 2, 2, SS, "quaternion-over-field"),
+    ("ss-square-even-bsqrt", 2, 2, SS, "quaternion-over-field"),
+]
+
+
+def validate_argv(argv):
+    """Validate the class that a `weil-check` argv names, in-process."""
+    tokens = [t for a in argv[1:] for t in a.split("=", 1)]
+    opts = dict(zip(tokens[::2], tokens[1::2]))
+    q = PrimePower.from_q(int(opts["--q"]))
+    if "--b" in opts:
+        return validate_elliptic(q, int(opts["--b"]))
+    if "--square" in opts:
+        square = IntPolynomial([int(c) for c in opts["--square"].split(",")])
+        return validate_surface_simple(q, square_of=square)
+    return validate_surface_simple(q, int(opts["--a1"]), int(opts["--a2"]))
+
+
+def test_case_fixes_dim_e_newton_endo():
+    from test_golden_cli import WEIL_CASES
+
+    got = [(w.case, w.dim, w.e, w.newton, w.endo.kind) for w in map(validate_argv, WEIL_CASES)]
+    assert got == CASE_FIELDS
+
+
 class TestPointCountsAndZeta:
     def test_elliptic_count(self):
         # t^2 - 2t + 5 has f(1) = 4 points over F_5
