@@ -14,11 +14,11 @@ from .errors import Rejected
 from .groups import rigid_algebra
 from .numtheory import (
     Value,
+    _splitting_in_cyclotomic,
+    _splitting_in_quadratic,
     euler_phi,
     is_prime,
     squarefree_part,
-    splitting_in_cyclotomic,
-    splitting_in_quadratic,
 )
 
 
@@ -224,7 +224,8 @@ def rigid_embeds_in_m2hp(g, p: int) -> bool:
     """Does the rigid group algebra of g embed into M(2, H_p)?
 
     Decided by the parity of a local degree at p, for the algebras of the
-    tabulated embedding rows; others are rejected.
+    tabulated embedding rows; others are rejected. p is tested for primality
+    once, here.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -232,10 +233,10 @@ def rigid_embeds_in_m2hp(g, p: int) -> bool:
     if test == "always":
         return True
     if test == "cyc":
-        e, f, _ = splitting_in_cyclotomic(p, arg)
+        e, f, _ = _splitting_in_cyclotomic(p, arg)
         return e * f % 2 == 0
     if test == "nonsplit":
-        return splitting_in_quadratic(p, arg) != "split"
+        return _splitting_in_quadratic(p, arg) != "split"
     raise Rejected(arg)
 
 

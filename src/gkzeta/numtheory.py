@@ -506,16 +506,19 @@ def splitting_in_quadratic(p: int, d: int) -> str:
     d = squarefree_part(d)
     if d == 1:
         raise ValueError("Q(sqrt(1)) is not a quadratic field")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _splitting_in_quadratic(p, d)
+
+
+def _splitting_in_quadratic(p: int, d: int) -> str:
+    """splitting_in_quadratic for a prime p and a squarefree d != 1, unchecked."""
     if p == 2:
-        r = d % 8
-        if r == 1:
-            return "split"
-        if r == 5:
-            return "inert"
-        return "ramified"
+        return {1: "split", 5: "inert"}.get(d % 8, "ramified")
     if d % p == 0:
         return "ramified"
-    return "split" if legendre(d, p) == 1 else "inert"
+    # Euler's criterion for the Legendre symbol (d/p)
+    return "split" if pow(d % p, (p - 1) // 2, p) == 1 else "inert"
 
 
 def splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
@@ -528,8 +531,12 @@ def splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
         raise ValueError("m must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    a = 0
-    m1 = m
+    return _splitting_in_cyclotomic(p, m)
+
+
+def _splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
+    """splitting_in_cyclotomic for a prime p and m >= 1, unchecked."""
+    a, m1 = 0, m
     while m1 % p == 0:
         m1 //= p
         a += 1

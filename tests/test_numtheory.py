@@ -303,6 +303,24 @@ class TestSplitting:
         assert splitting_in_quadratic(2, 5) == "inert"
         assert splitting_in_quadratic(3, 3) == "ramified"
 
+    def test_quadratic_matches_legendre(self):
+        for p in PRIMES_BELOW_100[1:]:
+            for d in (-7, -3, -1, 2, 3, 5, 6, 10, 12):
+                want = {0: "ramified", 1: "split", -1: "inert"}[legendre(d, p)]
+                assert splitting_in_quadratic(p, d) == want, (p, d)
+
+    @pytest.mark.parametrize("split, p, arg, text", [
+        (splitting_in_quadratic, 9, 3, "9 is not prime"),  # p | d once answered "ramified"
+        (splitting_in_quadratic, 4, 3, "4 is not prime"),
+        (splitting_in_quadratic, 7, 4, "Q(sqrt(1)) is not a quadratic field"),
+        (splitting_in_cyclotomic, 9, 5, "9 is not prime"),
+        (splitting_in_cyclotomic, 7, 0, "m must be >= 1"),
+    ])
+    def test_guards(self, split, p, arg, text):
+        with pytest.raises(ValueError) as info:
+            split(p, arg)
+        assert str(info.value) == text
+
     def test_cyclotomic_unramified(self):
         assert splitting_in_cyclotomic(7, 12) == (1, 2, 2)
         assert splitting_in_cyclotomic(13, 12) == (1, 1, 4)
