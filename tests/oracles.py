@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from gkzeta.brauer import (
     CSADescriptor,
@@ -21,7 +21,7 @@ from gkzeta.brauer import (
     rationals,
 )
 from gkzeta.errors import Rejected
-from gkzeta.groups import rigid_algebra
+from gkzeta.groups import GroupId as G, rigid_algebra
 from gkzeta.numtheory import (
     IntPolynomial,
     PrimePower,
@@ -537,3 +537,49 @@ def rigid_embeds_by_invariants(g, p: int) -> bool:
             return hp_into_hinfty(p, c.param)
     raise Rejected(f"{alg} is not among the tabulated embedding rows")
 
+
+# ---------------------------------------------------------------------------
+# element orders of the stabilizer types, and the class equation of a
+# stabilizer table
+
+def _cyclic_orders(n: int) -> dict[int, int]:
+    """{m: number of elements of order m} in C_n, by listing the elements."""
+    out: dict[int, int] = {}
+    for k in range(n):
+        m = n // gcd(k, n)
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _dicyclic_orders(n: int) -> dict[int, int]:
+    """The same for Q_4n: a cyclic C_2n and 2n elements of order 4 outside it."""
+    out = _cyclic_orders(2 * n)
+    out[4] = out.get(4, 0) + 2 * n
+    return out
+
+
+# c_m(H) for every group that types a stabilizer; the binary tetrahedral,
+# octahedral and icosahedral groups by their conjugacy classes
+ELEMENT_ORDERS = {
+    **{g: _cyclic_orders(n) for g, n in ((G.C2, 2), (G.C3, 3), (G.C4, 4), (G.C5, 5),
+                                         (G.C6, 6), (G.C8, 8), (G.C10, 10), (G.C12, 12))},
+    **{g: _dicyclic_orders(n) for g, n in ((G.Q8, 2), (G.Q12, 3), (G.Q16, 4),
+                                           (G.Q20, 5), (G.Q24, 6))},
+    G.SL2F3: {1: 1, 2: 1, 3: 8, 4: 6, 6: 8},
+    G.ESL2F3: {1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12},
+    G.SL2F5: {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24},
+}
+
+# #Fix(g) = deg(1 - g) = Phi_m(1)^(4 / phi(m)) for an element g of order m
+# of a rigid action on an abelian surface: its eigenvalues on H^1 are
+# primitive m-th roots of unity
+FIXED_POINTS = {2: 16, 3: 9, 4: 4, 5: 5, 6: 1, 8: 2, 10: 1, 12: 1}
+
+
+def class_equation_failures(g, entries) -> list[int]:
+    """The orders m at which a stabilizer table ((H, N), ...) of g breaks
+    the class equation sum N c_m(H) = c_m(G) #Fix(m): both sides count the
+    pairs (element of order m, point it fixes)."""
+    return [m for m, fix in FIXED_POINTS.items()
+            if sum(n * ELEMENT_ORDERS[h].get(m, 0) for h, n in entries)
+            != ELEMENT_ORDERS[g].get(m, 0) * fix]

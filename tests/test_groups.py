@@ -1,6 +1,7 @@
 import pytest
 
 from gkzeta import brauer
+from gkzeta.numtheory import cyclotomic, euler_phi
 from gkzeta.groups import (
     CONFIG_GROUPS,
     GroupId as G,
@@ -11,6 +12,8 @@ from gkzeta.groups import (
     parse_group,
     rigid_algebra,
 )
+
+from oracles import ELEMENT_ORDERS, FIXED_POINTS, class_equation_failures
 
 
 class TestCatalog:
@@ -91,6 +94,33 @@ class TestFacts:
                                   if order(h) % l == 0)
                     assert counted <= l ** 4
                     assert (l ** 4 - counted) % f.order == 0
+
+
+class TestClassEquation:
+    """Each typed stabilizer table against the class equation
+    sum over (H, N) of N c_m(H) = c_m(G) #Fix(m), for every order m."""
+
+    def test_element_orders_match_the_facts(self):
+        for g in CONFIG_GROUPS:
+            assert sum(ELEMENT_ORDERS[g].values()) == order(g), g
+            assert set(ELEMENT_ORDERS[g]) == facts(g).cyclic_subgroup_orders, g
+
+    def test_fixed_points_are_cyclotomic_values(self):
+        for m, fix in FIXED_POINTS.items():
+            assert cyclotomic(m)(1) ** (4 // euler_phi(m)) == fix, m
+
+    def test_every_table_satisfies_it(self):
+        tables = [(g, tab) for g in CONFIG_GROUPS for tab in facts(g).stabilizer_tables]
+        assert len(tables) == 17
+        for g, tab in tables:
+            assert class_equation_failures(g, tab.entries) == [], (g, tab.case)
+
+    def test_planted_typo_fails_at_m_2(self):
+        # (C2, 10) in place of (C2, 12) for C4 still gives whole orbits,
+        # N |H| = 0 mod |G|, but breaks the count of involutions
+        typo = ((G.C4, 4), (G.C2, 10))
+        assert all(n * order(h) % order(G.C4) == 0 for h, n in typo)
+        assert class_equation_failures(G.C4, typo) == [2]
 
 
 class TestRigidAlgebra:
