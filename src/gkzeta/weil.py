@@ -123,7 +123,7 @@ def _supersingular_case(p: int, qq: int, r: int, b: int) -> str | None:
 
 
 # enumerate_elliptic classifies all 4 sqrt(q) + 1 traces in one pass; at this
-# limit that takes about 0.2 s (CPython 3.11 on one core of a 2-CPU x86-64 VM)
+# limit that takes about 0.1 s (CPython 3.11.7 on a 2-CPU x86-64 VM)
 ENUMERATE_LIMIT = 10 ** 8
 
 
