@@ -1,5 +1,5 @@
 """Exact arithmetic for supersingular quotient surfaces over finite fields:
-Weil polynomial classification, local-invariant embedding tests for central
+Weil polynomial classification, local-degree embedding tests for central
 simple algebras, ADE singularity configurations, and Frobenius traces and
 zeta functions of the resolved surfaces.
 """

@@ -1,13 +1,14 @@
-"""Central simple algebras by their local invariants.
+"""Central simple algebras by their ramified places.
 
-An algebra is stored as a center (a small number field given symbolically),
-a degree, and a sparse map from places of the center to Q/Z invariants.
+Every rigid algebra is a field, a quaternion algebra, or M(2, .) of one of
+these, so every local invariant is 0 or 1/2. An algebra is stored as a center
+(a small number field given symbolically), a degree, and the places of the
+center where it ramifies, each with invariant 1/2.
 Operations: reciprocity validation, and the embedding test of the rigid
 group algebras into M(2, H_p), decided by the parity of a local degree at p.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .errors import Rejected
@@ -133,48 +134,50 @@ def _place_key(pl: Place):
 # algebras
 
 class CSADescriptor(Value):
-    """A central simple algebra: center, degree, sparse local invariants.
-
-    Invariants are fractions in (0, 1); places with invariant 0 are omitted.
+    """A central simple algebra: center, degree, and the sorted places where
+    it ramifies, each with local invariant 1/2 (the others have 0).
     """
 
-    __slots__ = ("center", "degree", "invariants")
+    __slots__ = ("center", "degree", "ramified")
 
-    def __init__(self, center: FieldDesc, degree: int, invariants: tuple = ()):
+    def __init__(self, center: FieldDesc, degree: int, ramified: tuple = ()):
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        invs = tuple(sorted(invariants, key=lambda pi: _place_key(pi[0])))
+        ramified = tuple(sorted(ramified, key=_place_key))
         seen = set()
-        total = Fraction(0)
-        for pl, inv in invs:
+        for pl in ramified:
             if pl in seen:
                 raise ValueError(f"duplicate place {pl}")
             seen.add(pl)
-            inv = Fraction(inv)
-            if not 0 < inv < 1:
-                raise ValueError(f"invariant {inv} not in (0, 1)")
-            if degree % inv.denominator:
+            if degree % 2:
                 raise ReciprocityError(
-                    f"invariant {inv} has period not dividing the degree {degree}")
-            if pl[0] == "inf" and inv != Fraction(1, 2):
-                raise ReciprocityError(f"real place invariant must be 1/2, got {inv}")
+                    f"invariant 1/2 has period not dividing the degree {degree}")
             if pl[0] == "inf" and pl[1] >= center.real_place_count:
                 raise ValueError(f"center {center} has no real place #{pl[1]}")
             if pl[0] == "fin" and not is_prime(pl[1]):
                 raise ValueError(f"{pl[1]} is not prime")
-            total += inv
-        if total.denominator != 1:
-            raise ReciprocityError(f"local invariants sum to {total}, not an integer")
+        if len(ramified) % 2:
+            # Hilbert reciprocity: the invariants 1/2 sum to an integer
+            raise ReciprocityError(
+                f"local invariants sum to {len(ramified)}/2, not an integer")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "invariants", invs)
+        object.__setattr__(self, "ramified", ramified)
+
+    @property
+    def invariants(self) -> tuple:
+        """((place, Fraction(1, 2)), ...): the ramified places with their
+        invariants, for callers that do Q/Z arithmetic."""
+        from fractions import Fraction
+
+        return tuple((pl, Fraction(1, 2)) for pl in self.ramified)
 
     def __str__(self):
-        if not self.invariants:
+        if not self.ramified:
             if self.degree == 1:
                 return str(self.center)
             return f"M({self.degree}, {self.center})"
-        invs = ", ".join(f"{_place_str(pl)}: {inv}" for pl, inv in self.invariants)
+        invs = ", ".join(f"{_place_str(pl)}: 1/2" for pl in self.ramified)
         return f"CSA(center={self.center}, degree={self.degree}, inv={{{invs}}})"
 
 
@@ -193,15 +196,14 @@ def field_algebra(k: FieldDesc) -> CSADescriptor:
 
 def matrix_over(a: CSADescriptor, n: int) -> CSADescriptor:
     """M(n, A): same Brauer class, degree multiplied by n."""
-    return CSADescriptor(a.center, a.degree * n, a.invariants)
+    return CSADescriptor(a.center, a.degree * n, a.ramified)
 
 
 def make_hp(p: int) -> CSADescriptor:
     """The quaternion algebra over Q ramified exactly at p and infinity."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    h = Fraction(1, 2)
-    return CSADescriptor(rationals(), 2, ((inf_place(), h), (fin_place(p), h)))
+    return CSADescriptor(rationals(), 2, (inf_place(), fin_place(p)))
 
 
 def make_h_infty(k: FieldDesc) -> CSADescriptor:
@@ -213,8 +215,7 @@ def make_h_infty(k: FieldDesc) -> CSADescriptor:
     if r % 2:
         raise ReciprocityError(
             f"{k} has {r} real places; invariants 1/2 at each cannot sum to an integer")
-    h = Fraction(1, 2)
-    return CSADescriptor(k, 2, tuple((inf_place(i), h) for i in range(r)))
+    return CSADescriptor(k, 2, tuple(inf_place(i) for i in range(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +255,14 @@ def _embedding_test(g) -> tuple[str, int | str]:
         # Q(zeta_m) of degree 4 is a maximal subfield iff it splits H_p: its
         # places are complex, so iff e*f is even at p
         return "cyc", c.param
-    if alg.degree == 2 and c == rationals() and len(alg.invariants) == 2:
-        fin = [pl[1] for pl, _ in alg.invariants if pl[0] == "fin"]
+    if alg.degree == 2 and c == rationals() and len(alg.ramified) == 2:
+        fin = [pl[1] for pl in alg.ramified if pl[0] == "fin"]
         if fin and fin[0] in (2, 3):
             # a rational quaternion algebra D sits inside M(2, H_p) through
             # M(2, K) for a shared splitting field K; no condition on p
             return "always", 0
     if alg.degree == 2 and c.kind == "quad" and c.param in (2, 3, 5):
-        if alg.invariants and all(pl[0] == "inf" for pl, _ in alg.invariants):
+        if alg.ramified and all(pl[0] == "inf" for pl in alg.ramified):
             # H_infty(Q(sqrt(d))): embeds iff H_p stays a division algebra over
             # the center, i.e. iff p does not split in Q(sqrt(d))
             return "nonsplit", c.param

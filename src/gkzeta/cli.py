@@ -108,7 +108,7 @@ def cmd_weil_check(args) -> int:
                                "newton": w.newton.value, "endo": str(w.endo), "case": w.case},
                    "citations": ["Weil polynomial classification"]}
     else:
-        slopes = ",".join(str(s) for s in w.slopes())
+        slopes = ",".join(w.slopes())
         lines = [
             f"valid: f = {w.poly} over F_{q.q} (dim {w.dim}, e = {w.e})",
             f"newton: {w.newton.value} (slopes {slopes})",

@@ -4,7 +4,7 @@ the binary tetrahedral/octahedral/icosahedral groups and a few
 characteristic-special extensions.
 
 All group facts are hardcoded. Nothing here checks them at run time; the
-structural checks (Sylow congruences, conservation of torsion fixed points)
+structural checks (Sylow counts, torsion fixed points, the class equation)
 are in tests/test_groups.py.
 """
 from __future__ import annotations
@@ -99,7 +99,7 @@ class StabilizerTable(Value):
 
 
 class GroupFacts(Value):
-    __slots__ = ("group", "order", "cyclic_subgroup_orders", "sylow_counts",
+    __slots__ = ("group", "cyclic_subgroup_orders",
                  "stabilizer_tables")  # stabilizer_tables: tuple of StabilizerTable
 
 
@@ -110,43 +110,36 @@ def _tab(case, *entries):
 G = GroupId
 
 _FACTS = {
-    G.C2: ({1, 2}, {2: 1}, (_tab("", (G.C2, 16)),)),
-    G.C3: ({1, 3}, {3: 1}, (_tab("", (G.C3, 9)),)),
-    G.C4: ({1, 2, 4}, {2: 1}, (_tab("", (G.C4, 4), (G.C2, 12)),)),
-    G.C5: ({1, 5}, {5: 1}, (_tab("", (G.C5, 5)),)),
-    G.C6: ({1, 2, 3, 6}, {2: 1, 3: 1}, (_tab("", (G.C6, 1), (G.C3, 8), (G.C2, 15)),)),
-    G.C8: ({1, 2, 4, 8}, {2: 1}, (_tab("", (G.C8, 2), (G.C4, 2), (G.C2, 12)),)),
-    G.C10: ({1, 2, 5, 10}, {2: 1, 5: 1}, (_tab("", (G.C10, 1), (G.C5, 4), (G.C2, 15)),)),
-    G.C12: ({1, 2, 3, 4, 6, 12}, {2: 1, 3: 1},
-            (_tab("", (G.C12, 1), (G.C4, 3), (G.C3, 8), (G.C2, 12)),)),
-    G.Q8: ({1, 2, 4}, {2: 1},
+    G.C2: ({1, 2}, (_tab("", (G.C2, 16)),)),
+    G.C3: ({1, 3}, (_tab("", (G.C3, 9)),)),
+    G.C4: ({1, 2, 4}, (_tab("", (G.C4, 4), (G.C2, 12)),)),
+    G.C5: ({1, 5}, (_tab("", (G.C5, 5)),)),
+    G.C6: ({1, 2, 3, 6}, (_tab("", (G.C6, 1), (G.C3, 8), (G.C2, 15)),)),
+    G.C8: ({1, 2, 4, 8}, (_tab("", (G.C8, 2), (G.C4, 2), (G.C2, 12)),)),
+    G.C10: ({1, 2, 5, 10}, (_tab("", (G.C10, 1), (G.C5, 4), (G.C2, 15)),)),
+    G.C12: ({1, 2, 3, 4, 6, 12}, (_tab("", (G.C12, 1), (G.C4, 3), (G.C3, 8), (G.C2, 12)),)),
+    G.Q8: ({1, 2, 4},
            (_tab("A", (G.Q8, 4), (G.C2, 12)),
             _tab("B", (G.Q8, 2), (G.C4, 6), (G.C2, 8)))),
-    G.Q12: ({1, 2, 3, 4, 6}, {2: 3, 3: 1},
-            (_tab("", (G.Q12, 1), (G.C4, 9), (G.C3, 8), (G.C2, 6)),)),
-    G.Q16: ({1, 2, 4, 8}, {2: 1},
-            (_tab("", (G.Q16, 2), (G.Q8, 2), (G.C4, 4), (G.C2, 8)),)),
-    G.Q20: ({1, 2, 4, 5, 10}, {2: 5, 5: 1},
-            (_tab("", (G.Q20, 1), (G.C5, 4), (G.C4, 15)),)),
-    G.Q24: ({1, 2, 3, 4, 6, 12}, {2: 3, 3: 1},
-            (_tab("", (G.Q24, 1), (G.Q8, 3), (G.C4, 12), (G.C3, 8)),)),
-    G.SL2F3: ({1, 2, 3, 4, 6}, {2: 1, 3: 4},
-              (_tab("", (G.SL2F3, 1), (G.Q8, 3), (G.C3, 32), (G.C2, 12)),)),
-    G.ESL2F3: ({1, 2, 3, 4, 6, 8}, {2: 3, 3: 4},
-               (_tab("", (G.ESL2F3, 1), (G.Q16, 3), (G.C4, 12), (G.C3, 32)),)),
-    G.SL2F5: ({1, 2, 3, 4, 5, 6, 10}, {2: 5, 3: 10, 5: 6},
+    G.Q12: ({1, 2, 3, 4, 6}, (_tab("", (G.Q12, 1), (G.C4, 9), (G.C3, 8), (G.C2, 6)),)),
+    G.Q16: ({1, 2, 4, 8}, (_tab("", (G.Q16, 2), (G.Q8, 2), (G.C4, 4), (G.C2, 8)),)),
+    G.Q20: ({1, 2, 4, 5, 10}, (_tab("", (G.Q20, 1), (G.C5, 4), (G.C4, 15)),)),
+    G.Q24: ({1, 2, 3, 4, 6, 12}, (_tab("", (G.Q24, 1), (G.Q8, 3), (G.C4, 12), (G.C3, 8)),)),
+    G.SL2F3: ({1, 2, 3, 4, 6}, (_tab("", (G.SL2F3, 1), (G.Q8, 3), (G.C3, 32), (G.C2, 12)),)),
+    G.ESL2F3: ({1, 2, 3, 4, 6, 8}, (_tab("", (G.ESL2F3, 1), (G.Q16, 3), (G.C4, 12), (G.C3, 32)),)),
+    G.SL2F5: ({1, 2, 3, 4, 5, 6, 10},
               (_tab("", (G.SL2F5, 1), (G.Q8, 15), (G.C5, 24), (G.C3, 80)),)),
-    G.C5_C8: ({1, 2, 4, 5, 8, 10}, {2: 5, 5: 1}, ()),
-    G.C3_C8: ({1, 2, 3, 4, 6, 8, 12}, {2: 3, 3: 1}, ()),
-    G.C3xQ8: ({1, 2, 3, 4, 6, 12}, {2: 1, 3: 1}, ()),
-    G.C3_Q16: ({1, 2, 3, 4, 6, 8, 12}, {2: 3, 3: 1}, ()),
-    G.ESL2F5: ({1, 2, 3, 4, 5, 6, 8, 10, 12}, {2: 5, 3: 10, 5: 6}, ()),
+    G.C5_C8: ({1, 2, 4, 5, 8, 10}, ()),
+    G.C3_C8: ({1, 2, 3, 4, 6, 8, 12}, ()),
+    G.C3xQ8: ({1, 2, 3, 4, 6, 12}, ()),
+    G.C3_Q16: ({1, 2, 3, 4, 6, 8, 12}, ()),
+    G.ESL2F5: ({1, 2, 3, 4, 5, 6, 8, 10, 12}, ()),
 }
 
 
 def facts(g: GroupId) -> GroupFacts:
-    cyc, syl, tabs = _FACTS[g]
-    return GroupFacts(g, _ORDERS[g], frozenset(cyc), dict(syl), tabs)
+    cyc, tabs = _FACTS[g]
+    return GroupFacts(g, frozenset(cyc), tabs)
 
 
 # groups handled by the geometric singularity classification

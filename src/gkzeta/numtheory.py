@@ -487,17 +487,6 @@ def mult_order(a: int, m: int) -> int:
     return k
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
-
-
 def splitting_in_quadratic(p: int, d: int) -> str:
     """Decomposition of a prime p in Q(sqrt(d)): 'split', 'inert' or 'ramified'.
 

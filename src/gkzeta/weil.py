@@ -73,17 +73,16 @@ class WeilDescriptor(Value):
             return EndoDescriptor("quaternion-over-field", P)
         return EndoDescriptor("field", self.poly)
 
-    def slopes(self) -> tuple[Fraction, ...]:
-        """The p-adic slopes of poly, normalized so that v(q) = 1, ascending:
-        read off the Newton type, which fixes them in dimension 1 and 2."""
-        from fractions import Fraction
-
-        d, half = self.poly.degree, Fraction(1, 2)
+    def slopes(self) -> tuple[str, ...]:
+        """The p-adic slopes of poly as text, normalized so that v(q) = 1,
+        ascending: read off the Newton type, which fixes them in dimension 1
+        and 2."""
+        d = self.poly.degree
         if self.newton is NewtonType.SUPERSINGULAR:
-            return (half,) * d
+            return ("1/2",) * d
         if self.newton is NewtonType.ORDINARY:
-            return (Fraction(0),) * (d // 2) + (Fraction(1),) * (d // 2)
-        return (Fraction(0), half, half, Fraction(1))
+            return ("0",) * (d // 2) + ("1",) * (d // 2)
+        return ("0", "1/2", "1/2", "1")
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,17 @@ from gkzeta.weil import (
 # ---------------------------------------------------------------------------
 # primes, roots and prime powers by the definitions
 
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    a %= p
+    if a == 0:
+        return 0
+    s = pow(a, (p - 1) // 2, p)
+    return 1 if s == 1 else -1
+
+
 def prime_sieve(n: int) -> bytearray:
     """Sieve of Eratosthenes for n >= 2: out[m] == 1 iff m < n is prime."""
     out = bytearray([0, 0]) + bytearray([1]) * (n - 2)
@@ -447,7 +458,8 @@ def extend_scalars(a: CSADescriptor, l: FieldDesc) -> CSADescriptor:
     """A tensor_Q L as an algebra with center L.
 
     Each invariant inv_v becomes [L_w : Q_v] * inv_v at every place w over v.
-    Only centers equal to Q are supported.
+    Only centers equal to Q are supported. Every invariant that survives is
+    1/2, so the result is stated by its ramified places.
     """
     if a.center != rationals():
         raise ValueError("extend_scalars requires center Q")
@@ -469,7 +481,8 @@ def extend_scalars(a: CSADescriptor, l: FieldDesc) -> CSADescriptor:
                 v = (d * inv) % 1
                 if v:
                     new.append((fin_place(p, j), v))
-    return CSADescriptor(l, a.degree, tuple(new))
+    assert all(v == Fraction(1, 2) for _, v in new), new
+    return CSADescriptor(l, a.degree, tuple(w for w, _ in new))
 
 
 def field_embeds_in_csa(l: FieldDesc, a: CSADescriptor) -> bool:
@@ -574,6 +587,16 @@ ELEMENT_ORDERS = {
 # of a rigid action on an abelian surface: its eigenvalues on H^1 are
 # primitive m-th roots of unity
 FIXED_POINTS = {2: 16, 3: 9, 4: 4, 5: 5, 6: 1, 8: 2, 10: 1, 12: 1}
+
+# {l: number of Sylow l-subgroups} for every group of the catalog
+SYLOW_COUNTS = {
+    G.C2: {2: 1}, G.C3: {3: 1}, G.C4: {2: 1}, G.C5: {5: 1}, G.C6: {2: 1, 3: 1},
+    G.C8: {2: 1}, G.C10: {2: 1, 5: 1}, G.C12: {2: 1, 3: 1},
+    G.Q8: {2: 1}, G.Q12: {2: 3, 3: 1}, G.Q16: {2: 1}, G.Q20: {2: 5, 5: 1},
+    G.Q24: {2: 3, 3: 1}, G.SL2F3: {2: 1, 3: 4}, G.ESL2F3: {2: 3, 3: 4},
+    G.SL2F5: {2: 5, 3: 10, 5: 6}, G.C5_C8: {2: 5, 5: 1}, G.C3_C8: {2: 3, 3: 1},
+    G.C3xQ8: {2: 1, 3: 1}, G.C3_Q16: {2: 3, 3: 1}, G.ESL2F5: {2: 5, 3: 10, 5: 6},
+}
 
 
 def class_equation_failures(g, entries) -> list[int]:

@@ -69,6 +69,7 @@ class TestFields:
 class TestConstructorsAndReciprocity:
     def test_make_hp(self):
         h = make_hp(7)
+        assert h.ramified == (inf_place(), fin_place(7))
         assert h.invariants == ((inf_place(), HALF), (fin_place(7), HALF))
         assert not is_split(h)
 
@@ -85,12 +86,12 @@ class TestConstructorsAndReciprocity:
 
     def test_reciprocity_violation(self):
         with pytest.raises(ReciprocityError):
-            CSADescriptor(rationals(), 2, ((fin_place(5), HALF),))
+            CSADescriptor(rationals(), 2, (fin_place(5),))
 
     def test_period_divides_degree(self):
+        # invariant 1/2 has period 2, which does not divide the degree 1
         with pytest.raises(ReciprocityError):
-            CSADescriptor(rationals(), 2,
-                          ((fin_place(5), Fraction(1, 3)), (fin_place(7), Fraction(2, 3))))
+            CSADescriptor(rationals(), 1, (inf_place(), fin_place(5)))
 
     def test_matrix_over_keeps_class(self):
         m = matrix_over(make_hp(5), 2)

@@ -9,7 +9,7 @@ from gkzeta.existence import (
     exists_over_prime_field,
     katsura_refinement,
 )
-from gkzeta.groups import GroupId as G, facts, order
+from gkzeta.groups import CONFIG_GROUPS, GroupId as G, facts, order
 from gkzeta.kummer import trace_table
 from gkzeta.numtheory import PrimePower, is_prime
 
@@ -232,3 +232,40 @@ class TestTraceTableConsistency:
                            for o in options), (p, row)
                 rows += 1
         assert rows == 640
+
+
+def _verdict(fn, g, q):
+    """An answer without the prime: the embedding's bool, or a verdict's
+    findings, condition texts and values and its Weil options' shape,
+    condition and satisfaction; or the rejection."""
+    try:
+        v = fn(g, q)
+    except Rejected as exc:
+        return "rejected", str(exc)
+    if isinstance(v, bool):
+        return v
+    options = tuple((o.shape, o.condition, o.satisfied) for o in v.weil_options)
+    return v.rigid, v.symplectic, v.conditions, options
+
+
+def test_verdicts_depend_only_on_p_mod_120():
+    # every table condition is a congruence modulo 3, 4, 5, 8 or 12, and p's
+    # splitting in the centers Q(zeta_5, zeta_8, zeta_12), Q(sqrt(2, 3, 5))
+    # depends on p modulo their conductors; all of these divide 120
+    answers = {}
+    for p in range(7, 20000):
+        if not is_prime(p):
+            continue
+        p2, p3 = PrimePower(p, 2), PrimePower(p, 3)
+        answer = [_verdict(rigid_embeds_in_m2hp, g, p) for g in G]
+        for g in CONFIG_GROUPS:
+            answer += [_verdict(exists_over_even_degree, g, p),
+                       _verdict(exists_over_prime_field, g, p),
+                       _verdict(katsura_refinement, g, p2),
+                       _verdict(katsura_refinement, g, p3),
+                       _verdict(exists_over_odd_degree, g, PrimePower(p, 1)),
+                       _verdict(exists_over_odd_degree, g, p3)]
+        for parity in ("even", "odd"):
+            answer.append(tuple((r.trace, r.notation, r.group) for r in trace_table(parity, p)))
+        assert answers.setdefault(p % 120, answer) == answer, p
+    assert len(answers) == 32

@@ -14,7 +14,6 @@ from gkzeta.numtheory import (
     euler_phi,
     iroot,
     is_prime,
-    legendre,
     moebius,
     mult_order,
     splitting_in_cyclotomic,
@@ -25,6 +24,7 @@ from gkzeta.numtheory import (
 from oracles import (
     brute_iroot,
     direct_newton_slopes,
+    legendre,
     newton_slopes,
     prime_power_by_factorization,
     prime_sieve,

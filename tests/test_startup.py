@@ -3,9 +3,10 @@
 The import-graph guard keeps `import gkzeta.cli` light: it loads neither
 dataclasses, inspect nor fractions, and no layer besides errors and
 numtheory; each subcommand then loads only the layers it uses, and neither
-dataclasses nor inspect (the value types' constructors are compiled without
-them). Only the subcommands that load brauer, whose local invariants are
-Fractions, load fractions. The smoke test runs one
+dataclasses, inspect nor fractions (the value types' constructors are
+compiled without the first two; brauer stores an algebra by its ramified
+places, each with invariant 1/2, and weil prints its slopes as text, so no
+Fraction is built). The smoke test runs one
 golden argv per subcommand through `python -m gkzeta.cli`, which catches
 import-order and circular-import faults that the in-process golden replay,
 with every layer already imported, cannot see.
@@ -58,9 +59,11 @@ def test_import_loads_no_dataclasses_and_no_layer():
 # an argv per subcommand, and the layers it loads
 LOADS = (
     (["weil-list", "--q", "7"], ["weil"]),
+    (["weil-check", "--q", "7", "--a1", "1", "--a2", "3"], ["weil"]),
     (["sing-config", "--group", "Q8"], ["groups", "kummer"]),
     (["exists", "--group", "C8", "--p", "7"], ["existence", "groups"]),
     (["embed-check", "--group", "C8", "--p", "7"], ["brauer", "groups"]),
+    (["tables", "--which", "rigidalg"], ["brauer", "groups"]),
     (["selftest"], ["brauer", "existence", "groups", "kummer"]),
 )
 
@@ -72,7 +75,7 @@ def test_subcommand_loads_only_its_layers(argv, layers):
     assert [m for m in LAYERS if f"gkzeta.{m}" in loaded] == layers
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
-    assert ("fractions" in imported + loaded) == ("brauer" in layers)
+    assert "fractions" not in imported + loaded
 
 
 with open(os.path.join(TESTS, "golden_cli.json"), encoding="utf-8") as f:

@@ -229,7 +229,7 @@ class TestSurfaceQuartic:
         ]
         for q, a1, a2 in cases:
             w = validate_surface_simple(q, a1=a1, a2=a2)
-            assert set(w.slopes()) == {Fraction(1, 2)}
+            assert set(w.slopes()) == {"1/2"}
 
 
 class TestSurfaceSquare:
