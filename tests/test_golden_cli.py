@@ -108,17 +108,19 @@ WEIL_CASES = (
     ["weil-check", "--q", "49", "--square=49,-7,1"],             # ss-square-even-bsqrt
 )
 
-ARGVS = tuple(argv + tail for argv in README + TABLES + EXISTS for tail in ([], ["--json"])) \
-    + REJECTED + MENDED
-# an argv recorded above is not recorded twice: test ids stay unique
-ARGVS += tuple(argv + tail for argv in EMBED for tail in ([], ["--json"])
-               if argv + tail not in ARGVS)
-ARGVS += tuple(argv + tail for argv in NEWTON for tail in ([], ["--json"]))
-# quartics whose Newton polygon is not an abelian surface's: slopes 1/4, 3/4
-# over F_4 and 0, 1/3, 2/3, 1 over F_8
-ARGVS += (["weil-check", "--q", "4", "--a1", "-4", "--a2", "10"],
-          ["weil-check", "--q", "8", "--a1", "-3", "--a2", "2"])
-ARGVS += tuple(argv + tail for argv in WEIL_CASES for tail in ([], ["--json"]))
+def _with_json(argvs):
+    return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
+
+
+# each argv once, at its first position: a later repeat is dropped, so test
+# ids stay unique and every earlier record keeps its place
+ARGVS = tuple(map(list, dict.fromkeys(map(tuple, (
+    _with_json(README + TABLES + EXISTS) + REJECTED + MENDED + _with_json(EMBED + NEWTON)
+    # quartics whose Newton polygon is not an abelian surface's: slopes 1/4,
+    # 3/4 over F_4 and 0, 1/3, 2/3, 1 over F_8
+    + (["weil-check", "--q", "4", "--a1", "-4", "--a2", "10"],
+       ["weil-check", "--q", "8", "--a1", "-3", "--a2", "2"])
+    + _with_json(WEIL_CASES))))))
 
 
 def replay(argv):
@@ -144,6 +146,11 @@ def test_golden(record, monkeypatch):
 
 def test_snapshot_covers_every_argv():
     assert [r["argv"] for r in RECORDS] == [list(a) for a in ARGVS]
+
+
+def test_snapshot_records_each_argv_once():
+    argvs = [tuple(r["argv"]) for r in RECORDS]
+    assert len(set(argvs)) == len(argvs)
 
 
 if __name__ == "__main__":
