@@ -134,10 +134,13 @@ def cmd_embed_check(args) -> int:
     return 0
 
 
+_ANSWER = {True: "yes", False: "no", None: "not determined"}
+
+
 def _verdict_lines(v: existence.ExistenceVerdict) -> list[str]:
     lines = [f"group {v.group}:",
-             f"  rigid action: {v.rigid}",
-             f"  rigid symplectic action: {v.symplectic}"]
+             f"  rigid action: {_ANSWER[v.exists_rigid]} [{v.citation}]",
+             f"  rigid symplectic action: {_ANSWER[v.exists_rigid_symplectic]} [{v.citation}]"]
     for text, val in v.conditions:
         mark = {True: "holds", False: "fails", None: "undetermined"}[val]
         lines.append(f"  condition: {text} -> {mark}")
@@ -150,13 +153,13 @@ def _verdict_lines(v: existence.ExistenceVerdict) -> list[str]:
 def _verdict_payload(cmd: str, v: existence.ExistenceVerdict, extra: dict) -> dict:
     return {
         "query": {"command": cmd, "group": str(v.group), **extra},
-        "verdict": {"rigid": v.rigid.value, "symplectic": v.symplectic.value},
+        "verdict": {"rigid": v.exists_rigid, "symplectic": v.exists_rigid_symplectic},
         "conditions": [{"condition": t, "holds": val} for t, val in v.conditions],
         "weil_options": [
             {"shape": o.shape, "poly": str(o.poly) if o.poly else None,
              "condition": o.condition, "satisfied": o.satisfied}
             for o in v.weil_options],
-        "citations": [v.rigid.citation],
+        "citations": [v.citation],
     }
 
 

@@ -12,28 +12,13 @@ from .numtheory import Condition, IntPolynomial, PrimePower, Value
 G = GroupId
 
 
-class Finding(Value):
-    """A yes/no/undetermined answer with its supporting citation tag."""
-
-    __slots__ = ("value", "citation")  # value: True | False | None
-
-    def __str__(self):
-        word = {True: "yes", False: "no", None: "not determined"}[self.value]
-        return f"{word} [{self.citation}]"
-
-
 class ExistenceVerdict(Value):
-    # conditions: (condition text, evaluated bool) pairs; weil_options: WeilOption
-    __slots__ = ("group", "rigid", "symplectic", "conditions", "weil_options")
+    # exists_rigid, exists_rigid_symplectic: True, False or None (not
+    # determined); citation: the classification's tag; conditions: (condition
+    # text, evaluated bool) pairs; weil_options: WeilOption
+    __slots__ = ("group", "exists_rigid", "exists_rigid_symplectic", "citation",
+                 "conditions", "weil_options")
     _defaults = ((),)
-
-    @property
-    def exists_rigid(self):
-        return self.rigid.value
-
-    @property
-    def exists_rigid_symplectic(self):
-        return self.symplectic.value
 
 
 class WeilOption(Value):
@@ -80,12 +65,10 @@ def exists_over_even_degree(g: GroupId, p: int) -> ExistenceVerdict:
         raise Rejected(f"{g} is not covered by the even-degree classification")
     cite = "even-degree classification"
     if _EVEN_TABLE[g] is None:
-        yes = Finding(True, cite)
-        return ExistenceVerdict(g, yes, yes, (("any p coprime to |G|", True),))
+        return ExistenceVerdict(g, True, True, cite, (("any p coprime to |G|", True),))
     rigid, sympl = _EVEN_TABLE[g]
     r, s = rigid.holds(p), sympl.holds(p)
-    return ExistenceVerdict(g, Finding(r, cite), Finding(s, cite),
-                            ((str(rigid), r), (f"symplectic: {sympl}", s)))
+    return ExistenceVerdict(g, r, s, cite, ((str(rigid), r), (f"symplectic: {sympl}", s)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +93,7 @@ def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
     else:
         ok = cond.holds(p)
         val, conds = (True if ok else None), ((str(cond), ok),)
-    found = Finding(val, "prime-field sufficiency")
-    return ExistenceVerdict(g, found, found, conds)
+    return ExistenceVerdict(g, val, val, "prime-field sufficiency", conds)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +150,7 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     conds = tuple((f"{o.shape}: {o.condition}", o.satisfied) for o in opts)
     if not opts:
         conds = (("group matches no odd-degree classification row", False),)
-    found = Finding(val, "odd-degree classification")
-    return ExistenceVerdict(g, found, found, conds, weil_options=tuple(opts))
+    return ExistenceVerdict(g, val, val, "odd-degree classification", conds, tuple(opts))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +177,12 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
         raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
     if g not in CONFIG_GROUPS:
         raise Rejected(f"{g} is not in the quotient-construction list")
+    cite = "quotient refinement"
     if g in _REFINE_DIRECT:
-        found = Finding(True, "quotient refinement")
-        return ExistenceVerdict(g, found, found, (("group in the unconditional list", True),))
+        return ExistenceVerdict(g, True, True, cite, (("group in the unconditional list", True),))
     conds = [("field degree even", not q.degree_is_odd)]
     for n in sorted(facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys()):
         cond = _REFINE_CONDITIONS[n]
         conds.append((str(cond), cond.holds(p)))
-    found = Finding(all(holds for _, holds in conds), "quotient refinement")
-    return ExistenceVerdict(g, found, found, tuple(conds))
+    val = all(holds for _, holds in conds)
+    return ExistenceVerdict(g, val, val, cite, tuple(conds))

@@ -142,11 +142,9 @@ def facts(g: GroupId) -> GroupFacts:
     return GroupFacts(g, frozenset(cyc), tabs)
 
 
-# groups handled by the geometric singularity classification
-CONFIG_GROUPS = (
-    G.C2, G.C3, G.C4, G.C5, G.C6, G.C8, G.C10, G.C12,
-    G.Q8, G.Q12, G.Q16, G.Q20, G.Q24, G.SL2F3, G.ESL2F3, G.SL2F5,
-)
+# groups handled by the geometric singularity classification: those with
+# stabilizer tables
+CONFIG_GROUPS = tuple(g for g, (_, tables) in _FACTS.items() if tables)
 
 
 # ---------------------------------------------------------------------------

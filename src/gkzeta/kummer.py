@@ -324,11 +324,8 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
     qq = q.q
     factors = [(IntPolynomial([1, -1]), 1)]
     for r, d in cp.parts:
-        phi = cyclotomic(r)
-        rev = phi.reciprocal()
-        if rev[0] < 0:
-            rev = -rev
-        factors.append((rev.scale_arg(qq), d // euler_phi(r)))
+        # reversed, Phi_r has constant term 1, its leading coefficient
+        factors.append((cyclotomic(r).reciprocal().scale_arg(qq), d // euler_phi(r)))
     factors.append((IntPolynomial([1, -qq * qq]), 1))
     return ZetaFunction(q, tuple(factors))
 

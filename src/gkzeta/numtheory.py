@@ -280,24 +280,19 @@ class Condition:
 # ---------------------------------------------------------------------------
 # integer polynomials
 
-class IntPolynomial:
+class IntPolynomial(Value):
     """Dense integer polynomial, coefficients constant-term first.
 
-    Immutable; the coefficient tuple never has a trailing zero.
+    The coefficient tuple never has a trailing zero.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
+    def __init__(self, coeffs):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
-
-    # refuses assignment and deletion, and pickles, as a Value does
-    __setattr__ = Value.__setattr__
-    __delattr__ = Value.__delattr__
-    __reduce__ = Value.__reduce__
 
     # -- constructors ------------------------------------------------------
 
@@ -327,24 +322,11 @@ class IntPolynomial:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial([self[i] + other[i] for i in range(n)])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial([self[i] - other[i] for i in range(n)])
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
@@ -376,7 +358,7 @@ class IntPolynomial:
         dq = self.degree - other.degree
         if dq < 0:
             if self.is_zero():
-                return IntPolynomial()
+                return IntPolynomial(())
             raise ValueError("not divisible")
         quot = [0] * (dq + 1)
         lead = other.coeffs[-1]
@@ -428,9 +410,6 @@ class IntPolynomial:
 
     def __str__(self):
         return self.format()
-
-    def __repr__(self):
-        return f"IntPolynomial({self})"
 
 
 ONE = IntPolynomial([1])

@@ -8,7 +8,7 @@ from enum import Enum
 from math import isqrt
 
 from .errors import Rejected
-from .numtheory import IntPolynomial, PrimePower, Value
+from .numtheory import Condition, IntPolynomial, PrimePower, Value
 
 
 class NewtonType(Enum):
@@ -23,18 +23,14 @@ class EndoDescriptor(Value):
 
     kind is 'field', 'quaternion-Hp', 'quaternion-Hinfty' or
     'quaternion-over-field'; detail is a printable refinement, such as
-    'p=3', or an IntPolynomial f standing for the field Q[t]/(f), formatted
-    only when the descriptor is printed.
+    'p=3' or the field 'Q[t]/(t^2 + 7)'.
     """
 
     __slots__ = ("kind", "detail")
     _defaults = ("",)
 
     def __str__(self):
-        d = self.detail
-        if isinstance(d, IntPolynomial):
-            d = f"Q[t]/({d})"
-        return f"{self.kind}({d})" if d else self.kind
+        return f"{self.kind}({self.detail})" if self.detail else self.kind
 
 
 class WeilDescriptor(Value):
@@ -70,8 +66,8 @@ class WeilDescriptor(Value):
         if case.startswith("ss-square-even"):
             # f = P^2 with P = t^2 + (f_3 / 2) t + q
             P = IntPolynomial._trusted((self.q.q, self.poly[3] // 2, 1))
-            return EndoDescriptor("quaternion-over-field", P)
-        return EndoDescriptor("field", self.poly)
+            return EndoDescriptor("quaternion-over-field", f"Q[t]/({P})")
+        return EndoDescriptor("field", f"Q[t]/({self.poly})")
 
     def slopes(self) -> tuple[str, ...]:
         """The p-adic slopes of poly as text, normalized so that v(q) = 1,
@@ -142,17 +138,20 @@ def enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
 # ---------------------------------------------------------------------------
 # dimension 2, simple isogeny classes
 
-_SS_QUARTIC_CASES = (
-    # (case, test(a1, a2, q, r, sq_integral, parity_odd, p))
-    ("ss-i", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == 0 and odd and p != 2),
-    ("ss-ii", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == 0 and not odd and p % 8 != 1),
-    ("ss-iii", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == qq and odd),
-    ("ss-iv", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == -qq and odd and p != 3),
-    ("ss-v", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == -qq and not odd and p % 12 != 1),
-    ("ss-vi", lambda a1, a2, qq, r, sq, odd, p: sq and abs(a1) == r and a2 == qq and not odd and p % 5 != 1),
-    ("ss-vii", lambda a1, a2, qq, r, sq, odd, p: p == 5 and odd and a1 * a1 == 5 * qq and a2 == 3 * qq),
-    ("ss-viii", lambda a1, a2, qq, r, sq, odd, p: p == 2 and odd and a1 * a1 == 2 * qq and a2 == qq),
-)
+# the supersingular quartics (Maisner-Nart, Experiment. Math. 11 (2002),
+# Thm 2.9), by (a1^2 / q, a2 / q, odd degree): the case, and the condition on
+# p under which it is realized; a1^2 = 5q or 2q over an odd degree already
+# forces p = 5 or p = 2
+_SS_QUARTICS = {
+    (0, 0, True): ("ss-i", Condition("p != 2")),
+    (0, 0, False): ("ss-ii", Condition("p != 1 mod 8")),
+    (0, 1, True): ("ss-iii", Condition("any p")),
+    (0, -1, True): ("ss-iv", Condition("p != 3")),
+    (0, -1, False): ("ss-v", Condition("p != 1 mod 12")),
+    (1, 1, False): ("ss-vi", Condition("p != 1 mod 5")),
+    (5, 3, True): ("ss-vii", Condition("any p")),
+    (2, 1, True): ("ss-viii", Condition("any p")),
+}
 
 
 def _quartic_is_irreducible(qq: int, a1: int, a2: int) -> bool:
@@ -190,16 +189,7 @@ def validate_surface_simple(q: PrimePower, a1: int = None, a2: int = None,
 
 def _validate_surface_quartic(q: PrimePower, a1: int, a2: int) -> WeilDescriptor:
     p, qq = q.p, q.q
-    r = isqrt(qq)
-    sq = r * r == qq
-    odd = q.degree_is_odd
     f = IntPolynomial([qq * qq, a1 * qq, a2, a1, 1])
-
-    for case, test in _SS_QUARTIC_CASES:
-        if test(a1, a2, qq, r, sq, odd, p):
-            return WeilDescriptor(q, f, case)
-
-    # not in the supersingular list: must be ordinary or mixed
     if a1 * a1 > 16 * qq:
         raise Rejected(f"a1^2 = {a1 * a1} > 16q = {16 * qq}")
     if 4 * a2 > a1 * a1 + 8 * qq:
@@ -219,6 +209,10 @@ def _validate_surface_quartic(q: PrimePower, a1: int, a2: int) -> WeilDescriptor
     if a1 % p and a2 % h == 0:
         return WeilDescriptor(q, f, "mixed")
     if a1 % h == 0 and a2 % qq == 0:
+        # h^2 is a multiple of q, so a1^2 / q is an integer
+        case, cond = _SS_QUARTICS.get((a1 * a1 // qq, a2 // qq, q.degree_is_odd), (None, None))
+        if case and cond.holds(p):
+            return WeilDescriptor(q, f, case)
         raise Rejected("supersingular quartic outside the classified list")
     raise Rejected(f"the Newton polygon of {f} is not that of an abelian surface")
 

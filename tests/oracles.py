@@ -375,6 +375,33 @@ def brute_quartic_is_irreducible(f: IntPolynomial) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# supersingular quartics by case tests: the library's earlier form of
+# Maisner-Nart's list, run on every quartic before the Weil-box checks
+
+SS_QUARTIC_CASES = (
+    # (case, test(a1, a2, q, r, sq_integral, parity_odd, p))
+    ("ss-i", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == 0 and odd and p != 2),
+    ("ss-ii", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == 0 and not odd and p % 8 != 1),
+    ("ss-iii", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == qq and odd),
+    ("ss-iv", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == -qq and odd and p != 3),
+    ("ss-v", lambda a1, a2, qq, r, sq, odd, p: a1 == 0 and a2 == -qq and not odd and p % 12 != 1),
+    ("ss-vi", lambda a1, a2, qq, r, sq, odd, p: sq and abs(a1) == r and a2 == qq and not odd and p % 5 != 1),
+    ("ss-vii", lambda a1, a2, qq, r, sq, odd, p: p == 5 and odd and a1 * a1 == 5 * qq and a2 == 3 * qq),
+    ("ss-viii", lambda a1, a2, qq, r, sq, odd, p: p == 2 and odd and a1 * a1 == 2 * qq and a2 == qq),
+)
+
+
+def ss_quartic_case(q: PrimePower, a1: int, a2: int) -> str | None:
+    """The first case of SS_QUARTIC_CASES whose test (a1, a2) passes, or None."""
+    qq = q.q
+    r = isqrt(qq)
+    for case, test in SS_QUARTIC_CASES:
+        if test(a1, a2, qq, r, r * r == qq, q.degree_is_odd, q.p):
+            return case
+    return None
+
+
+# ---------------------------------------------------------------------------
 # resultants by the Sylvester matrix and a fraction-free Bareiss determinant
 
 def resultant(f: IntPolynomial, g: IntPolynomial) -> int:

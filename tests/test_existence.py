@@ -236,8 +236,8 @@ class TestTraceTableConsistency:
 
 def _verdict(fn, g, q):
     """An answer without the prime: the embedding's bool, or a verdict's
-    findings, condition texts and values and its Weil options' shape,
-    condition and satisfaction; or the rejection."""
+    answers, citation, condition texts and values and its Weil options'
+    shape, condition and satisfaction; or the rejection."""
     try:
         v = fn(g, q)
     except Rejected as exc:
@@ -245,7 +245,7 @@ def _verdict(fn, g, q):
     if isinstance(v, bool):
         return v
     options = tuple((o.shape, o.condition, o.satisfied) for o in v.weil_options)
-    return v.rigid, v.symplectic, v.conditions, options
+    return v.exists_rigid, v.exists_rigid_symplectic, v.citation, v.conditions, options
 
 
 def test_verdicts_depend_only_on_p_mod_120():

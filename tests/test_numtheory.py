@@ -167,7 +167,7 @@ class TestPolynomials:
     def test_str(self):
         assert str(IntPolynomial([9, 0, -1, 1])) == "t^3 - t^2 + 9"
         assert str(IntPolynomial([1, -2, 0, -1])) == "-t^3 - 2t + 1"
-        assert str(IntPolynomial()) == "0"
+        assert str(IntPolynomial(())) == "0"
 
     def test_no_assignment_or_deletion(self):
         # cyclotomic is cached, so a change in place would reach every caller
@@ -191,7 +191,7 @@ class TestPolynomials:
         assert IntPolynomial([9, 0, -1, 1]).format(ascending=True) == "9 - t^2 + t^3"
         assert IntPolynomial([-1, 3]).format(ascending=True) == "-1 + 3t"
         assert IntPolynomial([0, -1]).format(ascending=True) == "-t"
-        assert IntPolynomial().format(ascending=True) == "0"
+        assert IntPolynomial(()).format(ascending=True) == "0"
 
 
 # every condition text of the paper's tables, with its meaning written out

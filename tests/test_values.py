@@ -11,7 +11,7 @@ import pytest
 
 from gkzeta.brauer import CSADescriptor, FieldDesc, ReciprocityError
 from gkzeta.errors import Rejected
-from gkzeta.existence import ExistenceVerdict, Finding, WeilOption
+from gkzeta.existence import ExistenceVerdict, WeilOption
 from gkzeta.groups import GroupFacts, GroupId as G, StabilizerTable
 from gkzeta.kummer import (
     ADEType,
@@ -29,6 +29,7 @@ A1 = ADEType("A", 1)
 # (class, fields in order, one field changed to another valid value)
 CASES = [
     (PrimePower, {"p": 3, "n": 2}, ("n", 3)),
+    (IntPolynomial, {"coeffs": (7, 0, 1)}, ("coeffs", (-7, 0, 1))),
     (FieldDesc, {"kind": "quad", "param": 5}, ("param", -1)),
     (CSADescriptor, {"center": FieldDesc("Q"), "degree": 2,
                      "ramified": (("inf", 0), ("fin", 3, 0))},
@@ -36,11 +37,10 @@ CASES = [
     (StabilizerTable, {"case": "A", "entries": ((G.Q8, 4), (G.C2, 12))}, ("case", "B")),
     (GroupFacts, {"group": G.C2, "cyclic_subgroup_orders": frozenset({1, 2}),
                   "stabilizer_tables": ()}, ("group", G.C3)),
-    (Finding, {"value": True, "citation": "even-degree classification"}, ("value", None)),
-    (ExistenceVerdict, {"group": G.C3, "rigid": Finding(True, "c"),
-                        "symplectic": Finding(False, "c"),
+    (ExistenceVerdict, {"group": G.C3, "exists_rigid": True, "exists_rigid_symplectic": False,
+                        "citation": "even-degree classification",
                         "conditions": (("any p", True),), "weil_options": ()},
-     ("group", G.C4)),
+     ("exists_rigid_symplectic", None)),
     (WeilOption, {"shape": "t^4 + q^2", "poly": IntPolynomial([9, 0, 0, 0, 1]),
                   "condition": "any p", "satisfied": True}, ("poly", None)),
     (ADEType, {"kind": "D", "m": 4}, ("m", 5)),
@@ -118,7 +118,8 @@ def test_equality_and_hash_by_class_and_fields(cls, fields, change):
 def test_equality_needs_the_same_class():
     assert PrimePower(3, 2) != (3, 2)
     assert (3, 2) != PrimePower(3, 2)
-    assert Finding("field", "") != EndoDescriptor("field", "")
+    assert FieldDesc("Q", 0) != EndoDescriptor("Q", 0)
+    assert IntPolynomial((1, 2)) != (1, 2)
     assert {PrimePower(3, 2): 1}.get((3, 2)) is None
 
 
@@ -144,13 +145,13 @@ def test_repr_lists_the_fields(cls, fields, change):
 def test_literal_reprs():
     assert repr(PrimePower(3, 2)) == "PrimePower(p=3, n=2)"
     assert repr(FieldDesc("quad", 5)) == "FieldDesc(kind='quad', param=5)"
-    assert repr(Finding(None, "x")) == "Finding(value=None, citation='x')"
+    assert repr(IntPolynomial([7, 0, 1, 0])) == "IntPolynomial(coeffs=(7, 0, 1))"
     assert repr(NSCharPoly({2: 2, 1: 20})) == "NSCharPoly(parts=((1, 20), (2, 2)))"
     assert repr(EndoDescriptor("field")) == "EndoDescriptor(kind='field', detail='')"
     # a type without __str__ prints its repr, as in `--json` output through default=str
-    assert str(ExistenceVerdict(G.C3, Finding(True, "c"), Finding(True, "c"), ())) == (
-        "ExistenceVerdict(group=<GroupId.C3: 'C3'>, rigid=Finding(value=True, citation='c'), "
-        "symplectic=Finding(value=True, citation='c'), conditions=(), weil_options=())")
+    assert str(ExistenceVerdict(G.C3, True, None, "c", ())) == (
+        "ExistenceVerdict(group=<GroupId.C3: 'C3'>, exists_rigid=True, "
+        "exists_rigid_symplectic=None, citation='c', conditions=(), weil_options=())")
 
 
 @parametrize
@@ -165,7 +166,7 @@ def test_copy_and_pickle_keep_the_value(cls, fields, change):
 def test_defaults():
     assert FieldDesc("Q") == FieldDesc("Q", 0)
     assert CSADescriptor(FieldDesc("Q"), 1).invariants == ()
-    assert ExistenceVerdict(G.C3, Finding(True, "c"), Finding(True, "c"), ()).weil_options == ()
+    assert ExistenceVerdict(G.C3, True, True, "c", ()).weil_options == ()
     o = SingularOrbit(A1)
     assert (o.count, o.degree, o.graph_action) == (1, 1, "unknown")
     assert EndoDescriptor("field").detail == ""
@@ -176,6 +177,7 @@ def test_construction_normalizes():
     assert CSADescriptor(q, 2, places).ramified == places[::-1]
     assert CSADescriptor(q, 2, list(places)) == CSADescriptor(q, 2, places)
     assert NSCharPoly(((2, 2), (1, 20))).parts == ((1, 20), (2, 2))
+    assert IntPolynomial([1, True, 0, 0]).coeffs == (1, 1)
 
 
 @pytest.mark.parametrize("make, exc, text", [

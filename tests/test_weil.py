@@ -30,6 +30,7 @@ from oracles import (
     series_inv,
     series_from_poly,
     series_mul,
+    ss_quartic_case,
 )
 
 PRIME_POWERS_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
@@ -204,6 +205,27 @@ class TestSurfaceQuartic:
                 outcomes[w.newton.value] += 1
         assert outcomes == {"mixed": 7764, "supersingular": 192,
                             "ss-outside": 3, "not-a-surface": 14209}
+
+    def test_supersingular_table_matches_the_case_tests(self):
+        # every box pair with h | a1 and q | a2 for q < 2000: the pairs that
+        # the earlier case tests name are accepted with their case, and all
+        # others are rejected
+        outcomes = Counter()
+        for q in prime_powers_upto(1999):
+            qq, h = q.q, q.p ** ((q.n + 1) // 2)
+            for a1 in range(-(isqrt(16 * qq) // h) * h, isqrt(16 * qq) + 1, h):
+                for a2 in range(-2 * qq, (a1 * a1 + 8 * qq) // 4 + 1, qq):
+                    if (a2 + 2 * qq) ** 2 < 4 * a1 * a1 * qq:
+                        continue
+                    want = ss_quartic_case(q, a1, a2)
+                    try:
+                        got = validate_surface_simple(q, a1=a1, a2=a2).case
+                    except Rejected:
+                        got = None
+                    assert got == want, (qq, a1, a2)
+                    outcomes[got] += 1
+        assert outcomes == {"ss-i": 307, "ss-ii": 19, "ss-iii": 312, "ss-iv": 309, "ss-v": 19,
+                            "ss-vi": 36, "ss-vii": 4, "ss-viii": 10, None: 989}
 
     def test_mixed_needs_h_dividing_a2(self):
         # p | a2 with p not dividing a1 is not enough: over F_8 the pair
