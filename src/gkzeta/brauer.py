@@ -5,7 +5,8 @@ these, so every local invariant is 0 or 1/2. An algebra is stored as a center
 (a small number field given symbolically), a degree, and the places of the
 center where it ramifies, each with invariant 1/2.
 Operations: reciprocity validation, and the embedding test of the rigid
-group algebras into M(2, H_p), decided by the parity of a local degree at p.
+group algebras into M(2, H_p): a condition on p, read once per group from the
+parity of a local degree of the algebra's center at p.
 """
 from __future__ import annotations
 
@@ -13,14 +14,7 @@ from functools import cache
 
 from .errors import Rejected
 from .groups import rigid_algebra
-from .numtheory import (
-    Value,
-    _splitting_in_cyclotomic,
-    _splitting_in_quadratic,
-    euler_phi,
-    is_prime,
-    squarefree_part,
-)
+from .numtheory import Condition, Value, euler_phi, is_prime, squarefree_part
 
 
 class ReciprocityError(Rejected):
@@ -224,46 +218,45 @@ def make_h_infty(k: FieldDesc) -> CSADescriptor:
 def rigid_embeds_in_m2hp(g, p: int) -> bool:
     """Does the rigid group algebra of g embed into M(2, H_p)?
 
-    Decided by the parity of a local degree at p, for the algebras of the
-    tabulated embedding rows; others are rejected. p is tested for primality
-    once, here.
+    Decided by the condition on p that _embedding_condition reads once from
+    the algebra of g, for the algebras of the tabulated embedding rows;
+    others are rejected. p is tested for primality first.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    test, arg = _embedding_test(g)
-    if test == "always":
-        return True
-    if test == "cyc":
-        e, f, _ = _splitting_in_cyclotomic(p, arg)
-        return e * f % 2 == 0
-    if test == "nonsplit":
-        return _splitting_in_quadratic(p, arg) != "split"
-    raise Rejected(arg)
+    cond = _embedding_condition(g)
+    if isinstance(cond, str):
+        raise Rejected(cond)
+    return cond.holds(p)
+
+
+# p splits in Q(sqrt(d)) iff p = +-1 mod the conductor c of Q(sqrt(d))
+_CONDUCTOR = {2: 8, 3: 12, 5: 5}
 
 
 @cache
-def _embedding_test(g) -> tuple[str, int | str]:
-    """How rigid_embeds_in_m2hp decides for g, read once from its rigid
-    algebra: ('always', 0), ('cyc', m), ('nonsplit', d) or ('rejected', reason).
-    """
+def _embedding_condition(g) -> Condition | str:
+    """The condition on p under which the rigid algebra of g embeds into
+    M(2, H_p), or the reason the algebra is not among the tabulated rows."""
     alg = rigid_algebra(g)
     c = alg.center
     if alg.degree == 1 and c.kind == "cyc" and c.param in (3, 4, 5, 8, 12):
         if c.degree == 2:
             # quartic M(2, H_p) contains M(2, K) for every quadratic K
-            return "always", 0
+            return Condition("any p")
         # Q(zeta_m) of degree 4 is a maximal subfield iff it splits H_p: its
-        # places are complex, so iff e*f is even at p
-        return "cyc", c.param
+        # places are complex, so iff e*f is even at p. A p | m ramifies with
+        # e = phi(p^a) even; otherwise e = 1 and f = ord_m(p) is 1, 2 or 4
+        return Condition(f"p != 1 mod {c.param}")
     if alg.degree == 2 and c == rationals() and len(alg.ramified) == 2:
         fin = [pl[1] for pl in alg.ramified if pl[0] == "fin"]
         if fin and fin[0] in (2, 3):
             # a rational quaternion algebra D sits inside M(2, H_p) through
             # M(2, K) for a shared splitting field K; no condition on p
-            return "always", 0
-    if alg.degree == 2 and c.kind == "quad" and c.param in (2, 3, 5):
+            return Condition("any p")
+    if alg.degree == 2 and c.kind == "quad" and c.param in _CONDUCTOR:
         if alg.ramified and all(pl[0] == "inf" for pl in alg.ramified):
             # H_infty(Q(sqrt(d))): embeds iff H_p stays a division algebra over
             # the center, i.e. iff p does not split in Q(sqrt(d))
-            return "nonsplit", c.param
-    return "rejected", f"{alg} is not among the tabulated embedding rows"
+            return Condition(f"p != +-1 mod {_CONDUCTOR[c.param]}")
+    return f"{alg} is not among the tabulated embedding rows"

@@ -52,8 +52,8 @@ _EVEN_TABLE = {
 }
 
 # the groups of the even-degree classification; the M(2, H_p) embedding
-# test by local degrees (brauer.rigid_embeds_in_m2hp) covers the same
-# groups, and column I is its answer
+# condition derived from local degrees (brauer._embedding_condition) covers
+# the same groups, and column I reads as that condition
 EVEN_DEGREE_GROUPS = frozenset(_EVEN_TABLE)
 
 

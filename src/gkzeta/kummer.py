@@ -336,8 +336,6 @@ def artin_check(q: PrimePower, cp: NSCharPoly) -> bool:
     even cyclotomic order must appear."""
     if not q.degree_is_odd:
         return True
-    if cp.parts == ((1, 22),):
-        return False
     if all(r % 2 for r, _ in cp.parts):
         return False
     return True

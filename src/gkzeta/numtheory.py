@@ -1,5 +1,5 @@
 """Exact elementary number theory: prime powers, conditions on a prime,
-integer polynomials, cyclotomic polynomials and residue symbols.
+integer polynomials and cyclotomic polynomials.
 
 Everything here is pure integer arithmetic; no floats anywhere.
 Polynomials are dense coefficient tuples, constant term first.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from operator import attrgetter
 
 
@@ -448,67 +448,3 @@ def cyclotomic(r: int) -> IntPolynomial:
         if d < r:
             f = f.exact_div(cyclotomic(d))
     return f
-
-
-def mult_order(a: int, m: int) -> int:
-    """Least k >= 1 with a^k = 1 mod m."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if gcd(a, m) != 1:
-        raise ValueError(f"gcd({a}, {m}) != 1: no multiplicative order")
-    if m == 1:
-        return 1
-    a %= m
-    k, x = 1, a
-    while x != 1:
-        x = x * a % m
-        k += 1
-    return k
-
-
-def splitting_in_quadratic(p: int, d: int) -> str:
-    """Decomposition of a prime p in Q(sqrt(d)): 'split', 'inert' or 'ramified'.
-
-    At p = 2 this is decided by d mod 8, where Legendre is undefined.
-    """
-    d = squarefree_part(d)
-    if d == 1:
-        raise ValueError("Q(sqrt(1)) is not a quadratic field")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _splitting_in_quadratic(p, d)
-
-
-def _splitting_in_quadratic(p: int, d: int) -> str:
-    """splitting_in_quadratic for a prime p and a squarefree d != 1, unchecked."""
-    if p == 2:
-        return {1: "split", 5: "inert"}.get(d % 8, "ramified")
-    if d % p == 0:
-        return "ramified"
-    # Euler's criterion for the Legendre symbol (d/p)
-    return "split" if pow(d % p, (p - 1) // 2, p) == 1 else "inert"
-
-
-def splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
-    """(e, f, g) for the primes over p in Q(zeta_m).
-
-    Unramified case p | m excluded: e = 1, f = ord_m(p), g = phi(m)/f.
-    If p | m, write m = p^a * m' and e = phi(p^a), f = ord_{m'}(p).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _splitting_in_cyclotomic(p, m)
-
-
-def _splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
-    """splitting_in_cyclotomic for a prime p and m >= 1, unchecked."""
-    a, m1 = 0, m
-    while m1 % p == 0:
-        m1 //= p
-        a += 1
-    e = euler_phi(p ** a) if a else 1
-    f = mult_order(p, m1)
-    g = euler_phi(m1) // f
-    return e, f, g

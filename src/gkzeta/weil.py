@@ -146,7 +146,8 @@ _SS_QUARTICS = {
     (0, 0, True): ("ss-i", Condition("p != 2")),
     (0, 0, False): ("ss-ii", Condition("p != 1 mod 8")),
     (0, 1, True): ("ss-iii", Condition("any p")),
-    (0, -1, True): ("ss-iv", Condition("p != 3")),
+    # the paper adds p != 3, but at p = 3 f is reducible: a1^2 - 4a2 + 8q = 12q is a square
+    (0, -1, True): ("ss-iv", Condition("any p")),
     (0, -1, False): ("ss-v", Condition("p != 1 mod 12")),
     (1, 1, False): ("ss-vi", Condition("p != 1 mod 5")),
     (5, 3, True): ("ss-vii", Condition("any p")),

@@ -28,8 +28,7 @@ from gkzeta.numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    splitting_in_cyclotomic,
-    splitting_in_quadratic,
+    squarefree_part,
 )
 from gkzeta.weil import (
     ENUMERATE_LIMIT,
@@ -51,6 +50,60 @@ def legendre(a: int, p: int) -> int:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
+
+
+def mult_order(a: int, m: int) -> int:
+    """Least k >= 1 with a^k = 1 mod m."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    if gcd(a, m) != 1:
+        raise ValueError(f"gcd({a}, {m}) != 1: no multiplicative order")
+    if m == 1:
+        return 1
+    a %= m
+    k, x = 1, a
+    while x != 1:
+        x = x * a % m
+        k += 1
+    return k
+
+
+def splitting_in_quadratic(p: int, d: int) -> str:
+    """Decomposition of a prime p in Q(sqrt(d)): 'split', 'inert' or 'ramified'.
+
+    At p = 2 this is decided by d mod 8, where Legendre is undefined.
+    """
+    d = squarefree_part(d)
+    if d == 1:
+        raise ValueError("Q(sqrt(1)) is not a quadratic field")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == 2:
+        return {1: "split", 5: "inert"}.get(d % 8, "ramified")
+    if d % p == 0:
+        return "ramified"
+    # Euler's criterion for the Legendre symbol (d/p)
+    return "split" if pow(d % p, (p - 1) // 2, p) == 1 else "inert"
+
+
+def splitting_in_cyclotomic(p: int, m: int) -> tuple[int, int, int]:
+    """(e, f, g) for the primes over p in Q(zeta_m).
+
+    Unramified case p | m excluded: e = 1, f = ord_m(p), g = phi(m)/f.
+    If p | m, write m = p^a * m' and e = phi(p^a), f = ord_{m'}(p).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    a, m1 = 0, m
+    while m1 % p == 0:
+        m1 //= p
+        a += 1
+    e = euler_phi(p ** a) if a else 1
+    f = mult_order(p, m1)
+    g = euler_phi(m1) // f
+    return e, f, g
 
 
 def prime_sieve(n: int) -> bytearray:

@@ -1,15 +1,17 @@
 import pytest
 
+from gkzeta import brauer
 from gkzeta.brauer import rigid_embeds_in_m2hp
 from gkzeta.existence import (
     EVEN_DEGREE_GROUPS,
+    _EVEN_TABLE,
     Rejected,
     exists_over_even_degree,
     exists_over_odd_degree,
     exists_over_prime_field,
     katsura_refinement,
 )
-from gkzeta.groups import CONFIG_GROUPS, GroupId as G, facts, order
+from gkzeta.groups import CONFIG_GROUPS, GroupId as G, facts, order, rigid_algebra
 from gkzeta.kummer import trace_table
 from gkzeta.numtheory import PrimePower, is_prime
 
@@ -80,6 +82,17 @@ class TestEvenDegree:
                     rigid_embeds_in_m2hp(g, 7)
                 with pytest.raises(Rejected):
                     exists_over_even_degree(g, 7)
+
+    @pytest.mark.parametrize("g", list(G), ids=str)
+    def test_embedding_condition_is_column_one(self, g):
+        # the condition derived from the algebra's center, against the one
+        # typed from the paper: equal texts decide alike at every p
+        cond = brauer._embedding_condition(g)
+        if g in EVEN_DEGREE_GROUPS:
+            row = _EVEN_TABLE[g]
+            assert str(cond) == ("any p" if row is None else str(row[0]))
+        else:
+            assert cond == f"{rigid_algebra(g)} is not among the tabulated embedding rows"
 
     def test_rejects_uncovered(self):
         with pytest.raises(Rejected):

@@ -15,9 +15,6 @@ from gkzeta.numtheory import (
     iroot,
     is_prime,
     moebius,
-    mult_order,
-    splitting_in_cyclotomic,
-    splitting_in_quadratic,
     squarefree_part,
 )
 
@@ -25,10 +22,13 @@ from oracles import (
     brute_iroot,
     direct_newton_slopes,
     legendre,
+    mult_order,
     newton_slopes,
     prime_power_by_factorization,
     prime_sieve,
     resultant,
+    splitting_in_cyclotomic,
+    splitting_in_quadratic,
     valuation,
 )
 

@@ -13,8 +13,9 @@ from gkzeta.numtheory import (
     factorize,
     iroot,
     is_prime,
-    splitting_in_cyclotomic,
 )
+
+from oracles import splitting_in_cyclotomic
 
 sympy = pytest.importorskip("sympy")
 T = sympy.Symbol("t")

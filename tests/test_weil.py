@@ -154,7 +154,7 @@ class TestSurfaceQuartic:
             # p = 1 mod 8 excludes (0, 0) over even degree
             validate_surface_simple(PrimePower(17, 2), a1=0, a2=0)
         with pytest.raises(Rejected):
-            # p = 3 excludes (0, -q) over odd degree
+            # (0, -q) over odd degree at p = 3 is reducible
             validate_surface_simple(PrimePower(3, 1), a1=0, a2=-3)
 
     def test_reducible_rejected(self):
@@ -166,6 +166,15 @@ class TestSurfaceQuartic:
         # (t^2 - 3)^2, although a1^2 - 4 a2 + 8q = 48 is not a square
         with pytest.raises(Rejected, match="reducible"):
             validate_surface_simple(PrimePower(3, 1), a1=0, a2=-6)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_ss_iv_at_p_3_is_reducible(self, n):
+        # the paper's p != 3 for ss-iv: a1^2 - 4 a2 + 8q = 12q = 4 * 3^(n+1)
+        # is a square, so t^4 - q t^2 + q^2 factors before any condition on p
+        with pytest.raises(Rejected) as info:
+            validate_surface_simple(PrimePower(3, n), a1=0, a2=-3 ** n)
+        q = 3 ** n
+        assert info.value.reason == f"t^4 - {q}t^2 + {q * q} is reducible over Q"
 
     def test_irreducibility_matches_divisor_scan_below_100(self):
         pairs = reducible = 0
