@@ -108,6 +108,36 @@ WEIL_CASES = (
     ["weil-check", "--q", "49", "--square=49,-7,1"],             # ss-square-even-bsqrt
 )
 
+# zeta-assemble printing a zeta line with cyclotomic orders r >= 3 (among
+# them phi(r) = 22 and 20), a C3 orbit of degree 3, and the README Q8 call
+# with a chain-flip orbit; appended after WEIL_CASES
+_Q8 = ["zeta-assemble", "--q", "3", "--group", "Q8"]
+ZETA = (
+    ["zeta-assemble", "--q", "7", "--notation", "1^6,5^4,8^4,10^4,12^4"],
+    ["zeta-assemble", "--q", "9", "--notation", "23^22"],
+    ["zeta-assemble", "--q", "9", "--notation", "1^2,66^20"],
+    ["zeta-assemble", "--q", "25", "--group", "C3", "--orbit", "A2,9,3,trivial"],
+    _Q8 + ["--eps", "-1", "--orbit", "D4,2,1,trivial", "--orbit", "A3,3,1,chain-flip",
+           "--orbit", "A1,2,1,trivial"],
+    _Q8 + ["--eps", "1", "--orbit", "D4,2,1,trivial", "--orbit", "A3,3,1,chain-flip",
+           "--orbit", "A1,2,1,trivial"],
+)
+
+# the orbit rejections of zeta-assemble and the five rejections of
+# weil-check --square, one per text; appended after ZETA
+ZETA_REJECTED = (
+    _Q8 + ["--eps", "-1", "--orbit", "D4,2,1,chain-flip", "--orbit", "A3,3,1,trivial",
+           "--orbit", "A1,2,1,trivial"],
+    _Q8 + ["--eps", "-1", "--orbit", "D4,2,1,trivial", "--orbit", "A3,3,1,trivial",
+           "--orbit", "A1,2,1,unknown"],
+    ["zeta-assemble", "--q", "3", "--group", "C2", "--orbit", "A1,16,1,trivial"],
+    ["weil-check", "--q", "7", "--square=7,0,2"],                # not monic
+    ["weil-check", "--q", "7", "--square=5,0,1"],                # constant term not +-q
+    ["weil-check", "--q", "7", "--square=7,0,1"],                # odd degree, not t^2 - q
+    ["weil-check", "--q", "9", "--square=-9,0,1"],               # even degree, constant -q
+    ["weil-check", "--q", "9", "--square=9,1,1"],                # even degree, no class
+)
+
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
 
@@ -124,7 +154,9 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     # 3/4 over F_4 and 0, 1/3, 2/3, 1 over F_8
     + (["weil-check", "--q", "4", "--a1", "-4", "--a2", "10"],
        ["weil-check", "--q", "8", "--a1", "-3", "--a2", "2"])
-    + _with_json(WEIL_CASES))) if argv not in PINNED)
+    + _with_json(WEIL_CASES)
+    + _with_json(ZETA)
+    + ZETA_REJECTED)) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
