@@ -195,21 +195,15 @@ def matrix_over(a: CSADescriptor, n: int) -> CSADescriptor:
 
 def make_hp(p: int) -> CSADescriptor:
     """The quaternion algebra over Q ramified exactly at p and infinity."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return CSADescriptor(rationals(), 2, (inf_place(), fin_place(p)))
 
 
 def make_h_infty(k: FieldDesc) -> CSADescriptor:
     """The quaternion algebra over a totally real field k ramified exactly
-    at all real places (requires an even number of them)."""
+    at all real places (an even number of them, by reciprocity)."""
     if not k.is_totally_real:
         raise ValueError(f"{k} is not totally real")
-    r = k.real_place_count
-    if r % 2:
-        raise ReciprocityError(
-            f"{k} has {r} real places; invariants 1/2 at each cannot sum to an integer")
-    return CSADescriptor(k, 2, tuple(inf_place(i) for i in range(r)))
+    return CSADescriptor(k, 2, tuple(inf_place(i) for i in range(k.real_place_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +224,9 @@ def rigid_embeds_in_m2hp(g, p: int) -> bool:
     return cond.holds(p)
 
 
-# p splits in Q(sqrt(d)) iff p = +-1 mod the conductor c of Q(sqrt(d))
-_CONDUCTOR = {2: 8, 3: 12, 5: 5}
+# p splits in Q(sqrt(d)) iff p = +-1 mod the conductor c of Q(sqrt(d)); for
+# d = 2, 3, 5 that is the c whose real cyclotomic field Q(zeta_c)^+ is Q(sqrt(d))
+_CONDUCTOR = {d: c for c, d in _REAL_QUAD.items()}
 
 
 @cache

@@ -193,17 +193,11 @@ class NSCharPoly(Value):
         for r, d in items:
             if r < 1 or d < 1:
                 raise Rejected("orders and degrees must be positive")
-            if d % euler_phi(r):
+            if r > 2 * d * d or d % euler_phi(r):  # phi(r) >= sqrt(r/2) > d if r > 2d^2
                 raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
         if sum(d for _, d in items) != 22:
             raise Rejected(f"total degree {sum(d for _, d in items)} != 22")
         object.__setattr__(self, "parts", items)
-
-    def polynomial(self) -> IntPolynomial:
-        out = IntPolynomial([1])
-        for r, d in self.parts:
-            out = out * cyclotomic(r) ** (d // euler_phi(r))
-        return out
 
     def __str__(self):
         return format_zeta_notation(dict(self.parts))
@@ -243,22 +237,28 @@ def exceptional_charpoly(orbit: SingularOrbit) -> dict[int, int]:
     every node of one fiber; a rational chain-flip on A_m splits into
     ceil(m/2) invariant classes and floor(m/2) swapped pairs.
     """
+    _check_action(orbit)
     out: dict[int, int] = {}
     if orbit.graph_action == "trivial":
         for r in divisors(orbit.degree):
             out[r] = out.get(r, 0) + euler_phi(r) * orbit.ade.nodes * (orbit.count // orbit.degree)
         return out
+    m = orbit.ade.nodes
+    out[1] = (m + 1) // 2 * orbit.count
+    if m // 2:
+        out[2] = m // 2 * orbit.count
+    return out
+
+
+def _check_action(orbit: SingularOrbit) -> None:
+    """Reject an orbit whose graph action exceptional_charpoly cannot expand."""
+    if orbit.graph_action == "unknown":
+        raise Rejected("cannot assemble an orbit with unknown graph action")
     if orbit.graph_action == "chain-flip":
         if orbit.ade.kind != "A":
             raise Rejected("chain-flip is only defined on A-type graphs")
         if orbit.degree != 1:
             raise Rejected("chain-flip contribution only implemented for rational points")
-        m = orbit.ade.nodes
-        out[1] = (m + 1) // 2 * orbit.count
-        if m // 2:
-            out[2] = m // 2 * orbit.count
-        return out
-    raise Rejected("cannot assemble an orbit with unknown graph action")
 
 
 def invariant_h_poly(g: GroupId, eps: int) -> dict[int, int]:
@@ -281,10 +281,14 @@ def invariant_h_poly(g: GroupId, eps: int) -> dict[int, int]:
 
 def assemble_ns(orbits, h_part: dict) -> NSCharPoly:
     """Sum the contributions of all exceptional orbits and the invariant
-    part into a full degree-22 characteristic polynomial."""
-    total: dict[int, int] = {}
-    for r, d in h_part.items():
-        total[r] = total.get(r, 0) + d
+    part into a full degree-22 characteristic polynomial. Each orbit adds
+    orbit.nodes to the degree, so the total is checked before any is expanded."""
+    for orbit in orbits:
+        _check_action(orbit)
+    n = sum(h_part.values()) + sum(orbit.nodes for orbit in orbits)
+    if n != 22:
+        raise Rejected(f"total degree {n} != 22")
+    total = dict(h_part)
     for orbit in orbits:
         for r, d in exceptional_charpoly(orbit).items():
             total[r] = total.get(r, 0) + d

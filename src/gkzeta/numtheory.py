@@ -2,7 +2,8 @@
 integer polynomials and cyclotomic polynomials.
 
 Everything here is pure integer arithmetic; no floats anywhere.
-Polynomials are dense coefficient tuples, constant term first.
+Polynomials are dense coefficient tuples, constant term first, with only the
+operations the library computes with; Phi_r needs no polynomial division.
 """
 from __future__ import annotations
 
@@ -297,10 +298,6 @@ class IntPolynomial(Value):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def x_pow(cls, k: int, c: int = 1) -> "IntPolynomial":
-        return cls([0] * k + [c])
-
-    @classmethod
     def _trusted(cls, coeffs: tuple) -> "IntPolynomial":
         """Wrap a tuple of ints whose last entry is nonzero, unnormalized."""
         f = object.__new__(cls)
@@ -313,9 +310,6 @@ class IntPolynomial(Value):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -324,56 +318,13 @@ class IntPolynomial(Value):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial([self[i] - other[i] for i in range(n)])
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "IntPolynomial":
-        out = IntPolynomial([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact polynomial division over Z; raises if not divisible."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        if dq < 0:
-            if self.is_zero():
-                return IntPolynomial(())
-            raise ValueError("not divisible")
-        quot = [0] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k]
-            if c % lead:
-                raise ValueError("not divisible over Z")
-            q = c // lead
-            quot[k] = q
-            if q:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= q * b
-        if any(rem):
-            raise ValueError("not divisible (nonzero remainder)")
-        return IntPolynomial(quot)
 
     def __call__(self, x):
         out = 0
@@ -412,9 +363,6 @@ class IntPolynomial(Value):
         return self.format()
 
 
-ONE = IntPolynomial([1])
-
-
 # ---------------------------------------------------------------------------
 # multiplicative functions
 
@@ -440,11 +388,21 @@ def moebius(r: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic(r: int) -> IntPolynomial:
-    """The r-th cyclotomic polynomial, by recursive exact division."""
+    """The r-th cyclotomic polynomial. For r > 1, Phi_r is the product of the
+    (1 - t^d)^mu(r/d), d | r, as a power series cut at degree phi(r): one pass
+    over the coefficients per d (Arnold-Monagan, Math. Comp. 80, 2011)."""
     if r < 1:
         raise ValueError("cyclotomic expects r >= 1")
-    f = IntPolynomial.x_pow(r) - ONE
+    if r == 1:
+        return IntPolynomial._trusted((-1, 1))
+    n = euler_phi(r)
+    c = [1] + [0] * n
     for d in divisors(r):
-        if d < r:
-            f = f.exact_div(cyclotomic(d))
-    return f
+        mu = moebius(r // d)
+        if mu == 1:  # times (1 - t^d)
+            for i in range(n, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu == -1:  # divided by (1 - t^d), i.e. times 1 + t^d + t^2d + ...
+            for i in range(d, n + 1):
+                c[i] += c[i - d]
+    return IntPolynomial._trusted(tuple(c))

@@ -304,8 +304,7 @@ def abelian_zeta(w: WeilDescriptor) -> list[IntPolynomial]:
             raise Rejected(f"s_{k}^2 - s_{2 * k} = {num} is odd: {f} is not a monic integer polynomial")
         pair[k] = num // 2
     p2 = _poly_from_power_sums(pair, 6)
-    # products of three roots are q^2 / (single root): P3(t) = f(q^2 t)/q^2
-    p3 = IntPolynomial([c * qq ** (2 * i) for i, c in enumerate(f.coeffs)]).exact_div(
-        IntPolynomial([qq * qq]))
+    # products of three roots are q^2 / (single root): P3(t) = f(q^2 t) / f(0)
+    p3 = IntPolynomial([1] + [c * qq ** (2 * i - 2) for i, c in enumerate(f.coeffs) if i])
     p4 = IntPolynomial([1, -qq * qq])
     return [p0, p1, p2, p3, p4]

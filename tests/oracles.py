@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from gkzeta.brauer import (
@@ -25,6 +26,8 @@ from gkzeta.groups import GroupId as G, rigid_algebra
 from gkzeta.numtheory import (
     IntPolynomial,
     PrimePower,
+    cyclotomic,
+    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -460,7 +463,7 @@ def ss_quartic_case(q: PrimePower, a1: int, a2: int) -> str | None:
 def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
     """Res(f, g) over Z."""
     m, n = f.degree, g.degree
-    if f.is_zero() or g.is_zero():
+    if not f.coeffs or not g.coeffs:
         return 0
     if m == 0:
         return f.coeffs[0] ** n
@@ -496,6 +499,41 @@ def _bareiss_det(mat: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials by recursive exact division (the library's earlier
+# algorithm), on coefficient lists, and the NS characteristic polynomial
+
+def _exact_quotient(f: list[int], g: tuple[int, ...]) -> list[int]:
+    """f / g for coefficient lists, constant term first, g monic; asserts
+    that the remainder is zero."""
+    rem, n = list(f), len(g) - 1
+    quot = [0] * (len(f) - n)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + n]
+        for j, b in enumerate(g):
+            rem[j + k] -= c * b
+    assert not any(rem), "nonzero remainder"
+    return quot
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(r: int) -> tuple[int, ...]:
+    """The coefficients of Phi_r: t^r - 1 divided by Phi_d for each d | r, d < r."""
+    f = [-1] + [0] * (r - 1) + [1]
+    for d in divisors(r)[:-1]:
+        f = _exact_quotient(f, cyclotomic_by_division(d))
+    return tuple(f)
+
+
+def ns_polynomial(cp) -> IntPolynomial:
+    """The NSCharPoly cp multiplied out: the product of Phi_r^(d_r / phi(r))."""
+    out = IntPolynomial([1])
+    for r, d in cp.parts:
+        for _ in range(d // euler_phi(r)):
+            out = out * cyclotomic(r)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from gkzeta import brauer, existence, groups, kummer, weil
 from gkzeta.groups import GroupId as G
 from gkzeta.numtheory import (
     IntPolynomial,
-    ONE,
     PrimePower,
     cyclotomic,
     divisors,
@@ -375,7 +374,7 @@ def test_criterion_8_property_suites():
 
     # cyclotomic product identity up to 240
     for r in range(1, 241):
-        prod = ONE
+        prod = IntPolynomial([1])
         for d in divisors(r):
             prod = prod * cyclotomic(d)
         if prod != IntPolynomial([-1] + [0] * (r - 1) + [1]):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once it has run for the given seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not end within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestWeilCommands:
@@ -205,6 +221,24 @@ class TestSingAndZeta:
                            "--orbit", "A1,1,1,trivial")
         assert code == 1
         assert err == "rejected: total degree 4 != 22 [zeta assembly]\n"
+
+    def test_zeta_assemble_huge_order_ends(self, capsys):
+        # phi(r) > d for r > 2 d^2, so the prime r = 10^18 + 3 is never factored
+        with deadline(1):
+            code, _, err = run(capsys, "zeta-assemble", "--q", "9",
+                               "--notation", "1^21,1000000000000000003^1")
+        assert code == 2
+        assert err.endswith(": degree 1 at order 1000000000000000003 is not a multiple"
+                            " of phi(1000000000000000003)\n")
+
+    def test_zeta_assemble_huge_orbit_ends(self, capsys):
+        # the total degree is checked before the divisors of 10^24 are listed
+        big = str(10 ** 24)
+        with deadline(1):
+            code, _, err = run(capsys, "zeta-assemble", "--q", "3", "--group", "Q8",
+                               "--orbit", f"A1,{big},{big},trivial")
+        assert code == 1
+        assert err == f"rejected: total degree {10 ** 24 + 3} != 22 [zeta assembly]\n"
 
     def test_zeta_assemble_missing_input(self, capsys):
         code, _, _ = run(capsys, "zeta-assemble", "--q", "3")

@@ -28,7 +28,7 @@ from gkzeta.kummer import (
 )
 from gkzeta.numtheory import PrimePower, euler_phi, moebius
 
-from oracles import series_from_poly, series_inv, series_mul
+from oracles import ns_polynomial, series_from_poly, series_inv, series_mul
 
 
 class TestADE:
@@ -161,7 +161,18 @@ class TestNotation:
         cp = parse_zeta_notation("1^10,3^12")
         assert dict(cp.parts)[3] == 12
         assert dict(cp.parts)[3] // euler_phi(3) == 6
-        assert cp.polynomial().degree == 22
+        assert ns_polynomial(cp).degree == 22
+
+    def test_phi_bound_behind_the_order_cut(self):
+        # NSCharPoly rejects an order r > 2 d^2 without factoring it, since
+        # phi(r) >= sqrt(r / 2) > d there; phi by a sieve, below 2 * 10^5
+        n = 2 * 10 ** 5
+        phi = list(range(n))
+        for p in range(2, n):
+            if phi[p] == p:
+                for k in range(p, n, p):
+                    phi[k] -= phi[k] // p
+        assert all(2 * phi[r] ** 2 >= r for r in range(1, n))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -298,10 +309,10 @@ class TestNSCharPolyProperties:
     def test_random_valid_parts_accepted(self, parts):
         cp = NSCharPoly(tuple(parts.items()))
         assert sum(d for _, d in cp.parts) == 22
-        assert cp.polynomial().degree == 22
-        assert cp.polynomial().is_monic()
+        assert ns_polynomial(cp).degree == 22
+        assert ns_polynomial(cp).is_monic()
         # trace via moebius equals trace via explicit polynomial coefficient
-        poly = cp.polynomial()
+        poly = ns_polynomial(cp)
         assert trace_of(cp) == -poly[21]
 
     @given(ns_parts())

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from gkzeta.numtheory import (
     Condition,
     IntPolynomial,
-    ONE,
     PrimePower,
     cyclotomic,
     divisors,
@@ -20,6 +19,7 @@ from gkzeta.numtheory import (
 
 from oracles import (
     brute_iroot,
+    cyclotomic_by_division,
     direct_newton_slopes,
     legendre,
     mult_order,
@@ -151,13 +151,7 @@ class TestPolynomials:
         f = IntPolynomial([1, 2, 1])
         g = IntPolynomial([1, 1])
         assert g * g == f
-        assert f.exact_div(g) == g
-        assert (f - g) == IntPolynomial([0, 1, 1])
         assert f(3) == 16
-
-    def test_exact_div_rejects(self):
-        with pytest.raises(ValueError):
-            IntPolynomial([1, 0, 1]).exact_div(IntPolynomial([1, 1]))
 
     def test_reciprocal_and_scale(self):
         f = IntPolynomial([9, -3, 1])
@@ -260,10 +254,14 @@ class TestCyclotomic:
 
     def test_product_identity_spot(self):
         for r in (1, 2, 6, 12, 30, 105):
-            prod = ONE
+            prod = IntPolynomial([1])
             for d in divisors(r):
                 prod = prod * cyclotomic(d)
             assert prod == IntPolynomial([-1] + [0] * (r - 1) + [1])
+
+    def test_matches_recursive_division(self):
+        for r in range(1, 500):
+            assert cyclotomic(r).coeffs == cyclotomic_by_division(r), r
 
     def test_second_coefficient_is_minus_moebius(self):
         # the sum of primitive r-th roots of unity is mu(r)
