@@ -3,7 +3,8 @@
 Every rigid algebra is a field, a quaternion algebra, or M(2, .) of one of
 these, so every local invariant is 0 or 1/2. An algebra is stored as a center
 (a small number field given symbolically), a degree, and the places of the
-center where it ramifies, each with invariant 1/2.
+center where it ramifies, each with invariant 1/2. The rigid group algebras
+themselves are rows of a table in groups; this module holds their type.
 Operations: reciprocity validation, and the embedding test of the rigid
 group algebras into M(2, H_p): a condition on p, read once per group from the
 parity of a local degree of the algebra's center at p.
@@ -23,13 +24,6 @@ class ReciprocityError(Rejected):
 
 # ---------------------------------------------------------------------------
 # fields
-
-def _canonical_cyclotomic_index(m: int) -> int:
-    # Q(zeta_m) = Q(zeta_{m/2}) when m = 2 mod 4; m <= 2 gives Q itself.
-    if m % 4 == 2:
-        m //= 2
-    return m
-
 
 class FieldDesc(Value):
     """A small number field: Q, Q(sqrt(d)) or Q(zeta_m)."""
@@ -77,47 +71,10 @@ class FieldDesc(Value):
         return f"Q(zeta_{self.param})"
 
 
-def rationals() -> FieldDesc:
-    return FieldDesc("Q")
-
-
-def quadratic(d: int) -> FieldDesc:
-    return FieldDesc("quad", squarefree_part(d))
-
-
-def cyclotomic_field(m: int) -> FieldDesc:
-    m = _canonical_cyclotomic_index(m)
-    if m <= 2:
-        return rationals()
-    return FieldDesc("cyc", m)
-
-
-def real_cyclotomic(m: int) -> FieldDesc:
-    """Q(zeta_m)^+, for the m whose real subfield is Q or quadratic."""
-    m = _canonical_cyclotomic_index(m)
-    if m <= 2 or euler_phi(m) == 2:
-        return rationals()
-    if m not in _REAL_QUAD:
-        raise ValueError(f"the real subfield of Q(zeta_{m}) is not quadratic")
-    return quadratic(_REAL_QUAD[m])
-
-
-# phi(m) = 4: the real subfield of Q(zeta_m) is the quadratic field below
-_REAL_QUAD = {5: 5, 8: 2, 12: 3}
-
-
 # ---------------------------------------------------------------------------
 # places: ('inf', i) for real places, ('fin', p, j) for primes over p
 
 Place = tuple
-
-
-def inf_place(i: int = 0) -> Place:
-    return ("inf", i)
-
-
-def fin_place(p: int, j: int = 0) -> Place:
-    return ("fin", p, j)
 
 
 def _place_key(pl: Place):
@@ -181,31 +138,6 @@ def _place_str(pl: Place) -> str:
     return str(pl[1]) if pl[2] == 0 else f"{pl[1]}_{pl[2]}"
 
 
-# -- constructors ------------------------------------------------------------
-
-def field_algebra(k: FieldDesc) -> CSADescriptor:
-    """The field itself, seen as a degree-1 algebra."""
-    return CSADescriptor(k, 1, ())
-
-
-def matrix_over(a: CSADescriptor, n: int) -> CSADescriptor:
-    """M(n, A): same Brauer class, degree multiplied by n."""
-    return CSADescriptor(a.center, a.degree * n, a.ramified)
-
-
-def make_hp(p: int) -> CSADescriptor:
-    """The quaternion algebra over Q ramified exactly at p and infinity."""
-    return CSADescriptor(rationals(), 2, (inf_place(), fin_place(p)))
-
-
-def make_h_infty(k: FieldDesc) -> CSADescriptor:
-    """The quaternion algebra over a totally real field k ramified exactly
-    at all real places (an even number of them, by reciprocity)."""
-    if not k.is_totally_real:
-        raise ValueError(f"{k} is not totally real")
-    return CSADescriptor(k, 2, tuple(inf_place(i) for i in range(k.real_place_count)))
-
-
 # ---------------------------------------------------------------------------
 # rigid algebra into M(2, H_p)
 
@@ -226,7 +158,7 @@ def rigid_embeds_in_m2hp(g, p: int) -> bool:
 
 # p splits in Q(sqrt(d)) iff p = +-1 mod the conductor c of Q(sqrt(d)); for
 # d = 2, 3, 5 that is the c whose real cyclotomic field Q(zeta_c)^+ is Q(sqrt(d))
-_CONDUCTOR = {d: c for c, d in _REAL_QUAD.items()}
+_CONDUCTOR = {2: 8, 3: 12, 5: 5}
 
 
 @cache
@@ -243,7 +175,7 @@ def _embedding_condition(g) -> Condition | str:
         # places are complex, so iff e*f is even at p. A p | m ramifies with
         # e = phi(p^a) even; otherwise e = 1 and f = ord_m(p) is 1, 2 or 4
         return Condition(f"p != 1 mod {c.param}")
-    if alg.degree == 2 and c == rationals() and len(alg.ramified) == 2:
+    if alg.degree == 2 and c.kind == "Q" and len(alg.ramified) == 2:
         fin = [pl[1] for pl in alg.ramified if pl[0] == "fin"]
         if fin and fin[0] in (2, 3):
             # a rational quaternion algebra D sits inside M(2, H_p) through

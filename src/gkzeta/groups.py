@@ -3,9 +3,11 @@ fixed-point-collapsing actions: cyclic groups, binary dihedral groups,
 the binary tetrahedral/octahedral/icosahedral groups and a few
 characteristic-special extensions.
 
-All group facts are hardcoded. Nothing here checks them at run time; the
-structural checks (Sylow counts, torsion fixed points, the class equation)
-are in tests/test_groups.py.
+All group facts are hardcoded, the rigid group algebras too: one table row
+each, which brauer's types validate on the first call per group. Nothing
+else here checks them at run time; the structural checks (Sylow counts,
+torsion fixed points, the class equation) are in tests/test_groups.py, and
+the paper's construction of each algebra is in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -76,13 +78,8 @@ def order(g: GroupId) -> int:
 
 
 def is_cyclic(g: GroupId) -> bool:
-    return g.value.startswith("C") and ":" not in g.value and "x" not in g.value
-
-
-def cyclic_order(g: GroupId) -> int:
-    if not is_cyclic(g):
-        raise ValueError(f"{g} is not cyclic")
-    return _ORDERS[g]
+    # cyclic iff it has an element of its own order
+    return order(g) in facts(g).cyclic_subgroup_orders
 
 
 # ---------------------------------------------------------------------------
@@ -148,39 +145,37 @@ CONFIG_GROUPS = tuple(g for g, (_, tables) in _FACTS.items() if tables)
 
 
 # ---------------------------------------------------------------------------
-# rigid group algebras
+# rigid group algebras (Katsura 1987; Fujiki 1988): (center kind, center
+# parameter, degree, ramified places). C_n gives Q(zeta_n); Q_4n the
+# quaternion algebra H_infty(Q(zeta_2n)^+), which is H_2 or H_3 over Q for
+# n = 2, 3; ('inf', i) is the i-th real place, ('fin', p, 0) the place over p
+
+_H2, _H3, _H5 = ((("inf", 0), ("fin", p, 0)) for p in (2, 3, 5))  # H_p over Q
+_HINF = (("inf", 0), ("inf", 1))  # H_infty over a real quadratic field
+
+_RIGID = {
+    G.C2: ("Q", 0, 1, ()), G.C3: ("cyc", 3, 1, ()), G.C4: ("cyc", 4, 1, ()),
+    G.C5: ("cyc", 5, 1, ()), G.C6: ("cyc", 3, 1, ()), G.C8: ("cyc", 8, 1, ()),
+    G.C10: ("cyc", 5, 1, ()), G.C12: ("cyc", 12, 1, ()),
+    G.Q8: ("Q", 0, 2, _H2), G.Q12: ("Q", 0, 2, _H3), G.Q16: ("quad", 2, 2, _HINF),
+    G.Q20: ("quad", 5, 2, _HINF), G.Q24: ("quad", 3, 2, _HINF),
+    G.SL2F3: ("Q", 0, 2, _H2), G.ESL2F3: ("quad", 2, 2, _HINF),
+    G.SL2F5: ("quad", 5, 2, _HINF),
+    G.C5_C8: ("Q", 0, 4, _H5), G.C3_C8: ("cyc", 4, 2, ()), G.C3xQ8: ("cyc", 3, 2, ()),
+    G.C3_Q16: ("Q", 0, 4, _H3), G.ESL2F5: ("Q", 0, 4, _H5),
+}
+
 
 @cache
 def rigid_algebra(g: GroupId) -> brauer.CSADescriptor:
     """The image of Q[G] acting on the rigid part: a field, a quaternion
     algebra, or a 2x2 matrix algebra over one of these.
 
-    Built and validated on the first call per group, then shared: the
-    descriptor is frozen.
+    Read from its _RIGID row and validated on the first call per group, then
+    shared: the descriptor is frozen.
     """
-    from . import brauer  # here, so that importing groups does not load brauer
+    # imported here, so that importing groups does not load brauer
+    from .brauer import CSADescriptor, FieldDesc
 
-    if is_cyclic(g):
-        return brauer.field_algebra(brauer.cyclotomic_field(cyclic_order(g)))
-    if g == G.Q8:
-        return brauer.make_hp(2)
-    if g == G.Q12:
-        return brauer.make_hp(3)
-    if g in (G.Q16, G.Q20, G.Q24):
-        n = _ORDERS[g] // 4
-        return brauer.make_h_infty(brauer.real_cyclotomic(2 * n))
-    if g == G.SL2F3:
-        return brauer.make_hp(2)
-    if g == G.ESL2F3:
-        return brauer.make_h_infty(brauer.quadratic(2))
-    if g == G.SL2F5:
-        return brauer.make_h_infty(brauer.quadratic(5))
-    if g in (G.C5_C8, G.ESL2F5):
-        return brauer.matrix_over(brauer.make_hp(5), 2)
-    if g == G.C3_C8:
-        return brauer.matrix_over(brauer.field_algebra(brauer.cyclotomic_field(4)), 2)
-    if g == G.C3xQ8:
-        return brauer.matrix_over(brauer.field_algebra(brauer.cyclotomic_field(3)), 2)
-    if g == G.C3_Q16:
-        return brauer.matrix_over(brauer.make_hp(3), 2)
-    raise ValueError(f"no rigid algebra recorded for {g}")
+    kind, param, degree, ramified = _RIGID[g]
+    return CSADescriptor(FieldDesc(kind, param), degree, ramified)

@@ -6,8 +6,6 @@ zeta functions.
 """
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import Rejected
 from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, order
 from .numtheory import (
@@ -163,23 +161,6 @@ def ns_rank_bound(cfg: SingularConfig) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius on resolution graphs
-
-def graph_frobenius(n: int, r: int, q: PrimePower) -> str:
-    """Action of Frobenius on the chain of a cyclic-quotient A_{n/r... } point
-    whose residue field has degree r: 'chain-flip' when n/r does not divide
-    q^r - 1, else 'trivial'."""
-    if gcd(n, q.p) != 1:
-        raise Rejected(f"order {n} not coprime to p = {q.p}")
-    if r < 1 or n % r:
-        raise Rejected(f"residue degree {r} does not divide {n}")
-    m = n // r
-    if m < 2:
-        raise Rejected("trivial stabilizer quotient: no chain to act on")
-    return "chain-flip" if (q.q ** r - 1) % m else "trivial"
-
-
-# ---------------------------------------------------------------------------
 # the degree-22 characteristic polynomial in cyclotomic notation
 
 class NSCharPoly(Value):
@@ -193,7 +174,9 @@ class NSCharPoly(Value):
         for r, d in items:
             if r < 1 or d < 1:
                 raise Rejected("orders and degrees must be positive")
-            if r > 2 * d * d or d % euler_phi(r):  # phi(r) >= sqrt(r/2) > d if r > 2d^2
+            # phi(r) >= sqrt(r/2) > d if r > 2d^2; a part with d > 22 is
+            # rejected below whatever phi(r) is, so no r > 2 * 22^2 is factored
+            if d <= 22 and (r > 2 * d * d or d % euler_phi(r)):
                 raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
         if sum(d for _, d in items) != 22:
             raise Rejected(f"total degree {sum(d for _, d in items)} != 22")

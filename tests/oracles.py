@@ -9,18 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from gkzeta.brauer import (
-    CSADescriptor,
-    FieldDesc,
-    Place,
-    fin_place,
-    inf_place,
-    make_h_infty,
-    make_hp,
-    matrix_over,
-    quadratic,
-    rationals,
-)
+from gkzeta.brauer import CSADescriptor, FieldDesc, Place
 from gkzeta.errors import Rejected
 from gkzeta.groups import GroupId as G, rigid_algebra
 from gkzeta.numtheory import (
@@ -537,11 +526,79 @@ def ns_polynomial(cp) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# central simple algebras by local invariant arithmetic (the library's
-# earlier embedding algorithm: scalar extension, then a split test)
+# the paper's construction of the rigid algebras (the library reads them from
+# a table): the fields, the places, H_p, H_infty and the matrix algebras
+
+def _canonical_cyclotomic_index(m: int) -> int:
+    # Q(zeta_m) = Q(zeta_{m/2}) when m = 2 mod 4; m <= 2 gives Q itself.
+    if m % 4 == 2:
+        m //= 2
+    return m
+
+
+def rationals() -> FieldDesc:
+    return FieldDesc("Q")
+
+
+def quadratic(d: int) -> FieldDesc:
+    return FieldDesc("quad", squarefree_part(d))
+
+
+def cyclotomic_field(m: int) -> FieldDesc:
+    m = _canonical_cyclotomic_index(m)
+    if m <= 2:
+        return rationals()
+    return FieldDesc("cyc", m)
+
+
+def real_cyclotomic(m: int) -> FieldDesc:
+    """Q(zeta_m)^+, for the m whose real subfield is Q or quadratic."""
+    m = _canonical_cyclotomic_index(m)
+    if m <= 2 or euler_phi(m) == 2:
+        return rationals()
+    if m not in _REAL_QUAD:
+        raise ValueError(f"the real subfield of Q(zeta_{m}) is not quadratic")
+    return quadratic(_REAL_QUAD[m])
+
 
 # phi(m) = 4: the real subfield of Q(zeta_m) is the quadratic field below
 _REAL_QUAD = {5: 5, 8: 2, 12: 3}
+
+
+def inf_place(i: int = 0) -> Place:
+    return ("inf", i)
+
+
+def fin_place(p: int, j: int = 0) -> Place:
+    return ("fin", p, j)
+
+
+def field_algebra(k: FieldDesc) -> CSADescriptor:
+    """The field itself, seen as a degree-1 algebra."""
+    return CSADescriptor(k, 1, ())
+
+
+def matrix_over(a: CSADescriptor, n: int) -> CSADescriptor:
+    """M(n, A): same Brauer class, degree multiplied by n."""
+    return CSADescriptor(a.center, a.degree * n, a.ramified)
+
+
+def make_hp(p: int) -> CSADescriptor:
+    """The quaternion algebra over Q ramified exactly at p and infinity."""
+    return CSADescriptor(rationals(), 2, (inf_place(), fin_place(p)))
+
+
+def make_h_infty(k: FieldDesc) -> CSADescriptor:
+    """The quaternion algebra over a totally real field k ramified exactly
+    at all real places (an even number of them, by reciprocity)."""
+    if not k.is_totally_real:
+        raise ValueError(f"{k} is not totally real")
+    return CSADescriptor(k, 2, tuple(inf_place(i) for i in range(k.real_place_count)))
+
+
+# ---------------------------------------------------------------------------
+# central simple algebras by local invariant arithmetic (the library's
+# earlier embedding algorithm: scalar extension, then a split test)
 
 
 def is_split(a: CSADescriptor) -> bool:

@@ -15,7 +15,20 @@ from gkzeta.numtheory import (
     is_prime,
 )
 
-from oracles import SYLOW_COUNTS, brute_elliptic_traces, direct_newton_slopes, extend_scalars
+from oracles import (
+    SYLOW_COUNTS,
+    brute_elliptic_traces,
+    cyclotomic_field,
+    direct_newton_slopes,
+    extend_scalars,
+    field_algebra,
+    make_h_infty,
+    make_hp,
+    matrix_over,
+    quadratic,
+    rationals,
+    real_cyclotomic,
+)
 
 PRIMES_1000 = [p for p in range(2, 1000) if is_prime(p)]
 
@@ -226,40 +239,40 @@ def test_criterion_4_existence_tables():
 def test_criterion_5_rigid_algebras():
     expect = {
         # case 1: cyclic
-        G.C2: brauer.field_algebra(brauer.rationals()),
-        G.C3: brauer.field_algebra(brauer.cyclotomic_field(3)),
-        G.C4: brauer.field_algebra(brauer.cyclotomic_field(4)),
-        G.C5: brauer.field_algebra(brauer.cyclotomic_field(5)),
-        G.C6: brauer.field_algebra(brauer.cyclotomic_field(6)),
-        G.C8: brauer.field_algebra(brauer.cyclotomic_field(8)),
-        G.C10: brauer.field_algebra(brauer.cyclotomic_field(10)),
-        G.C12: brauer.field_algebra(brauer.cyclotomic_field(12)),
+        G.C2: field_algebra(rationals()),
+        G.C3: field_algebra(cyclotomic_field(3)),
+        G.C4: field_algebra(cyclotomic_field(4)),
+        G.C5: field_algebra(cyclotomic_field(5)),
+        G.C6: field_algebra(cyclotomic_field(6)),
+        G.C8: field_algebra(cyclotomic_field(8)),
+        G.C10: field_algebra(cyclotomic_field(10)),
+        G.C12: field_algebra(cyclotomic_field(12)),
         # case 2: binary dihedral
-        G.Q8: brauer.make_hp(2),
-        G.Q12: brauer.make_hp(3),
-        G.Q16: brauer.make_h_infty(brauer.quadratic(2)),
-        G.Q20: brauer.make_h_infty(brauer.quadratic(5)),
-        G.Q24: brauer.make_h_infty(brauer.quadratic(3)),
+        G.Q8: make_hp(2),
+        G.Q12: make_hp(3),
+        G.Q16: make_h_infty(quadratic(2)),
+        G.Q20: make_h_infty(quadratic(5)),
+        G.Q24: make_h_infty(quadratic(3)),
         # case 3: binary polyhedral
-        G.SL2F3: brauer.make_hp(2),
-        G.ESL2F3: brauer.make_h_infty(brauer.quadratic(2)),
-        G.SL2F5: brauer.make_h_infty(brauer.quadratic(5)),
+        G.SL2F3: make_hp(2),
+        G.ESL2F3: make_h_infty(quadratic(2)),
+        G.SL2F5: make_h_infty(quadratic(5)),
         # case 4: characteristic 5
-        G.ESL2F5: brauer.matrix_over(brauer.make_hp(5), 2),
-        G.C5_C8: brauer.matrix_over(brauer.make_hp(5), 2),
+        G.ESL2F5: matrix_over(make_hp(5), 2),
+        G.C5_C8: matrix_over(make_hp(5), 2),
         # cases 5 and 6: characteristics 3 and 2
-        G.C3_C8: brauer.matrix_over(brauer.field_algebra(brauer.cyclotomic_field(4)), 2),
-        G.C3xQ8: brauer.matrix_over(brauer.field_algebra(brauer.cyclotomic_field(3)), 2),
-        G.C3_Q16: brauer.matrix_over(brauer.make_hp(3), 2),
+        G.C3_C8: matrix_over(field_algebra(cyclotomic_field(4)), 2),
+        G.C3xQ8: matrix_over(field_algebra(cyclotomic_field(3)), 2),
+        G.C3_Q16: matrix_over(make_hp(3), 2),
     }
     ok = all(groups.rigid_algebra(g) == alg for g, alg in expect.items())
     # quaternion formula for binary dihedral groups of order 4n, n = 2..6
     formula = {
-        2: brauer.make_hp(2),
-        3: brauer.make_hp(3),
-        4: brauer.make_h_infty(brauer.real_cyclotomic(8)),
-        5: brauer.make_h_infty(brauer.real_cyclotomic(10)),
-        6: brauer.make_h_infty(brauer.real_cyclotomic(12)),
+        2: make_hp(2),
+        3: make_hp(3),
+        4: make_h_infty(real_cyclotomic(8)),
+        5: make_h_infty(real_cyclotomic(10)),
+        6: make_h_infty(real_cyclotomic(12)),
     }
     bd = {2: G.Q8, 3: G.Q12, 4: G.Q16, 5: G.Q20, 6: G.Q24}
     ok = ok and all(groups.rigid_algebra(bd[n]) == formula[n] for n in range(2, 7))
@@ -362,10 +375,10 @@ def test_criterion_8_property_suites():
             ok = False
 
     # reciprocity on every constructible algebra
-    algebras = [brauer.make_hp(p) for p in PRIMES_1000[:50]]
-    algebras += [brauer.make_h_infty(brauer.quadratic(d)) for d in (2, 3, 5, 7, 13)]
+    algebras = [make_hp(p) for p in PRIMES_1000[:50]]
+    algebras += [make_h_infty(quadratic(d)) for d in (2, 3, 5, 7, 13)]
     algebras += [groups.rigid_algebra(g) for g in G]
-    algebras += [extend_scalars(brauer.make_hp(p), brauer.quadratic(d))
+    algebras += [extend_scalars(make_hp(p), quadratic(d))
                  for p in (2, 3, 5, 7, 11) for d in (2, 5, -1, -3)]
     for a in algebras:
         total = sum(inv for _, inv in a.invariants)

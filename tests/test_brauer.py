@@ -3,32 +3,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkzeta.brauer import (
-    CSADescriptor,
-    ReciprocityError,
+from gkzeta.brauer import CSADescriptor, ReciprocityError, rigid_embeds_in_m2hp
+from gkzeta.errors import Rejected
+from gkzeta.groups import GroupId as G
+from gkzeta.numtheory import is_prime
+
+# the paper's constructions of the algebras, and the scalar extension, split
+# and maximal-subfield tests, live on as the oracle
+from oracles import (
     cyclotomic_field,
+    extend_scalars,
     field_algebra,
+    field_embeds_in_csa,
     fin_place,
+    hp_into_hinfty,
     inf_place,
+    is_split,
+    m2_hp,
     make_h_infty,
     make_hp,
     matrix_over,
     quadratic,
     rationals,
     real_cyclotomic,
-    rigid_embeds_in_m2hp,
-)
-from gkzeta.errors import Rejected
-from gkzeta.groups import GroupId as G
-from gkzeta.numtheory import is_prime
-
-# the scalar extension, split and maximal-subfield tests live on as the oracle
-from oracles import (
-    extend_scalars,
-    field_embeds_in_csa,
-    hp_into_hinfty,
-    is_split,
-    m2_hp,
     rigid_embeds_by_invariants,
 )
 

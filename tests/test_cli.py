@@ -231,6 +231,14 @@ class TestSingAndZeta:
         assert err.endswith(": degree 1 at order 1000000000000000003 is not a multiple"
                             " of phi(1000000000000000003)\n")
 
+    def test_zeta_assemble_huge_order_and_degree_ends(self, capsys):
+        # a degree above 22 fails the total, so r = 10^18 + 3 is never factored
+        with deadline(1):
+            code, _, err = run(capsys, "zeta-assemble", "--q", "9",
+                               "--notation", "1000000000000000003^1000000000000000000")
+        assert code == 2
+        assert err.endswith(": total degree 1000000000000000000 != 22\n")
+
     def test_zeta_assemble_huge_orbit_ends(self, capsys):
         # the total degree is checked before the divisors of 10^24 are listed
         big = str(10 ** 24)

@@ -1,11 +1,9 @@
 import pytest
 
-from gkzeta import brauer
 from gkzeta.numtheory import cyclotomic, euler_phi
 from gkzeta.groups import (
     CONFIG_GROUPS,
     GroupId as G,
-    cyclic_order,
     facts,
     is_cyclic,
     order,
@@ -13,7 +11,17 @@ from gkzeta.groups import (
     rigid_algebra,
 )
 
-from oracles import ELEMENT_ORDERS, FIXED_POINTS, SYLOW_COUNTS, class_equation_failures
+from oracles import (
+    ELEMENT_ORDERS,
+    FIXED_POINTS,
+    SYLOW_COUNTS,
+    class_equation_failures,
+    cyclotomic_field,
+    make_h_infty,
+    make_hp,
+    matrix_over,
+    quadratic,
+)
 
 
 class TestCatalog:
@@ -32,10 +40,8 @@ class TestCatalog:
             assert 240 % order(g) == 0
 
     def test_cyclic(self):
-        assert is_cyclic(G.C10)
-        assert not is_cyclic(G.Q8)
-        assert not is_cyclic(G.C3xQ8)
-        assert cyclic_order(G.C8) == 8
+        assert [g for g in G if is_cyclic(g)] == [
+            G.C2, G.C3, G.C4, G.C5, G.C6, G.C8, G.C10, G.C12]
 
 
 class TestFacts:
@@ -129,24 +135,24 @@ class TestRigidAlgebra:
         assert str(rigid_algebra(G.C8)) == "Q(zeta_8)"
 
     def test_quaternionic(self):
-        assert rigid_algebra(G.Q8) == brauer.make_hp(2)
-        assert rigid_algebra(G.Q12) == brauer.make_hp(3)
-        assert rigid_algebra(G.Q16) == brauer.make_h_infty(brauer.quadratic(2))
-        assert rigid_algebra(G.Q20) == brauer.make_h_infty(brauer.quadratic(5))
-        assert rigid_algebra(G.Q24) == brauer.make_h_infty(brauer.quadratic(3))
+        assert rigid_algebra(G.Q8) == make_hp(2)
+        assert rigid_algebra(G.Q12) == make_hp(3)
+        assert rigid_algebra(G.Q16) == make_h_infty(quadratic(2))
+        assert rigid_algebra(G.Q20) == make_h_infty(quadratic(5))
+        assert rigid_algebra(G.Q24) == make_h_infty(quadratic(3))
 
     def test_exceptional(self):
-        assert rigid_algebra(G.SL2F3) == brauer.make_hp(2)
-        assert rigid_algebra(G.ESL2F3) == brauer.make_h_infty(brauer.quadratic(2))
-        assert rigid_algebra(G.SL2F5) == brauer.make_h_infty(brauer.quadratic(5))
+        assert rigid_algebra(G.SL2F3) == make_hp(2)
+        assert rigid_algebra(G.ESL2F3) == make_h_infty(quadratic(2))
+        assert rigid_algebra(G.SL2F5) == make_h_infty(quadratic(5))
 
     def test_characteristic_special(self):
-        m2h5 = brauer.matrix_over(brauer.make_hp(5), 2)
+        m2h5 = matrix_over(make_hp(5), 2)
         assert rigid_algebra(G.C5_C8) == m2h5
         assert rigid_algebra(G.ESL2F5) == m2h5
-        assert rigid_algebra(G.C3_C8).center == brauer.cyclotomic_field(4)
-        assert rigid_algebra(G.C3xQ8).center == brauer.cyclotomic_field(3)
-        assert rigid_algebra(G.C3_Q16) == brauer.matrix_over(brauer.make_hp(3), 2)
+        assert rigid_algebra(G.C3_C8).center == cyclotomic_field(4)
+        assert rigid_algebra(G.C3xQ8).center == cyclotomic_field(3)
+        assert rigid_algebra(G.C3_Q16) == matrix_over(make_hp(3), 2)
 
     def test_cached_and_equal_to_a_fresh_build(self):
         for g in G:

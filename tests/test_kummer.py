@@ -16,7 +16,6 @@ from gkzeta.kummer import (
     assemble_ns,
     exceptional_charpoly,
     format_zeta_notation,
-    graph_frobenius,
     invariant_h_poly,
     k3_point_count,
     k3_zeta,
@@ -76,24 +75,6 @@ class TestConfigs:
     def test_rejects_uncovered(self):
         with pytest.raises(Rejected):
             singular_configs(G.C5_C8)
-
-
-class TestGraphFrobenius:
-    def test_chain_flip_criterion(self):
-        # m = n/r rational points: flip iff m does not divide q^r - 1
-        assert graph_frobenius(4, 1, PrimePower(3, 1)) == "chain-flip"
-        assert graph_frobenius(4, 1, PrimePower(5, 1)) == "trivial"
-        assert graph_frobenius(8, 2, PrimePower(3, 1)) == "trivial"
-        assert graph_frobenius(3, 1, PrimePower(5, 1)) == "chain-flip"
-        assert graph_frobenius(3, 1, PrimePower(7, 1)) == "trivial"
-
-    def test_rejections(self):
-        with pytest.raises(Rejected):
-            graph_frobenius(4, 1, PrimePower(2, 1))
-        with pytest.raises(Rejected):
-            graph_frobenius(4, 3, PrimePower(3, 1))
-        with pytest.raises(Rejected):
-            graph_frobenius(4, 4, PrimePower(3, 1))
 
 
 class TestExceptionalCharpoly:
