@@ -300,6 +300,23 @@ class TestTablesAndSelftest:
         assert data["passed"] == data["total"] == len(data["result"])
         assert all(r["ok"] for r in data["result"])
 
+    def test_selftest_reports_a_wrong_trace(self, capsys, monkeypatch):
+        from gkzeta import kummer
+
+        row = kummer._EVEN_ROWS[0]
+        wrong = kummer.TraceRow(row.trace + 1, row.notation, row.group, row.p_condition,
+                                row.weil_shape)
+        monkeypatch.setattr(kummer, "_EVEN_ROWS", (wrong,) + kummer._EVEN_ROWS[1:])
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert f"FAIL  trace row even/{row.notation}\n" in out
+        code, out, _ = run(capsys, "selftest", "--json")
+        data = json.loads(out)
+        assert code == 1
+        assert data["passed"] == data["total"] - 1
+        assert [r["check"] for r in data["result"] if not r["ok"]] == [
+            f"trace row even/{row.notation}"]
+
 
 # ---------------------------------------------------------------------------
 # the CLI contract on generated argv: exit 0, 1 with a cited rejection, or 2

@@ -138,6 +138,18 @@ ZETA_REJECTED = (
     ["weil-check", "--q", "9", "--square=9,1,1"],                # even degree, no class
 )
 
+# the argument combinations that the parser accepts and the command refuses
+# (exit 2, one stderr text each); appended after ZETA_REJECTED
+USAGE = (
+    ["weil-check", "--q", "7"],
+    ["tables", "--which", "alginj"],
+    ["exists", "--group", "Q8", "--q", "9", "--parity", "odd"],
+    ["exists", "--group", "C4"],
+    ["exists", "--group", "C8", "--refine"],
+    ["zeta-assemble", "--q", "3"],
+)
+
+
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
 
@@ -156,7 +168,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
        ["weil-check", "--q", "8", "--a1", "-3", "--a2", "2"])
     + _with_json(WEIL_CASES)
     + _with_json(ZETA)
-    + ZETA_REJECTED)) if argv not in PINNED)
+    + ZETA_REJECTED
+    + _with_json(USAGE))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))

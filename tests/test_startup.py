@@ -67,8 +67,21 @@ LOADS = (
     (["selftest"], ["brauer", "existence", "groups", "kummer"]),
 )
 
+# the other branches of zeta-assemble and tables, named by their whole argv
+BRANCH_LOADS = (
+    (["zeta-assemble", "--q", "9", "--notation", "1^20,2^2"], ["groups", "kummer"]),
+    (["zeta-assemble", "--q", "3", "--group", "Q8", "--orbit", "D4,2,1,trivial",
+      "--orbit", "A3,3,1,trivial", "--orbit", "A1,2,1,trivial"], ["groups", "kummer"]),
+    (["tables", "--which", "sing"], ["groups", "kummer"]),
+    (["tables", "--which", "sszeta1"], ["groups", "kummer"]),
+    (["tables", "--which", "sszeta2", "--p", "3"], ["groups", "kummer"]),
+    (["tables", "--which", "alginj", "--p", "7"], ["brauer", "existence", "groups"]),
+)
 
-@pytest.mark.parametrize("argv, layers", LOADS, ids=[argv[0] for argv, _ in LOADS])
+
+@pytest.mark.parametrize("argv, layers", LOADS + BRANCH_LOADS,
+                         ids=[argv[0] for argv, _ in LOADS]
+                         + [" ".join(argv) for argv, _ in BRANCH_LOADS])
 def test_subcommand_loads_only_its_layers(argv, layers):
     code, imported, loaded = probe(*argv)
     assert code == 0
