@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 1 when the query is rejected on mathematical
 grounds (with a one-line cited reason), 2 on invalid arguments.
 
+Each subcommand returns its query fields and its answer, built once in the
+form --json selects: lines, or the body of the JSON envelope, which `main`
+alone prints with the command, the query and args.citation. A command may
+rebind args.citation from the registered one (None: no citations).
+
 Each subcommand and argument type imports the layers it uses when it runs,
 so a one-shot call loads only those (see README, "Start-up").
 """
@@ -16,12 +21,8 @@ from .errors import Rejected
 from .numtheory import IntPolynomial, PrimePower, is_prime
 
 
-def _emit(args, human_lines, payload):
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        for line in human_lines:
-            print(line)
+class UsageError(Exception):
+    """Arguments that parse but do not combine (exit 2, message printed as is)."""
 
 
 def _prime_power(s: str) -> PrimePower:
@@ -66,28 +67,21 @@ def _group(s: str) -> groups.GroupId:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_weil_list(args) -> int:
+def cmd_weil_list(args):
     from . import weil
 
     q = args.q
     descs = weil.enumerate_elliptic(q)
     # only the selected output is built: each polynomial is formatted once
-    lines = payload = None
     if args.json:
-        rows = [{"b": -w.poly[1], "poly": str(w.poly), "newton": w.newton.value, "case": w.case}
-                for w in descs]
-        payload = {"query": {"command": "weil-list", "q": q.q},
-                   "result": rows,
-                   "citations": ["elliptic isogeny classification"]}
-    else:
-        lines = [f"isogeny classes of elliptic curves over F_{q.q}:"]
-        lines += [f"  b = {-w.poly[1]:4d}  f = {w.poly}  {w.newton.value:14s} [{w.case}]"
-                  for w in descs]
-    _emit(args, lines, payload)
-    return 0
+        return {"q": q.q}, {"result": [
+            {"b": -w.poly[1], "poly": str(w.poly), "newton": w.newton.value, "case": w.case}
+            for w in descs]}
+    return {"q": q.q}, [f"isogeny classes of elliptic curves over F_{q.q}:"] + [
+        f"  b = {-w.poly[1]:4d}  f = {w.poly}  {w.newton.value:14s} [{w.case}]" for w in descs]
 
 
-def cmd_weil_check(args) -> int:
+def cmd_weil_check(args):
     from . import weil
 
     q = args.q
@@ -98,114 +92,103 @@ def cmd_weil_check(args) -> int:
     elif args.a1 is not None and args.a2 is not None:
         w = weil.validate_surface_simple(q, a1=args.a1, a2=args.a2)
     else:
-        print("weil-check needs --b, or --a1 and --a2, or --square", file=sys.stderr)
-        return 2
+        raise UsageError("weil-check needs --b, or --a1 and --a2, or --square")
     # only the selected output is built: the slopes are printed, not sent
-    lines = payload = None
     if args.json:
-        payload = {"query": {"command": "weil-check", "q": q.q},
-                   "verdict": {"valid": True, "poly": str(w.poly), "e": w.e,
-                               "newton": w.newton.value, "endo": str(w.endo), "case": w.case},
-                   "citations": ["Weil polynomial classification"]}
-    else:
-        slopes = ",".join(w.slopes())
-        lines = [
-            f"valid: f = {w.poly} over F_{q.q} (dim {w.dim}, e = {w.e})",
-            f"newton: {w.newton.value} (slopes {slopes})",
-            f"endomorphism algebra: {w.endo}",
-            f"case: {w.case}",
-        ]
-    _emit(args, lines, payload)
-    return 0
+        return {"q": q.q}, {"verdict": {
+            "valid": True, "poly": str(w.poly), "e": w.e, "newton": w.newton.value,
+            "endo": str(w.endo), "case": w.case}}
+    return {"q": q.q}, [
+        f"valid: f = {w.poly} over F_{q.q} (dim {w.dim}, e = {w.e})",
+        f"newton: {w.newton.value} (slopes {','.join(w.slopes())})",
+        f"endomorphism algebra: {w.endo}",
+        f"case: {w.case}",
+    ]
 
 
-def cmd_embed_check(args) -> int:
+_EMBEDS = {True: "embeds", False: "does not embed"}
+
+
+def cmd_embed_check(args):
     from . import brauer, groups
 
-    ok = brauer.rigid_embeds_in_m2hp(args.group, args.p)
-    alg = groups.rigid_algebra(args.group)
-    verdict = "embeds" if ok else "does not embed"
-    lines = [f"Q[{args.group}]^rig = {alg} {verdict} in M(2, H_{args.p}) [embedding table]"]
-    payload = {"query": {"command": "embed-check", "group": str(args.group), "p": args.p},
-               "verdict": ok,
-               "algebra": str(alg),
-               "citations": ["embedding table"]}
-    _emit(args, lines, payload)
-    return 0
+    g, p = args.group, args.p
+    ok, alg = brauer.rigid_embeds_in_m2hp(g, p), groups.rigid_algebra(g)
+    if args.json:
+        return {"group": str(g), "p": p}, {"verdict": ok, "algebra": str(alg)}
+    return {"group": str(g), "p": p}, [
+        f"Q[{g}]^rig = {alg} {_EMBEDS[ok]} in M(2, H_{p}) [embedding table]"]
 
 
 _ANSWER = {True: "yes", False: "no", None: "not determined"}
+_HOLDS = {True: "holds", False: "fails", None: "undetermined"}
+_AVAILABLE = {True: "available", False: "excluded", None: "undetermined"}
 
 
-def _verdict_lines(v: existence.ExistenceVerdict) -> list[str]:
-    lines = [f"group {v.group}:",
-             f"  rigid action: {_ANSWER[v.exists_rigid]} [{v.citation}]",
-             f"  rigid symplectic action: {_ANSWER[v.exists_rigid_symplectic]} [{v.citation}]"]
-    for text, val in v.conditions:
-        mark = {True: "holds", False: "fails", None: "undetermined"}[val]
-        lines.append(f"  condition: {text} -> {mark}")
-    for opt in v.weil_options:
-        mark = {True: "available", False: "excluded", None: "undetermined"}[opt.satisfied]
-        lines.append(f"  weil option {opt.shape}: {opt.condition} -> {mark}")
-    return lines
-
-
-def _verdict_payload(cmd: str, v: existence.ExistenceVerdict, extra: dict) -> dict:
-    return {
-        "query": {"command": cmd, "group": str(v.group), **extra},
-        "verdict": {"rigid": v.exists_rigid, "symplectic": v.exists_rigid_symplectic},
-        "conditions": [{"condition": t, "holds": val} for t, val in v.conditions],
-        "weil_options": [
-            {"shape": o.shape, "poly": str(o.poly) if o.poly else None,
-             "condition": o.condition, "satisfied": o.satisfied}
-            for o in v.weil_options],
-        "citations": [v.citation],
-    }
-
-
-def cmd_exists(args) -> int:
+def cmd_exists(args):
     from . import existence
 
-    g = args.group
+    g, p, q = args.group, args.p, args.q
+    if p is None and q is None:
+        raise UsageError("exists --refine needs --q or --p" if args.refine
+                         else "exists needs --p (or --q)")
+    if p is None:
+        p = q.p
+    elif q is not None and q.p != p:
+        raise UsageError(f"exists: --q {q.q} is not a power of --p {p}")
     if args.refine:
-        q = args.q if args.q else PrimePower(args.p, 2 if args.parity == "even" else 1)
+        q = q or PrimePower(p, 2 if args.parity == "even" else 1)
         v = existence.katsura_refinement(g, q)
-        extra = {"q": q.q, "refine": True}
-    elif args.parity == "even":
-        v = existence.exists_over_even_degree(g, args.p)
-        extra = {"p": args.p, "parity": "even"}
-    elif args.parity == "prime":
-        v = existence.exists_over_prime_field(g, args.p)
-        extra = {"p": args.p, "parity": "prime"}
-    else:
-        q = args.q if args.q else PrimePower(args.p, 1)
+        query = {"q": q.q, "refine": True}
+    elif args.parity == "odd":
+        q = q or PrimePower(p, 1)
         if not q.degree_is_odd:
-            print("--parity odd needs an odd-degree --q", file=sys.stderr)
-            return 2
+            raise UsageError("--parity odd needs an odd-degree --q")
         v = existence.exists_over_odd_degree(g, q)
-        extra = {"q": q.q, "parity": "odd"}
-    _emit(args, _verdict_lines(v), _verdict_payload("exists", v, extra))
-    return 0
+        query = {"q": q.q, "parity": "odd"}
+    else:
+        v = (existence.exists_over_even_degree if args.parity == "even"
+             else existence.exists_over_prime_field)(g, p)
+        query = {"p": p, "parity": args.parity}
+    query = {"group": str(v.group), **query}
+    args.citation = v.citation
+    if args.json:
+        return query, {
+            "verdict": {"rigid": v.exists_rigid, "symplectic": v.exists_rigid_symplectic},
+            "conditions": [{"condition": t, "holds": val} for t, val in v.conditions],
+            "weil_options": [{"shape": o.shape, "poly": str(o.poly) if o.poly else None,
+                              "condition": o.condition, "satisfied": o.satisfied}
+                             for o in v.weil_options]}
+    return query, [
+        f"group {v.group}:",
+        f"  rigid action: {_ANSWER[v.exists_rigid]} [{v.citation}]",
+        f"  rigid symplectic action: {_ANSWER[v.exists_rigid_symplectic]} [{v.citation}]",
+        *(f"  condition: {t} -> {_HOLDS[val]}" for t, val in v.conditions),
+        *(f"  weil option {o.shape}: {o.condition} -> {_AVAILABLE[o.satisfied]}"
+          for o in v.weil_options),
+    ]
 
 
-def cmd_sing_config(args) -> int:
+def _rho(cfg: kummer.SingularConfig) -> str:
     from . import kummer
 
-    cfgs = kummer.singular_configs(args.group)
-    lines, rows = [], []
+    bound, exact = kummer.ns_rank_bound(cfg)
+    return f"rho {'=' if exact else '>='} {bound}"
+
+
+def cmd_sing_config(args):
+    from . import kummer
+
+    query, cfgs = {"group": str(args.group)}, kummer.singular_configs(args.group)
+    if not args.json:
+        return query, [f"{cfg}   [{cfg.total_nodes} nodes, {_rho(cfg)}]" for cfg in cfgs]
+    rows = []
     for cfg in cfgs:
         bound, exact = kummer.ns_rank_bound(cfg)
-        rel = "=" if exact else ">="
-        lines.append(f"{cfg}   [{cfg.total_nodes} nodes, rho {rel} {bound}]")
         rows.append({"case": cfg.case,
                      "orbits": [{"ade": str(o.ade), "count": o.count} for o in cfg.orbits],
-                     "nodes": cfg.total_nodes,
-                     "rank_bound": bound, "rank_exact": exact})
-    payload = {"query": {"command": "sing-config", "group": str(args.group)},
-               "result": rows,
-               "citations": ["singularity configuration table"]}
-    _emit(args, lines, payload)
-    return 0
+                     "nodes": cfg.total_nodes, "rank_bound": bound, "rank_exact": exact})
+    return query, {"result": rows}
 
 
 def _parse_orbit(spec: str) -> kummer.SingularOrbit:
@@ -220,82 +203,74 @@ def _parse_orbit(spec: str) -> kummer.SingularOrbit:
         raise argparse.ArgumentTypeError(f"bad orbit spec {spec!r}: {exc}")
 
 
-def cmd_zeta_assemble(args) -> int:
+def cmd_zeta_assemble(args):
     from . import kummer
 
     q = args.q
     if args.notation:
         cp = args.notation
+    elif args.group is None:
+        raise UsageError("zeta-assemble needs --group (with --orbit) or --notation")
     else:
         cp = kummer.assemble_ns(args.orbit or (), kummer.invariant_h_poly(args.group, args.eps))
     if not kummer.artin_check(q, cp):
         raise Rejected(f"{cp} is impossible over a field of odd degree",
                        "odd-degree trace constraint")
-    tr = kummer.trace_of(cp)
-    n1 = kummer.k3_point_count(q, cp)
-    z = kummer.k3_zeta(q, cp)
-    lines = [
+    tr, n1, z = kummer.trace_of(cp), kummer.k3_point_count(q, cp), kummer.k3_zeta(q, cp)
+    if args.json:
+        return {"q": q.q}, {"result": {
+            "notation": str(cp), "trace": tr, "points": n1, "zeta": str(z)}}
+    return {"q": q.q}, [
         f"characteristic polynomial: {cp}",
         f"trace: {tr}",
         f"|X(F_{q.q})| = {n1}",
         f"zeta: {z}",
     ]
-    payload = {"query": {"command": "zeta-assemble", "q": q.q},
-               "result": {"notation": str(cp), "trace": tr, "points": n1, "zeta": str(z)},
-               "citations": ["zeta assembly"]}
-    _emit(args, lines, payload)
-    return 0
 
 
-def cmd_tables(args) -> int:
-    lines, rows = [], []
-    if args.which == "sing":
+def _table(which: str, p: int | None):
+    """The rows of a table, each as its (line, JSON record) pair."""
+    if which == "sing":
         from . import groups, kummer
 
         for g in groups.CONFIG_GROUPS:
             for cfg in kummer.singular_configs(g):
-                bound, exact = kummer.ns_rank_bound(cfg)
-                rel = "=" if exact else ">="
-                lines.append(f"{cfg}   [rho {rel} {bound}]")
-                rows.append({"group": str(g), "case": cfg.case, "config": str(cfg)})
-    elif args.which in ("sszeta1", "sszeta2"):
-        from . import kummer
-
-        parity = "even" if args.which == "sszeta1" else "odd"
-        for row in kummer.trace_table(parity, args.p):
-            lines.append(f"Tr = {row.trace:3d}  Z = {row.notation:18s} G = {row.group}  "
-                         f"({row.p_condition})  f = {row.weil_shape}")
-            rows.append({"trace": row.trace, "notation": row.notation,
-                         "group": str(row.group), "p_condition": str(row.p_condition),
-                         "weil_shape": row.weil_shape})
-    elif args.which == "rigidalg":
+                yield (f"{cfg}   [{_rho(cfg)}]",
+                       {"group": str(g), "case": cfg.case, "config": str(cfg)})
+    elif which == "rigidalg":
         from . import groups
 
         for g in groups.GroupId:
             alg = groups.rigid_algebra(g)
-            lines.append(f"Q[{g}]^rig = {alg}")
-            rows.append({"group": str(g), "algebra": str(alg)})
-    elif args.which == "alginj":
-        if args.p is None:
-            print("tables --which alginj needs --p", file=sys.stderr)
-            return 2
+            yield f"Q[{g}]^rig = {alg}", {"group": str(g), "algebra": str(alg)}
+    elif which == "alginj":
         from . import brauer, existence, groups
 
         for g in groups.GroupId:
-            if g not in existence.EVEN_DEGREE_GROUPS:
-                continue
-            ok = brauer.rigid_embeds_in_m2hp(g, args.p)
-            verdict = "embeds" if ok else "does not embed"
-            lines.append(f"Q[{g}]^rig {verdict} in M(2, H_{args.p})")
-            rows.append({"group": str(g), "embeds": ok})
-    payload = {"query": {"command": "tables", "which": args.which, "p": args.p},
-               "result": rows,
-               "citations": [args.which]}
-    _emit(args, lines, payload)
-    return 0
+            if g in existence.EVEN_DEGREE_GROUPS:
+                ok = brauer.rigid_embeds_in_m2hp(g, p)
+                yield f"Q[{g}]^rig {_EMBEDS[ok]} in M(2, H_{p})", {"group": str(g), "embeds": ok}
+    else:
+        from . import kummer
+
+        for row in kummer.trace_table("even" if which == "sszeta1" else "odd", p):
+            yield (f"Tr = {row.trace:3d}  Z = {row.notation:18s} G = {row.group}  "
+                   f"({row.p_condition})  f = {row.weil_shape}",
+                   {"trace": row.trace, "notation": row.notation, "group": str(row.group),
+                    "p_condition": str(row.p_condition), "weil_shape": row.weil_shape})
 
 
-def cmd_selftest(args) -> int:
+def cmd_tables(args):
+    if args.which == "alginj" and args.p is None:
+        raise UsageError("tables --which alginj needs --p")
+    rows = list(_table(args.which, args.p))
+    args.citation = args.which
+    if args.json:
+        return {"which": args.which, "p": args.p}, {"result": [record for _, record in rows]}
+    return {"which": args.which, "p": args.p}, [line for line, _ in rows]
+
+
+def cmd_selftest(args):
     from . import brauer, existence, groups, kummer
 
     checks = []
@@ -320,13 +295,12 @@ def cmd_selftest(args) -> int:
         for g in existence.EVEN_DEGREE_GROUPS)))
 
     passed = sum(good for _, good in checks)
-    lines = [f"{'ok' if good else 'FAIL'}  {name}" for name, good in checks]
-    lines.append(f"{passed}/{len(checks)} checks passed")
-    payload = {"query": {"command": "selftest"},
-               "result": [{"check": name, "ok": good} for name, good in checks],
-               "passed": passed, "total": len(checks)}
-    _emit(args, lines, payload)
-    return 0 if passed == len(checks) else 1
+    args.status = 0 if passed == len(checks) else 1
+    if args.json:
+        return {}, {"result": [{"check": name, "ok": good} for name, good in checks],
+                    "passed": passed, "total": len(checks)}
+    return {}, [f"{'ok' if good else 'FAIL'}  {name}" for name, good in checks] + [
+        f"{passed}/{len(checks)} checks passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkzeta",
         description="exact arithmetic for supersingular quotient surfaces")
+    parser.set_defaults(status=0)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("weil-list", help="enumerate elliptic isogeny classes over F_q")
     p.add_argument("--q", type=_prime_power, required=True)
-    add_json(p)
     p.set_defaults(func=cmd_weil_list, citation="elliptic isogeny classification")
 
     p = sub.add_parser("weil-check", help="validate a Weil polynomial")
@@ -353,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", type=int, help="quartic coefficient a2")
     p.add_argument("--square", type=_quadratic,
                    help="monic quadratic P (coefficients c0,c1,1) for f = P^2")
-    add_json(p)
     p.set_defaults(func=cmd_weil_check, citation="Weil polynomial classification")
 
     p = sub.add_parser("embed-check", help="rigid group algebra into M(2, H_p)")
     p.add_argument("--group", type=_group, required=True)
     p.add_argument("--p", type=_prime, required=True)
-    add_json(p)
     p.set_defaults(func=cmd_embed_check, citation="embedding table")
 
     p = sub.add_parser("exists", help="existence of rigid/symplectic actions")
@@ -369,12 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=("even", "odd", "prime"), default="even")
     p.add_argument("--refine", action="store_true",
                    help="apply the quotient-surface refinement")
-    add_json(p)
     p.set_defaults(func=cmd_exists, citation="existence classification")
 
     p = sub.add_parser("sing-config", help="singularity configuration of the quotient")
     p.add_argument("--group", type=_group, required=True)
-    add_json(p)
     p.set_defaults(func=cmd_sing_config, citation="singularity configuration table")
 
     p = sub.add_parser("zeta-assemble", help="assemble the NS characteristic polynomial")
@@ -384,20 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", type=_parse_orbit, action="append",
                    help="orbit spec ADE,count,degree,action (repeatable)")
     p.add_argument("--notation", type=_notation, help="direct notation such as 1^20,2^2")
-    add_json(p)
     p.set_defaults(func=cmd_zeta_assemble, citation="zeta assembly")
 
     p = sub.add_parser("tables", help="print a stored or derived table")
     p.add_argument("--which", choices=("sing", "sszeta1", "sszeta2", "rigidalg", "alginj"),
                    required=True)
     p.add_argument("--p", type=_prime)
-    add_json(p)
     p.set_defaults(func=cmd_tables, citation="reference tables")
 
     p = sub.add_parser("selftest", help="run internal consistency checks")
-    add_json(p)
-    p.set_defaults(func=cmd_selftest, citation="selftest")
+    p.set_defaults(func=cmd_selftest, citation=None)
 
+    # last, so that every usage line ends in [--json]
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -407,25 +374,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # argument cross-requirements
-    if args.command == "exists":
-        if args.p is None and args.q is None:
-            print("exists --refine needs --q or --p" if args.refine
-                  else "exists needs --p (or --q)", file=sys.stderr)
-            return 2
-        if args.p is None:
-            args.p = args.q.p
-        elif args.q is not None and args.q.p != args.p:
-            print(f"exists: --q {args.q.q} is not a power of --p {args.p}", file=sys.stderr)
-            return 2
-    if args.command == "zeta-assemble" and not args.notation and args.group is None:
-        print("zeta-assemble needs --group (with --orbit) or --notation", file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        query, out = args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except Rejected as exc:
         print(f"rejected: {exc.reason} [{exc.citation or args.citation}]", file=sys.stderr)
         return 1
+    if args.json:
+        cited = {"citations": [args.citation]} if args.citation else {}
+        print(json.dumps({"query": {"command": args.command, **query}, **out, **cited}, indent=2))
+    else:
+        for line in out:
+            print(line)
+    return args.status
 
 
 if __name__ == "__main__":

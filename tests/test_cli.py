@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkzeta import cli
 from gkzeta.cli import main
 from gkzeta.groups import GroupId as G
 from gkzeta.numtheory import is_prime
@@ -389,3 +391,25 @@ def test_cli_contract(argv):
     assert code in (0, 1, 2), argv
     if code == 1:
         assert REJECT_LINE.search(err.getvalue()), (argv, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# one rendering path: the commands return their answer and only main prints
+
+def _output_calls(node):
+    """The print and json.dumps calls under node, and its uses of sys.stdout
+    and sys.stderr."""
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "print"
+            or isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and (n.value.id, n.attr) in {("json", "dumps"), ("sys", "stdout"), ("sys", "stderr")}]
+
+
+def test_only_main_prints():
+    with open(cli.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    mains = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "main"]
+    assert len(mains) == 1
+    assert _output_calls(tree) == _output_calls(mains[0])
+    assert [ast.unparse(n) for n in _output_calls(tree)].count("json.dumps") == 1
