@@ -64,6 +64,16 @@ def _group(s: str) -> groups.GroupId:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _printable(digits: int, **ints) -> None:
+    """Reject an integer of absolute value 10^digits or more before a text
+    prints its square (zeta-assemble: q^22); CPython prints no int of more
+    than 4,300 digits."""
+    for name, x in ints.items():
+        if x is not None and abs(x) >= 10 ** digits:
+            raise Rejected(f"|{name}| >= 10^{digits}: the output would print an integer of "
+                           "more than 4300 digits")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -85,6 +95,7 @@ def cmd_weil_check(args):
     from . import weil
 
     q = args.q
+    _printable(2000, q=q.q, b=args.b, a1=args.a1, a2=args.a2)
     if args.b is not None:
         w = weil.validate_elliptic(q, args.b)
     elif args.square is not None:
@@ -144,6 +155,7 @@ def cmd_exists(args):
         q = q or PrimePower(p, 1)
         if not q.degree_is_odd:
             raise UsageError("--parity odd needs an odd-degree --q")
+        _printable(2000, q=q.q)  # the JSON options print q^2
         v = existence.exists_over_odd_degree(g, q)
         query = {"q": q.q, "parity": "odd"}
     else:
@@ -213,6 +225,7 @@ def cmd_zeta_assemble(args):
         raise UsageError("zeta-assemble needs --group (with --orbit) or --notation")
     else:
         cp = kummer.assemble_ns(args.orbit or (), kummer.invariant_h_poly(args.group, args.eps))
+    _printable(195, q=q.q)
     if not kummer.artin_check(q, cp):
         raise Rejected(f"{cp} is impossible over a field of odd degree",
                        "odd-degree trace constraint")

@@ -82,6 +82,13 @@ class TestWeilCommands:
         assert err == ("rejected: q = 1000000007 is above the enumeration limit 100000000 "
                        "[elliptic isogeny classification]\n")
 
+    def test_weil_check_below_print_limit(self, capsys):
+        # 3^4191 < 10^2000: f = t^4 + q^2 prints a 4,000-digit coefficient
+        q = 3 ** 4191
+        code, out, _ = run(capsys, "weil-check", "--q", str(q), "--a1", "0", "--a2", "0")
+        assert code == 0
+        assert str(q * q) in out
+
     def test_invalid_q(self, capsys):
         code, _, _ = run(capsys, "weil-list", "--q", "12")
         assert code == 2
@@ -250,6 +257,17 @@ class TestSingAndZeta:
         assert code == 1
         assert err == f"rejected: total degree {10 ** 24 + 3} != 22 [zeta assembly]\n"
 
+    def test_zeta_assemble_print_limit(self, capsys):
+        # the zeta line prints q^22, so q stops at 10^195; 3^408 < 10^195 < 3^409
+        code, out, _ = run(capsys, "zeta-assemble", "--q", str(3 ** 408), "--notation", "23^22")
+        assert code == 0
+        assert str(3 ** (408 * 22)) in out
+        code, out, err = run(capsys, "zeta-assemble", "--q", str(3 ** 409),
+                             "--notation", "23^22")
+        assert (code, out) == (1, "")
+        assert err == ("rejected: |q| >= 10^195: the output would print an integer of more "
+                       "than 4300 digits [zeta assembly]\n")
+
     def test_zeta_assemble_missing_input(self, capsys):
         code, _, _ = run(capsys, "zeta-assemble", "--q", "3")
         assert code == 2
@@ -329,7 +347,22 @@ PRIME_POWERS = sorted({p ** k for p in SMALL[:25] for k in range(1, 14) if p ** 
 JUNK = st.sampled_from(["", "x", "-1", "0", "1", "1e3", "1^x", "0^22", "1^21", "a,b", ",",
                         "--json", "--q", "FOO", "C5:C8", "2^2,1^20", "A1,1,1,trivial"])
 INT = st.integers(-50, 10 ** 4 - 1).map(str)
-Q = st.one_of(st.sampled_from(PRIME_POWERS).map(str), INT, JUNK)
+
+
+def digits(lo, hi):
+    """Positive integers of lo to hi decimal digits."""
+    return st.integers(lo, hi).flatmap(lambda n: st.integers(10 ** (n - 1), 10 ** n - 1))
+
+
+# integers of 20 to 4,300 digits (int() reads no more), either sign. A --q
+# that long is a power of 2; powers of 3, 5 and 7 stop at 1,000 digits and
+# other q at 600, because PrimePower.from_q takes seconds on a q of thousands
+# of digits that is not a power of 2
+HUGE = st.one_of(digits(20, 4300), digits(20, 4300).map(lambda n: -n)).map(str)
+HUGE_Q = st.one_of(st.integers(64, 14_284).map(lambda n: 2 ** n),
+                   st.builds(pow, st.sampled_from([3, 5, 7]), st.integers(40, 1_180)),
+                   digits(20, 600)).map(str)
+Q = st.one_of(st.sampled_from(PRIME_POWERS).map(str), INT, HUGE_Q, JUNK)
 P = st.one_of(st.sampled_from(SMALL).map(str), INT, JUNK)
 GROUP = st.one_of(st.sampled_from([g.value for g in G]), JUNK)
 COEF = st.integers(-400, 400).map(str)
@@ -346,7 +379,8 @@ NOTATION = st.one_of(
 
 GRAMMAR = {
     "weil-list": {"--q": Q},
-    "weil-check": {"--q": Q, "--b": st.one_of(COEF, JUNK), "--a1": COEF, "--a2": INT,
+    "weil-check": {"--q": Q, "--b": st.one_of(COEF, HUGE, JUNK), "--a1": st.one_of(COEF, HUGE),
+                   "--a2": st.one_of(INT, HUGE),
                    "--square": st.one_of(st.lists(COEF, min_size=1, max_size=4).map(",".join),
                                          JUNK)},
     "embed-check": {"--group": GROUP, "--p": P},
@@ -382,15 +416,45 @@ def cli_argv(draw):
 REJECT_LINE = re.compile(r"^rejected: .+ \[.+\]$", re.M)
 
 
-@given(cli_argv())
-@settings(max_examples=400, deadline=None)
-def test_cli_contract(argv):
+def check_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), deadline(2):
         code = main(argv)
     assert code in (0, 1, 2), argv
     if code == 1:
         assert REJECT_LINE.search(err.getvalue()), (argv, err.getvalue())
+
+
+@given(cli_argv())
+@settings(max_examples=400, deadline=None)
+def test_cli_contract(argv):
+    check_contract(argv)
+
+
+def tokens(*parts):
+    """An argv strategy from literal tokens and token strategies, in order."""
+    return st.tuples(*(part if isinstance(part, st.SearchStrategy) else st.just(part)
+                       for part in parts)).map(list)
+
+
+# well-formed argv of the commands that print powers of their integers, so
+# that most draws reach the texts (the grammar above rarely draws a valid --q
+# together with a huge coefficient)
+BIG_Q = st.one_of(HUGE_Q, st.sampled_from(PRIME_POWERS).map(str))
+HUGE_ARGV = st.one_of(
+    tokens("weil-check", "--q", BIG_Q, "--b", st.one_of(COEF, HUGE)),
+    tokens("weil-check", "--q", BIG_Q, "--a1", st.one_of(COEF, HUGE),
+           "--a2", st.one_of(INT, HUGE)),
+    tokens("exists", "--group", st.sampled_from(["Q8", "C4", "SL2F3"]), "--q", BIG_Q,
+           "--parity", "odd"),
+    tokens("zeta-assemble", "--q", BIG_Q,
+           "--notation", st.sampled_from(["23^22", "1^20,2^2", "1^2,66^20"])))
+
+
+@given(HUGE_ARGV, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cli_contract_on_huge_integers(argv, as_json):
+    check_contract(argv + ["--json"] * as_json)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,20 @@ USAGE = (
     ["zeta-assemble", "--q", "3"],
 )
 
+# integers whose squares (q^22 for zeta-assemble) would have more than the
+# 4,300 digits CPython prints: each is rejected with a cited reason;
+# appended after USAGE
+HUGE = (
+    ["weil-check", "--q", "7", "--b", str(10 ** 4000)],
+    ["weil-check", "--q", "7", "--a1", str(10 ** 2500), "--a2", "0"],
+    ["weil-check", "--q", str(3 ** 5000), "--a1", "0", "--a2", "0"],
+    ["zeta-assemble", "--q", str(3 ** 420), "--notation", "23^22"],
+    ["exists", "--group", "Q8", "--q", str(3 ** 4201), "--parity", "odd"],
+    ["weil-check", "--q", "7", "--b", str(-10 ** 2000)],
+    ["weil-check", "--q", "7", "--a1", "0", "--a2", str(-10 ** 4000)],
+    ["weil-check", "--q", str(2 ** 6644), "--square=-1,0,1"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -169,7 +183,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(WEIL_CASES)
     + _with_json(ZETA)
     + ZETA_REJECTED
-    + _with_json(USAGE))) if argv not in PINNED)
+    + _with_json(USAGE)
+    + _with_json(HUGE))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
@@ -193,7 +208,12 @@ if os.path.exists(SNAPSHOT):  # absent only while it is first written
 RECORD_OF = {tuple(r["argv"]): r for r in RECORDS}
 
 
-@pytest.mark.parametrize("argv", LISTED, ids=" ".join)
+def _id(argv):
+    """The argv joined by spaces, with a huge integer shown by its length."""
+    return " ".join(a if len(a) <= 40 else f"<{len(a)} digits>" for a in argv)
+
+
+@pytest.mark.parametrize("argv", LISTED, ids=_id)
 def test_golden(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
     assert replay(argv) == RECORD_OF[argv]
