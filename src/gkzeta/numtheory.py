@@ -26,6 +26,7 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         3825123056546413051, 3825123056546413051, 318665857834031151167461,
         3317044064679887385961981)
 _MR_BOUND = _PSI[-1]
+_TRIAL = (2, 3, 5, 7, 11, 13)
 
 
 def is_prime(n: int) -> bool:
@@ -41,7 +42,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _TRIAL:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -172,11 +173,13 @@ class Value:
 
 def _constructor(cls):
     """The __init__ that sets each field of cls from the argument of the same
-    name, compiled so that a construction costs one call and no loop. Its
+    name, compiled so that a construction costs one call and no loop. Each
+    field is set by its slot's own __set__, bound once as a global of the
+    function: that skips the attribute lookup of object.__setattr__. Its
     file name, <Class.__init__>, tells the classes apart in profiles."""
     fields = cls.__slots__
-    body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
-    namespace = {"_set": object.__setattr__}
+    body = "".join(f"\n _set_{f}(self, {f})" for f in fields)
+    namespace = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
     source = f"def __init__(self, {', '.join(fields)}):{body}"
     exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
     init = namespace["__init__"]
@@ -211,16 +214,36 @@ class PrimePower(Value):
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
-        """q = p^n read off the largest n for which q is an exact n-th power:
-        q is a prime power iff that root is prime. O(log q) integer roots."""
+        """q = p^n. If a prime of _TRIAL divides q, q is a prime power iff
+        it is a power of that prime. Otherwise every prime factor of q is at
+        least 17, and n is found one prime exponent l at a time: for
+        l = 2, 3, 5, ... below a quarter of the root's bit length, the root
+        (q at first) is replaced by its l-th root while that root is exact.
+        q is a prime power iff the last root is prime. That is one integer
+        root per prime below log2(q) / 4, plus one per prime factor of n,
+        and one is_prime."""
         if q < 1:
             raise ValueError(f"{q} is not a positive integer")
-        for n in range(q.bit_length() - 1, 0, -1):
-            r = iroot(q, n)
-            if r ** n == q:
-                if is_prime(r):
-                    return cls(r, n)
-                break
+        for p in _TRIAL:
+            if q % p == 0:
+                root, n = q // p, 1
+                while root % p == 0:
+                    root, n = root // p, n + 1
+                if root == 1:
+                    return cls(p, n)
+                raise ValueError(f"{q} is not a prime power")
+        root, n, l = q, 1, 2
+        # an l-th power of an integer of at least 17 has more than 4 l bits
+        while 4 * l < root.bit_length():
+            r = iroot(root, l)
+            if r ** l == root:
+                root, n = r, n * l
+            else:
+                l += 1 if l == 2 else 2
+                while not is_prime(l):
+                    l += 2
+        if is_prime(root):
+            return cls(root, n)
         raise ValueError(f"{q} is not a prime power")
 
     def __str__(self):
@@ -293,7 +316,7 @@ class IntPolynomial(Value):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        _set_coeffs(self, tuple(int(c) for c in cs))
 
     # -- constructors ------------------------------------------------------
 
@@ -301,7 +324,7 @@ class IntPolynomial(Value):
     def _trusted(cls, coeffs: tuple) -> "IntPolynomial":
         """Wrap a tuple of ints whose last entry is nonzero, unnormalized."""
         f = object.__new__(cls)
-        object.__setattr__(f, "coeffs", coeffs)
+        _set_coeffs(f, coeffs)
         return f
 
     # -- structure ---------------------------------------------------------
@@ -361,6 +384,9 @@ class IntPolynomial(Value):
 
     def __str__(self):
         return self.format()
+
+
+_set_coeffs = IntPolynomial.coeffs.__set__
 
 
 # ---------------------------------------------------------------------------

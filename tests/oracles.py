@@ -447,6 +447,34 @@ def ss_quartic_case(q: PrimePower, a1: int, a2: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
+# point counts by power sums (the library's earlier algorithm)
+
+def point_count_by_power_sums(w: WeilDescriptor, r: int) -> int:
+    """|A(F_{q^r})| = |prod (1 - alpha_i^r)|: Newton's identities give the
+    power sums s_1..s_dr of the monic f; s_r, s_2r, ..., s_dr are those of
+    the alpha_i^r, and they give the elementary symmetric functions e_m of
+    the alpha_i^r, so prod (1 - alpha_i^r) = sum (-1)^m e_m. O(d^2 r).
+    Raises Rejected when the product is 0."""
+    c = w.poly.coeffs
+    d = len(c) - 1
+    s = [0] * (d * r + 1)
+    for k in range(1, d * r + 1):
+        acc = k * c[d - k] if k <= d else 0
+        for i in range(1, min(k - 1, d) + 1):
+            acc += c[d - i] * s[k - i]
+        s[k] = -acc
+    e = [1]
+    for m in range(1, d + 1):
+        acc = sum((-1) ** (i - 1) * e[m - i] * s[i * r] for i in range(1, m + 1))
+        assert acc % m == 0, "power sums of a monic integer polynomial"
+        e.append(acc // m)
+    n = abs(sum((-1) ** m * em for m, em in enumerate(e)))
+    if n == 0:
+        raise Rejected("characteristic polynomial shares a root with t^r - 1")
+    return n
+
+
+# ---------------------------------------------------------------------------
 # resultants by the Sylvester matrix and a fraction-free Bareiss determinant
 
 def resultant(f: IntPolynomial, g: IntPolynomial) -> int:

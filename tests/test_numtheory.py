@@ -130,6 +130,16 @@ class TestPrimePowerByRoots:
             for q in (2 * p, p * p * 3, (6 * p) ** 2, (6 * p) ** 3, p * (p + 2)):
                 assert _outcome(PrimePower.from_q, q) == f"{q} is not a prime power"
 
+    def test_huge_powers_of_small_primes(self):
+        # a prime exponent near log2(q) would cost one integer root per prime below it
+        from test_cli import deadline
+
+        with deadline(2):
+            for p, k in ((2, 14281), (3, 9001), (13, 3833), (10007, 31)):
+                assert _outcome(PrimePower.from_q, p ** k) == PrimePower(p, k)
+            for q in (3 * 2 ** 9973, 13 ** 2000 * 17):
+                assert _outcome(PrimePower.from_q, q) == f"{q} is not a prime power"
+
     def test_iroot_matches_counting(self):
         assert [(x, k) for x in range(1500) for k in range(1, 13)
                 if iroot(x, k) != brute_iroot(x, k)] == []

@@ -136,6 +136,23 @@ def test_no_assignment_or_deletion(cls, fields, change):
     assert {f: getattr(v, f) for f in fields} == fields
 
 
+def test_generated_constructors_set_the_slots_directly():
+    generated = [(cls, fields) for cls, fields, _ in CASES
+                 if cls.__init__.__code__.co_filename == f"<{cls.__qualname__}.__init__>"]
+    assert WeilDescriptor in {cls for cls, _ in generated}
+    trusted = IntPolynomial._trusted.__func__
+    for func in [cls.__init__ for cls, _ in generated] + [trusted]:
+        assert object.__setattr__ not in func.__globals__.values()
+        assert "__setattr__" not in func.__code__.co_names
+    values = [cls(**fields) for cls, fields in generated] + [IntPolynomial._trusted((7, 0, 1))]
+    for v in values:
+        for f in v.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(v, f, getattr(v, f))
+            with pytest.raises(AttributeError):
+                delattr(v, f)
+
+
 @parametrize
 def test_repr_lists_the_fields(cls, fields, change):
     body = ", ".join(f"{f}={v!r}" for f, v in fields.items())

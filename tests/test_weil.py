@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -25,6 +26,7 @@ from oracles import (
     brute_elliptic_traces,
     brute_quartic_is_irreducible,
     newton_slopes,
+    point_count_by_power_sums,
     resultant,
     series_exp,
     series_inv,
@@ -426,3 +428,32 @@ def weil_classes(draw):
 def test_point_count_matches_resultant(w, r):
     want = abs(resultant(w.poly, IntPolynomial([-1] + [0] * (r - 1) + [1])))
     assert abelian_point_count(w, r) == want
+
+
+@given(weil_classes(), st.integers(1, 100))
+@settings(max_examples=300, deadline=None)
+def test_point_count_matches_power_sums(w, r):
+    assert abelian_point_count(w, r) == point_count_by_power_sums(w, r)
+
+
+def hand_built(coeffs):
+    """A WeilDescriptor around any monic f, past every validation."""
+    return WeilDescriptor(PrimePower(5, 1), IntPolynomial(coeffs), "ordinary")
+
+
+def test_point_count_swaps_a_zero_pivot():
+    # f = t^2 - t - 1: t^2 = t + 1 mod f, so I - M has a zero in its corner
+    w = hand_built([-1, -1, 1])
+    assert abelian_point_count(w, 2) == point_count_by_power_sums(w, 2) == 1
+    assert abelian_point_count(w, 2) == abs(resultant(w.poly, IntPolynomial([-1, 0, 1])))
+
+
+@pytest.mark.parametrize("coeffs, r", [([-1, 0, 1], 2), ([-1, 0, 1], 1), ([1, 0, 1], 4),
+                                       ([1, 1, 1, 1, 1], 5), ([1, 0, 2, 0, 1], 8)])
+def test_point_count_rejects_a_root_of_unity(coeffs, r):
+    w = hand_built(coeffs)
+    text = re.escape("characteristic polynomial shares a root with t^r - 1")
+    with pytest.raises(Rejected, match=text):
+        point_count_by_power_sums(w, r)
+    with pytest.raises(Rejected, match=text):
+        abelian_point_count(w, r)
