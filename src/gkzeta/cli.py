@@ -224,6 +224,8 @@ def cmd_zeta_assemble(args):
     elif args.group is None:
         raise UsageError("zeta-assemble needs --group (with --orbit) or --notation")
     else:
+        for orbit in args.orbit or ():  # the total degree text prints count * index
+            _printable(2000, count=orbit.count, index=orbit.ade.m)
         cp = kummer.assemble_ns(args.orbit or (), kummer.invariant_h_poly(args.group, args.eps))
     _printable(195, q=q.q)
     if not kummer.artin_check(q, cp):

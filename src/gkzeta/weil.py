@@ -242,105 +242,55 @@ def _validate_surface_square(q: PrimePower, P: IntPolynomial) -> WeilDescriptor:
 # ---------------------------------------------------------------------------
 # point counts, zeta
 
-def abelian_point_count(w: WeilDescriptor, r: int) -> int:
-    """|A(F_{q^r})| = |prod (1 - alpha_i^r)| over the roots alpha_i of the
-    full char. polynomial f, which is |Res(f, t^r - 1)| = |det(I - M)| for
-    M, the multiplication by g = t^r mod f on Z[t]/(f).
+def _real_weil(w: WeilDescriptor) -> tuple[int, int]:
+    """(a1, c) of the real Weil polynomial h(x) = x^2 + a1 x + c of a surface,
+    f(t) = t^2 h(t + q/t), so that each root x = alpha + q/alpha of h carries
+    the roots alpha, q/alpha of f. For a curve, h = x - b and (a1, c) = (-b, 0)
+    gives x h(x). Raises Rejected when f is not a q-symmetric Weil polynomial.
+    """
+    f, qq = w.poly.coeffs, w.q.q
+    if (len(f) not in (3, 5) or f[-1] != 1 or f[0] != qq ** w.dim
+            or (len(f) == 5 and f[1] != qq * f[3])):
+        raise Rejected(f"{w.poly} is not q-symmetric: its roots do not pair as alpha, q/alpha",
+                       "Weil polynomial functional equation")
+    return (f[1], 0) if len(f) == 3 else (f[3], f[2] - 2 * qq)
 
-    g comes by square-and-multiply, and the d x d determinant by Bareiss:
-    O(d^2 log r + d^3) integer operations.
+
+def abelian_point_count(w: WeilDescriptor, r: int) -> int:
+    """|A(F_{q^r})| = |prod (1 - alpha^r)(1 - (q/alpha)^r)| = |N(1 + q^r - V_r(x))|,
+    with V_r(alpha + q/alpha) = alpha^r + (q/alpha)^r and N the norm from
+    Z[x]/(h) to Z: u^2 - a1 u v + c v^2 on u + v x. For a curve the ladder runs
+    mod x^2 - b x and the count is 1 + q^r - V_r(b).
+
+    V_r comes by the Lucas doubling V_2k = V_k^2 - 2q^k,
+    V_2k+1 = V_k V_k+1 - x q^k on pairs u + v x: O(log r) products.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    f = w.poly.coeffs
-    d = len(f) - 1
-    g = _times_t([1] + [0] * (d - 1), f)
+    a1, c = _real_weil(w)
+    qq = w.q.q
+    # (u0, v0), (u1, v1) = V_k, V_k+1 and qk = q^k, from k = 1: V_1 = x, V_2 = x^2 - 2q
+    u0, v0, u1, v1, qk = 0, 1, -c - 2 * qq, -a1, qq
     for bit in bin(r)[3:]:
-        g = _square_mod(g, f)
+        vv = v0 * v1
+        odd = u0 * u1 - c * vv, u0 * v1 + u1 * v0 - a1 * vv - qk
         if bit == "1":
-            g = _times_t(g, f)
-    # column j of M is t^j g mod f
-    cols = [g]
-    for _ in range(d - 1):
-        cols.append(_times_t(cols[-1], f))
-    n = abs(_bareiss_det([[(i == j) - c[i] for j, c in enumerate(cols)] for i in range(d)]))
+            vv = v1 * v1
+            u0, v0 = odd
+            u1, v1 = u1 * u1 - c * vv - 2 * qk * qq, 2 * u1 * v1 - a1 * vv
+            qk *= qk * qq
+        else:
+            vv = v0 * v0
+            u0, v0 = u0 * u0 - c * vv - 2 * qk, 2 * u0 * v0 - a1 * vv
+            u1, v1 = odd
+            qk *= qk
+    # 1 + q^r - V_r = u - v0 x, whose value at x = b is u + a1 v0
+    u = 1 + qk - u0
+    at_b = u + a1 * v0
+    n = abs(at_b if w.dim == 1 else u * at_b + c * v0 * v0)
     if n == 0:
         raise Rejected("characteristic polynomial shares a root with t^r - 1")
     return n
-
-
-def _times_t(g: list[int], f: tuple) -> list[int]:
-    """t g mod f, for g of degree below that of the monic f."""
-    top = g[-1]
-    out = [0] + g[:-1]
-    if top:
-        for i, c in enumerate(out):
-            out[i] = c - top * f[i]
-    return out
-
-
-def _square_mod(g: list[int], f: tuple) -> list[int]:
-    """g^2 mod f, for g of degree below d, that of the monic f."""
-    d = len(g)
-    sq = [0] * (2 * d - 1)
-    for i, a in enumerate(g):
-        if a:
-            for j, b in enumerate(g):
-                sq[i + j] += a * b
-    # t^k = t^(k-d) (t^d - f) mod f, from the top down
-    for k in range(2 * d - 2, d - 1, -1):
-        top = sq[k]
-        if top:
-            for i in range(d):
-                sq[k - d + i] -= top * f[i]
-    return sq[:d]
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """The determinant of a square integer matrix, which it overwrites, by
-    fraction-free elimination (Bareiss, Math. Comp. 22, 1968); a zero pivot
-    swaps in a lower row, and a zero column gives 0."""
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, row = m[k][k], m[k]
-        for mi in m[k + 1:]:
-            lead = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - lead * row[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def _power_sums(f: IntPolynomial, upto: int) -> list[int]:
-    """Power sums s_1..s_upto of the roots of a monic f, by Newton's identities."""
-    d, c = f.degree, f.coeffs
-    s = [0] * (upto + 1)
-    for k in range(1, upto + 1):
-        acc = k * c[d - k] if k <= d else 0
-        for i in range(1, min(k - 1, d) + 1):
-            acc += c[d - i] * s[k - i]
-        s[k] = -acc
-    return s
-
-
-def _poly_from_power_sums(t: list[int], deg: int) -> IntPolynomial:
-    """Monic-reversed product prod(1 - mu_j x) from power sums t_1..t_deg."""
-    e = [1]
-    for m in range(1, deg + 1):
-        acc = 0
-        for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * t[i]
-        em, rem = divmod(acc, m)
-        if rem:
-            raise ValueError("power sums do not come from an integral polynomial")
-        e.append(em)
-    return IntPolynomial([(-1) ** m * em for m, em in enumerate(e)])
 
 
 def abelian_zeta(w: WeilDescriptor) -> list[IntPolynomial]:
@@ -349,20 +299,18 @@ def abelian_zeta(w: WeilDescriptor) -> list[IntPolynomial]:
     P_i(t) = det(1 - t F | H^i); the zeta function is the alternating product.
     """
     qq = w.q.q
+    a1, c = _real_weil(w)
     f = w.poly
     p0 = IntPolynomial([1, -1])
     p1 = f.reciprocal()
     if w.dim == 1:
         return [p0, p1, IntPolynomial([1, -qq])]
-    s = _power_sums(f, 12)
-    pair = [0] * 7
-    for k in range(1, 7):
-        num = s[k] * s[k] - s[2 * k]
-        if num % 2:
-            raise Rejected(f"s_{k}^2 - s_{2 * k} = {num} is odd: {f} is not a monic integer polynomial")
-        pair[k] = num // 2
-    p2 = _poly_from_power_sums(pair, 6)
+    # the products of two roots are q, q and the roots of t^2 - u t + q^2 and
+    # t^2 - v t + q^2, with u + v = c and u v = q (a1^2 - 2 a2) = q (a1^2 - 2c - 4q)
+    q2 = qq * qq
+    p2 = IntPolynomial([1, -2 * qq, q2]) * IntPolynomial(
+        [1, -c, qq * (a1 * a1 - 2 * c - 2 * qq), -q2 * c, q2 * q2])
     # products of three roots are q^2 / (single root): P3(t) = f(q^2 t) / f(0)
-    p3 = IntPolynomial([1] + [c * qq ** (2 * i - 2) for i, c in enumerate(f.coeffs) if i])
-    p4 = IntPolynomial([1, -qq * qq])
+    p3 = IntPolynomial([1] + [a * qq ** (2 * i - 2) for i, a in enumerate(f.coeffs) if i])
+    p4 = IntPolynomial([1, -q2])
     return [p0, p1, p2, p3, p4]

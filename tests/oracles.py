@@ -447,31 +447,53 @@ def ss_quartic_case(q: PrimePower, a1: int, a2: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# point counts by power sums (the library's earlier algorithm)
+# point counts and the exterior square by power sums (the library's earlier
+# algorithms)
 
-def point_count_by_power_sums(w: WeilDescriptor, r: int) -> int:
-    """|A(F_{q^r})| = |prod (1 - alpha_i^r)|: Newton's identities give the
-    power sums s_1..s_dr of the monic f; s_r, s_2r, ..., s_dr are those of
-    the alpha_i^r, and they give the elementary symmetric functions e_m of
-    the alpha_i^r, so prod (1 - alpha_i^r) = sum (-1)^m e_m. O(d^2 r).
-    Raises Rejected when the product is 0."""
-    c = w.poly.coeffs
-    d = len(c) - 1
-    s = [0] * (d * r + 1)
-    for k in range(1, d * r + 1):
+def power_sums(f: IntPolynomial, upto: int) -> list[int]:
+    """Power sums s_1..s_upto of the roots of a monic f, by Newton's
+    identities; s[0] is 0."""
+    d, c = f.degree, f.coeffs
+    s = [0] * (upto + 1)
+    for k in range(1, upto + 1):
         acc = k * c[d - k] if k <= d else 0
         for i in range(1, min(k - 1, d) + 1):
             acc += c[d - i] * s[k - i]
         s[k] = -acc
+    return s
+
+
+def poly_from_power_sums(t: list[int], deg: int) -> IntPolynomial:
+    """prod (1 - mu_j x) over deg numbers mu_j, from their power sums
+    t_1..t_deg, by Newton's identities for the elementary symmetric e_m."""
     e = [1]
-    for m in range(1, d + 1):
-        acc = sum((-1) ** (i - 1) * e[m - i] * s[i * r] for i in range(1, m + 1))
-        assert acc % m == 0, "power sums of a monic integer polynomial"
+    for m in range(1, deg + 1):
+        acc = 0
+        for i in range(1, m + 1):
+            acc += (-1) ** (i - 1) * e[m - i] * t[i]
+        assert acc % m == 0, "power sums of algebraic integers"
         e.append(acc // m)
-    n = abs(sum((-1) ** m * em for m, em in enumerate(e)))
+    return IntPolynomial([(-1) ** m * em for m, em in enumerate(e)])
+
+
+def point_count_by_power_sums(w: WeilDescriptor, r: int) -> int:
+    """|A(F_{q^r})| = |prod (1 - alpha_i^r)|: s_r, s_2r, ..., s_dr are the
+    power sums of the alpha_i^r, so the product is prod (1 - alpha_i^r x) at
+    x = 1. O(d^2 r). Raises Rejected when the product is 0."""
+    d = w.poly.degree
+    n = abs(sum(poly_from_power_sums(power_sums(w.poly, d * r)[::r], d).coeffs))
     if n == 0:
         raise Rejected("characteristic polynomial shares a root with t^r - 1")
     return n
+
+
+def exterior_square_by_power_sums(w: WeilDescriptor) -> IntPolynomial:
+    """P_2 = prod (1 - alpha_i alpha_j t) over i < j: the products
+    alpha_i alpha_j have power sums (s_k^2 - s_2k) / 2."""
+    d = w.poly.degree
+    n = d * (d - 1) // 2
+    s = power_sums(w.poly, 2 * n)
+    return poly_from_power_sums([0] + [(s[k] ** 2 - s[2 * k]) // 2 for k in range(1, n + 1)], n)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,15 @@ class TestSingAndZeta:
         assert code == 1
         assert err == f"rejected: total degree {10 ** 24 + 3} != 22 [zeta assembly]\n"
 
+    def test_zeta_assemble_huge_orbit_print_limit(self, capsys):
+        # the total degree text would print count * index, of 4,400 digits
+        nines = "9" * 2200
+        code, _, err = run(capsys, "zeta-assemble", "--q", "9", "--group", "Q8",
+                           "--orbit", f"A{nines},{nines},1,trivial")
+        assert code == 1
+        assert err == ("rejected: |count| >= 10^2000: the output would print an integer of "
+                       "more than 4300 digits [zeta assembly]\n")
+
     def test_zeta_assemble_print_limit(self, capsys):
         # the zeta line prints q^22, so q stops at 10^195; 3^408 < 10^195 < 3^409
         code, out, _ = run(capsys, "zeta-assemble", "--q", str(3 ** 408), "--notation", "23^22")
@@ -441,6 +450,9 @@ def tokens(*parts):
 # that most draws reach the texts (the grammar above rarely draws a valid --q
 # together with a huge coefficient)
 BIG_Q = st.one_of(HUGE_Q, st.sampled_from(PRIME_POWERS).map(str))
+# an ADE index or point count; two of 2,200 digits or more multiply to one
+# that CPython cannot print
+ORBIT_INT = st.one_of(COEF, HUGE, digits(2200, 4300).map(str))
 HUGE_ARGV = st.one_of(
     tokens("weil-check", "--q", BIG_Q, "--b", st.one_of(COEF, HUGE)),
     tokens("weil-check", "--q", BIG_Q, "--a1", st.one_of(COEF, HUGE),
@@ -448,7 +460,9 @@ HUGE_ARGV = st.one_of(
     tokens("exists", "--group", st.sampled_from(["Q8", "C4", "SL2F3"]), "--q", BIG_Q,
            "--parity", "odd"),
     tokens("zeta-assemble", "--q", BIG_Q,
-           "--notation", st.sampled_from(["23^22", "1^20,2^2", "1^2,66^20"])))
+           "--notation", st.sampled_from(["23^22", "1^20,2^2", "1^2,66^20"])),
+    tokens("zeta-assemble", "--q", BIG_Q, "--group", "Q8", "--orbit",
+           st.builds("A{},{},1,trivial".format, ORBIT_INT, ORBIT_INT)))
 
 
 @given(HUGE_ARGV, st.booleans())

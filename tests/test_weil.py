@@ -23,6 +23,7 @@ from oracles import (
     brute_enumerate_elliptic,
     brute_validate_elliptic,
     classify_newton,
+    exterior_square_by_power_sums,
     brute_elliptic_traces,
     brute_quartic_is_irreducible,
     newton_slopes,
@@ -341,12 +342,6 @@ class TestPointCountsAndZeta:
         n1 = abelian_point_count(w, 1)
         assert n1 == w.poly(1)
 
-    def test_zeta_parity_check_is_not_an_assert(self, monkeypatch):
-        w = validate_surface_simple(PrimePower(5, 1), a1=1, a2=3)
-        monkeypatch.setattr(weil, "_power_sums", lambda f, upto: [0, 1] + [0] * (upto - 1))
-        with pytest.raises(Rejected):
-            abelian_zeta(w)
-
     def test_zeta_factor_degrees(self):
         w = validate_surface_simple(PrimePower(5, 1), a1=1, a2=3)
         ps = abelian_zeta(w)
@@ -436,24 +431,52 @@ def test_point_count_matches_power_sums(w, r):
     assert abelian_point_count(w, r) == point_count_by_power_sums(w, r)
 
 
+@given(weil_classes())
+@settings(max_examples=300, deadline=None)
+def test_p2_matches_exterior_square(w):
+    assert abelian_zeta(w)[2] == exterior_square_by_power_sums(w)
+
+
+def test_point_count_at_large_r_matches_closed_forms():
+    from test_cli import deadline
+
+    q = PrimePower(7, 1)
+    curve, quartic = validate_elliptic(q, 0), validate_surface_simple(q, a1=0, a2=0)
+    with deadline(2):
+        # f = t^2 + q: V_r(0) = alpha^r + (-alpha)^r is 0 for odd r, 2 (-q)^(r/2) for even r
+        assert abelian_point_count(curve, 99_999) == 1 + 7 ** 99_999
+        assert abelian_point_count(curve, 100_000) == 1 + 7 ** 100_000 - 2 * 7 ** 50_000
+        # f = t^4 + q^2: alpha^4 = -q^2 for each of the four roots
+        assert abelian_point_count(quartic, 100_000) == (1 - (-49) ** 25_000) ** 4
+
+
 def hand_built(coeffs):
     """A WeilDescriptor around any monic f, past every validation."""
     return WeilDescriptor(PrimePower(5, 1), IntPolynomial(coeffs), "ordinary")
 
 
-def test_point_count_swaps_a_zero_pivot():
-    # f = t^2 - t - 1: t^2 = t + 1 mod f, so I - M has a zero in its corner
-    w = hand_built([-1, -1, 1])
-    assert abelian_point_count(w, 2) == point_count_by_power_sums(w, 2) == 1
-    assert abelian_point_count(w, 2) == abs(resultant(w.poly, IntPolynomial([-1, 0, 1])))
+# f(0) != q^dim, f_1 != q f_3, and a cubic
+@pytest.mark.parametrize("coeffs", [[-1, 0, 1], [25, 1, 0, 1, 1], [5, 0, 0, 1]])
+def test_not_q_symmetric_is_rejected(coeffs):
+    w = hand_built(coeffs)
+    for call in (lambda: abelian_point_count(w, 1), lambda: abelian_zeta(w)):
+        with pytest.raises(Rejected, match="is not q-symmetric") as exc:
+            call()
+        assert exc.value.citation == "Weil polynomial functional equation"
 
 
+# t^2 - 1, t^2 + 1, Phi_5 and (t^2 + 1)^2 are not q-symmetric over F_5, so the
+# library refuses them before it counts; (t - 1)(t - 5), (t - 1)(t - 5)(t^2 + 5)
+# and (t + 1)(t + 5)(t^2 + 5) are
 @pytest.mark.parametrize("coeffs, r", [([-1, 0, 1], 2), ([-1, 0, 1], 1), ([1, 0, 1], 4),
-                                       ([1, 1, 1, 1, 1], 5), ([1, 0, 2, 0, 1], 8)])
+                                       ([1, 1, 1, 1, 1], 5), ([1, 0, 2, 0, 1], 8),
+                                       ([5, -6, 1], 1), ([5, -6, 1], 3),
+                                       ([25, -30, 10, -6, 1], 1), ([25, 30, 10, 6, 1], 2)])
 def test_point_count_rejects_a_root_of_unity(coeffs, r):
     w = hand_built(coeffs)
     text = re.escape("characteristic polynomial shares a root with t^r - 1")
     with pytest.raises(Rejected, match=text):
         point_count_by_power_sums(w, r)
-    with pytest.raises(Rejected, match=text):
+    q_symmetric = coeffs[0] == 5 ** (len(coeffs) // 2)
+    with pytest.raises(Rejected, match=text if q_symmetric else "is not q-symmetric"):
         abelian_point_count(w, r)
