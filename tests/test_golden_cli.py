@@ -163,6 +163,13 @@ HUGE = (
     ["weil-check", "--q", str(2 ** 6644), "--square=-1,0,1"],
 )
 
+# zeta-assemble given both inputs, orbit data and a notation; appended after
+# HUGE
+BOTH_INPUTS = (
+    ["zeta-assemble", "--q", "9", "--group", "C2", "--orbit", "A1,16,1,trivial",
+     "--notation", "1^22"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -184,7 +191,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(ZETA)
     + ZETA_REJECTED
     + _with_json(USAGE)
-    + _with_json(HUGE))) if argv not in PINNED)
+    + _with_json(HUGE)
+    + _with_json(BOTH_INPUTS))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
