@@ -220,6 +220,8 @@ def cmd_zeta_assemble(args):
 
     q = args.q
     if args.notation:
+        if args.group is not None or args.orbit:
+            raise UsageError("zeta-assemble takes --notation or --group (with --orbit), not both")
         cp = args.notation
     elif args.group is None:
         raise UsageError("zeta-assemble needs --group (with --orbit) or --notation")

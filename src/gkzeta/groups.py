@@ -40,6 +40,8 @@ class GroupId(Enum):
     C3_Q16 = "C3:Q16"
     ESL2F5 = "ESL2F5"
 
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves
+
     def __str__(self):
         return self.value
 
@@ -133,15 +135,16 @@ _FACTS = {
     G.ESL2F5: ({1, 2, 3, 4, 5, 6, 8, 10, 12}, ()),
 }
 
+_GROUP_FACTS = {g: GroupFacts(g, frozenset(cyc), tabs) for g, (cyc, tabs) in _FACTS.items()}
+
 
 def facts(g: GroupId) -> GroupFacts:
-    cyc, tabs = _FACTS[g]
-    return GroupFacts(g, frozenset(cyc), tabs)
+    return _GROUP_FACTS[g]
 
 
 # groups handled by the geometric singularity classification: those with
 # stabilizer tables
-CONFIG_GROUPS = tuple(g for g, (_, tables) in _FACTS.items() if tables)
+CONFIG_GROUPS = tuple(g for g, f in _GROUP_FACTS.items() if f.stabilizer_tables)
 
 
 # ---------------------------------------------------------------------------

@@ -309,11 +309,14 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
     """Zeta function 1 / ((1-t) P2(t) (1-q^2 t)) where P2 collects, for each
     cyclotomic order r, the factor with roots q * zeta_r."""
     qq = q.q
-    factors = [(IntPolynomial([1, -1]), 1)]
+    factors = [(IntPolynomial._trusted((1, -1)), 1)]
     for r, d in cp.parts:
-        # reversed, Phi_r has constant term 1, its leading coefficient
-        factors.append((cyclotomic(r).reciprocal().scale_arg(qq), d // euler_phi(r)))
-    factors.append((IntPolynomial([1, -qq * qq]), 1))
+        coeffs, qi = [], 1  # Phi_r reversed, at q t: the last is +-q^phi(r), not 0
+        for c in reversed(cyclotomic(r).coeffs):
+            coeffs.append(c * qi)
+            qi *= qq
+        factors.append((IntPolynomial._trusted(tuple(coeffs)), d // euler_phi(r)))
+    factors.append((IntPolynomial._trusted((1, -qq * qq)), 1))
     return ZetaFunction(q, tuple(factors))
 
 

@@ -355,15 +355,7 @@ class IntPolynomial(Value):
             out = out * x + c
         return out
 
-    # -- transforms --------------------------------------------------------
-
-    def reciprocal(self) -> "IntPolynomial":
-        """t^deg * f(1/t): coefficients reversed."""
-        return IntPolynomial(self.coeffs[::-1])
-
-    def scale_arg(self, c: int) -> "IntPolynomial":
-        """f(c*t)."""
-        return IntPolynomial([a * c ** i for i, a in enumerate(self.coeffs)])
+    # -- printing ----------------------------------------------------------
 
     def format(self, ascending: bool = False) -> str:
         """The polynomial in t, highest power first, or constant term first

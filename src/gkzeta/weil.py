@@ -302,7 +302,7 @@ def abelian_zeta(w: WeilDescriptor) -> list[IntPolynomial]:
     a1, c = _real_weil(w)
     f = w.poly
     p0 = IntPolynomial([1, -1])
-    p1 = f.reciprocal()
+    p1 = IntPolynomial._trusted(f.coeffs[::-1])  # f(0) = q^dim != 0
     if w.dim == 1:
         return [p0, p1, IntPolynomial([1, -qq])]
     # the products of two roots are q, q and the roots of t^2 - u t + q^2 and

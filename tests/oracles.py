@@ -566,6 +566,30 @@ def cyclotomic_by_division(r: int) -> tuple[int, ...]:
     return tuple(f)
 
 
+def _strip(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def reciprocal(coeffs) -> list[int]:
+    """t^deg f(1/t) for a coefficient list, constant term first: the list
+    reversed, without trailing zeros."""
+    return _strip(list(coeffs)[::-1])
+
+
+def scale_arg(coeffs, c: int) -> list[int]:
+    """f(c t) for a coefficient list: the i-th coefficient times c^i, without
+    trailing zeros."""
+    return _strip([a * c ** i for i, a in enumerate(coeffs)])
+
+
+def zeta_factor(r: int, q: int) -> list[int]:
+    """The product of (1 - q zeta t) over the primitive r-th roots of unity
+    zeta: Phi_r reversed, at q t."""
+    return scale_arg(reciprocal(cyclotomic_by_division(r)), q)
+
+
 def ns_polynomial(cp) -> IntPolynomial:
     """The NSCharPoly cp multiplied out: the product of Phi_r^(d_r / phi(r))."""
     out = IntPolynomial([1])

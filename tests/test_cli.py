@@ -281,6 +281,17 @@ class TestSingAndZeta:
         code, _, _ = run(capsys, "zeta-assemble", "--q", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("inputs", (["--group", "C2", "--orbit", "A1,16,1,trivial"],
+                                        ["--group", "C2"], ["--orbit", "A1,16,1,trivial"]),
+                             ids=" ".join)
+    @pytest.mark.parametrize("as_json", ([], ["--json"]), ids=("plain", "json"))
+    def test_zeta_assemble_notation_with_orbit_data(self, capsys, inputs, as_json):
+        # the orbit data must not be dropped in silence
+        code, out, err = run(capsys, "zeta-assemble", "--q", "9", *inputs,
+                             "--notation", "1^22", *as_json)
+        assert (code, out) == (2, "")
+        assert err == "zeta-assemble takes --notation or --group (with --orbit), not both\n"
+
 
 class TestTablesAndSelftest:
     def test_tables_sing(self, capsys):

@@ -1,8 +1,13 @@
+import copy
+import pickle
+
 import pytest
 
 from gkzeta.numtheory import cyclotomic, euler_phi
 from gkzeta.groups import (
+    _FACTS,
     CONFIG_GROUPS,
+    GroupFacts,
     GroupId as G,
     facts,
     is_cyclic,
@@ -97,6 +102,25 @@ class TestFacts:
                                   if order(h) % l == 0)
                     assert counted <= l ** 4
                     assert (l ** 4 - counted) % order(g) == 0
+
+
+class TestStoredFacts:
+    @pytest.mark.parametrize("g", list(G), ids=str)
+    def test_one_value_per_group(self, g):
+        # GroupId hashes by identity: copies, pickles and lookups by value
+        # must all give back the one member
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert copy.deepcopy(g) is g
+        assert {g: 1}[G(g.value)] == 1
+        assert facts(g) is facts(g)
+        cyc, tables = _FACTS[g]
+        assert facts(g) == GroupFacts(g, frozenset(cyc), tables)
+
+    def test_catalog_and_config_groups(self):
+        assert len(G) == 21
+        assert [str(g) for g in CONFIG_GROUPS] == [
+            "C2", "C3", "C4", "C5", "C6", "C8", "C10", "C12",
+            "Q8", "Q12", "Q16", "Q20", "Q24", "SL2F3", "ESL2F3", "SL2F5"]
 
 
 class TestClassEquation:

@@ -27,7 +27,15 @@ from gkzeta.kummer import (
 )
 from gkzeta.numtheory import PrimePower, euler_phi, moebius
 
-from oracles import ns_polynomial, series_from_poly, series_inv, series_mul
+from oracles import (
+    ns_polynomial,
+    reciprocal,
+    scale_arg,
+    series_from_poly,
+    series_inv,
+    series_mul,
+    zeta_factor,
+)
 
 
 class TestADE:
@@ -198,6 +206,29 @@ class TestTraceAndPoints:
         cp = parse_zeta_notation("1^20,2^2")
         z = k3_zeta(q, cp)
         assert sum(f.degree * m for f, m in z.denominator) == 24
+
+    @pytest.mark.parametrize("q", (PrimePower(3, 1), PrimePower(3, 2), PrimePower(10007, 3),
+                                   PrimePower(3, 194)), ids=str)
+    def test_zeta_factors_match_the_oracle(self, q):
+        # every order r with phi(r) <= 22 (all have r <= 2 * 22^2), as r^phi(r)
+        # beside 1^(22 - phi(r))
+        orders = [r for r in range(1, 2 * 22 * 22 + 1) if euler_phi(r) <= 22]
+        assert len(orders) == 43 and orders[-1] == 66
+        for r in orders:
+            parts = {1: 22 - euler_phi(r), r: euler_phi(r)} if r > 1 else {1: 22}
+            cp = NSCharPoly(tuple((r, d) for r, d in parts.items() if d))
+            want = [([1, -1], 1)] + [(zeta_factor(r, q.q), d // euler_phi(r))
+                                     for r, d in cp.parts] + [([1, -q.q ** 2], 1)]
+            got = k3_zeta(q, cp).denominator
+            assert [(list(f.coeffs), m) for f, m in got] == want, r
+            assert all(f.coeffs[-1] != 0 for f, _ in got), r
+
+    def test_reverse_and_scale_oracle(self):
+        assert reciprocal([9, -3, 1]) == [1, -3, 9]
+        assert reciprocal([0, 2, 1]) == [1, 2]
+        assert scale_arg([9, -3, 1], 2) == [9, -6, 4]
+        assert scale_arg([1, 1], 0) == [1]
+        assert zeta_factor(1, 5) == [1, -5] and zeta_factor(4, 5) == [1, 0, 25]
 
     def test_artin_check(self):
         q_odd = PrimePower(3, 1)

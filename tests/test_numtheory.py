@@ -163,11 +163,6 @@ class TestPolynomials:
         assert g * g == f
         assert f(3) == 16
 
-    def test_reciprocal_and_scale(self):
-        f = IntPolynomial([9, -3, 1])
-        assert f.reciprocal() == IntPolynomial([1, -3, 9])
-        assert f.scale_arg(2) == IntPolynomial([9, -6, 4])
-
     def test_str(self):
         assert str(IntPolynomial([9, 0, -1, 1])) == "t^3 - t^2 + 9"
         assert str(IntPolynomial([1, -2, 0, -1])) == "-t^3 - 2t + 1"
