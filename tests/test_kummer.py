@@ -216,9 +216,9 @@ class TestTraceAndPoints:
         assert len(orders) == 43 and orders[-1] == 66
         for r in orders:
             parts = {1: 22 - euler_phi(r), r: euler_phi(r)} if r > 1 else {1: 22}
-            cp = NSCharPoly(tuple((r, d) for r, d in parts.items() if d))
-            want = [([1, -1], 1)] + [(zeta_factor(r, q.q), d // euler_phi(r))
-                                     for r, d in cp.parts] + [([1, -q.q ** 2], 1)]
+            cp = NSCharPoly(tuple((s, d) for s, d in parts.items() if d))
+            want = [([1, -1], 1)] + [(zeta_factor(s, q.q), d // euler_phi(s))
+                                     for s, d in cp.parts] + [([1, -q.q ** 2], 1)]
             got = k3_zeta(q, cp).denominator
             assert [(list(f.coeffs), m) for f, m in got] == want, r
             assert all(f.coeffs[-1] != 0 for f, _ in got), r
