@@ -170,6 +170,19 @@ BOTH_INPUTS = (
      "--notation", "1^22"],
 )
 
+# an option the command would drop: --eps given with --notation, and a
+# --parity that disagrees with --q (even or prime against an odd or composite
+# degree, and under --refine, which reads the degree off --q); appended after
+# BOTH_INPUTS
+DROPPED = (
+    ["zeta-assemble", "--q", "9", "--notation", "1^22", "--eps", "1"],
+    ["zeta-assemble", "--q", "9", "--notation", "1^20,2^2", "--eps", "-1"],
+    ["exists", "--group", "C4", "--q", "27", "--parity", "even"],
+    ["exists", "--group", "C4", "--q", "25", "--parity", "prime"],
+    ["exists", "--group", "Q8", "--q", "27", "--parity", "even", "--refine"],
+    ["exists", "--group", "Q8", "--q", "9", "--parity", "odd", "--refine"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -192,7 +205,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + ZETA_REJECTED
     + _with_json(USAGE)
     + _with_json(HUGE)
-    + _with_json(BOTH_INPUTS))) if argv not in PINNED)
+    + _with_json(BOTH_INPUTS)
+    + _with_json(DROPPED))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
