@@ -18,7 +18,7 @@ import json
 import sys
 
 from .errors import Rejected
-from .numtheory import IntPolynomial, PrimePower, is_prime
+from .numtheory import _MR_BOUND, IntPolynomial, PrimePower, is_prime
 
 
 class UsageError(Exception):
@@ -34,6 +34,8 @@ def _prime_power(s: str) -> PrimePower:
 
 def _prime(s: str) -> int:
     p = int(s)
+    if p >= _MR_BOUND:  # is_prime cannot prove it prime: refused before any power
+        raise argparse.ArgumentTypeError(f"primality is only proven below {_MR_BOUND}")
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
@@ -132,6 +134,7 @@ def cmd_embed_check(args):
 
 
 _ANSWER = {True: "yes", False: "no", None: "not determined"}
+_DEGREE = {"even": "an even-degree", "odd": "an odd-degree", "prime": "a prime"}
 _HOLDS = {True: "holds", False: "fails", None: "undetermined"}
 _AVAILABLE = {True: "available", False: "excluded", None: "undetermined"}
 
@@ -147,21 +150,24 @@ def cmd_exists(args):
         p = q.p
     elif q is not None and q.p != p:
         raise UsageError(f"exists: --q {q.q} is not a power of --p {p}")
+    parity = args.parity or "even"
+    # an explicit --parity names the degree of --q: even, odd, or 1 (prime)
+    if q is not None and args.parity and not (
+            q.n == 1 if parity == "prime" else q.degree_is_odd == (parity == "odd")):
+        raise UsageError(f"--parity {parity} needs {_DEGREE[parity]} --q")
     if args.refine:
-        q = q or PrimePower(p, 2 if args.parity == "even" else 1)
+        q = q or PrimePower(p, 2 if parity == "even" else 1)
         v = existence.katsura_refinement(g, q)
         query = {"q": q.q, "refine": True}
-    elif args.parity == "odd":
+    elif parity == "odd":
         q = q or PrimePower(p, 1)
-        if not q.degree_is_odd:
-            raise UsageError("--parity odd needs an odd-degree --q")
         _printable(2000, q=q.q)  # the JSON options print q^2
         v = existence.exists_over_odd_degree(g, q)
         query = {"q": q.q, "parity": "odd"}
     else:
-        v = (existence.exists_over_even_degree if args.parity == "even"
+        v = (existence.exists_over_even_degree if parity == "even"
              else existence.exists_over_prime_field)(g, p)
-        query = {"p": p, "parity": args.parity}
+        query = {"p": p, "parity": parity}
     query = {"group": str(v.group), **query}
     args.citation = v.citation
     if args.json:
@@ -222,13 +228,16 @@ def cmd_zeta_assemble(args):
     if args.notation:
         if args.group is not None or args.orbit:
             raise UsageError("zeta-assemble takes --notation or --group (with --orbit), not both")
+        if args.eps is not None:
+            raise UsageError("zeta-assemble takes --eps only with --group")
         cp = args.notation
     elif args.group is None:
         raise UsageError("zeta-assemble needs --group (with --orbit) or --notation")
     else:
         for orbit in args.orbit or ():  # the total degree text prints count * index
             _printable(2000, count=orbit.count, index=orbit.ade.m)
-        cp = kummer.assemble_ns(args.orbit or (), kummer.invariant_h_poly(args.group, args.eps))
+        eps = -1 if args.eps is None else args.eps
+        cp = kummer.assemble_ns(args.orbit or (), kummer.invariant_h_poly(args.group, eps))
     _printable(195, q=q.q)
     if not kummer.artin_check(q, cp):
         raise Rejected(f"{cp} is impossible over a field of odd degree",
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=_group, required=True)
     p.add_argument("--p", type=_prime)
     p.add_argument("--q", type=_prime_power)
-    p.add_argument("--parity", choices=("even", "odd", "prime"), default="even")
+    p.add_argument("--parity", choices=("even", "odd", "prime"), help="default: even")
     p.add_argument("--refine", action="store_true",
                    help="apply the quotient-surface refinement")
     p.set_defaults(func=cmd_exists, citation="existence classification")
@@ -364,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta-assemble", help="assemble the NS characteristic polynomial")
     p.add_argument("--q", type=_prime_power, required=True)
     p.add_argument("--group", type=_group)
-    p.add_argument("--eps", type=int, choices=(1, -1), default=-1)
+    p.add_argument("--eps", type=int, choices=(1, -1), help="default: -1")
     p.add_argument("--orbit", type=_parse_orbit, action="append",
                    help="orbit spec ADE,count,degree,action (repeatable)")
     p.add_argument("--notation", type=_notation, help="direct notation such as 1^20,2^2")

@@ -56,19 +56,25 @@ _EVEN_TABLE = {
 # the same groups, and column I reads as that condition
 EVEN_DEGREE_GROUPS = frozenset(_EVEN_TABLE)
 
+# built once: a group's shared verdict, or its two conditions and column II's text
+_EVEN_CITE = "even-degree classification"
+_EVEN_ROWS = {g: ExistenceVerdict(g, True, True, _EVEN_CITE, (("any p coprime to |G|", True),))
+              if conds is None else (*conds, f"symplectic: {conds[1]}")
+              for g, conds in _EVEN_TABLE.items()}
+
 
 def exists_over_even_degree(g: GroupId, p: int) -> ExistenceVerdict:
     """Existence of a supersingular abelian surface over a field containing
     F_{p^2} with a rigid (column I) or rigid symplectic (column II) action.
     """
-    if g not in _EVEN_TABLE:
+    row = _EVEN_ROWS.get(g)
+    if row is None:
         raise Rejected(f"{g} is not covered by the even-degree classification")
-    cite = "even-degree classification"
-    if _EVEN_TABLE[g] is None:
-        return ExistenceVerdict(g, True, True, cite, (("any p coprime to |G|", True),))
-    rigid, sympl = _EVEN_TABLE[g]
+    if row.__class__ is ExistenceVerdict:
+        return row
+    rigid, sympl, sympl_text = row
     r, s = rigid.holds(p), sympl.holds(p)
-    return ExistenceVerdict(g, r, s, cite, ((str(rigid), r), (f"symplectic: {sympl}", s)))
+    return ExistenceVerdict(g, r, s, _EVEN_CITE, ((rigid.text, r), (sympl_text, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,13 @@ _PRIME_FIELD = {
     G.Q12: Condition("p > 3"),
 }
 
+# built once: the shared verdict of each group outside the list
+_PRIME_CITE = "prime-field sufficiency"
+_OUTSIDE_PRIME_FIELD = {
+    g: ExistenceVerdict(g, None, None, _PRIME_CITE,
+                        (("group outside the prime-field sufficiency list", False),))
+    for g in GroupId if g not in _PRIME_FIELD}
+
 
 def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
     """Sufficient conditions for a rigid symplectic action over F_p itself.
@@ -89,11 +102,10 @@ def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
     """
     cond = _PRIME_FIELD.get(g)
     if cond is None:
-        val, conds = None, (("group outside the prime-field sufficiency list", False),)
-    else:
-        ok = cond.holds(p)
-        val, conds = (True if ok else None), ((str(cond), ok),)
-    return ExistenceVerdict(g, val, val, "prime-field sufficiency", conds)
+        return _OUTSIDE_PRIME_FIELD[g]
+    ok = cond.holds(p)
+    val = True if ok else None
+    return ExistenceVerdict(g, val, val, _PRIME_CITE, ((cond.text, ok),))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +174,14 @@ _REFINE_DIRECT = (G.C2, G.C3, G.C4, G.C6, G.Q8, G.Q12, G.SL2F3)
 # that trigger it
 _REFINE_CONDITIONS = {n: Condition(f"p != +-1 mod {n}") for n in (5, 8, 12)}
 
+# built once: a direct group's shared verdict, else its clauses
+_REFINE_CITE = "quotient refinement"
+_REFINE_ROWS = {g: ExistenceVerdict(g, True, True, _REFINE_CITE,
+                                    (("group in the unconditional list", True),))
+                if g in _REFINE_DIRECT else tuple(_REFINE_CONDITIONS[n] for n in sorted(
+                    facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys()))
+                for g in CONFIG_GROUPS}
+
 
 def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     """Existence of a supersingular quotient surface construction for (G, q).
@@ -175,14 +195,15 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
         raise Rejected("p = 2 is excluded from the refinement")
     if order(g) % p == 0:
         raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
-    if g not in CONFIG_GROUPS:
+    row = _REFINE_ROWS.get(g)
+    if row is None:
         raise Rejected(f"{g} is not in the quotient-construction list")
-    cite = "quotient refinement"
-    if g in _REFINE_DIRECT:
-        return ExistenceVerdict(g, True, True, cite, (("group in the unconditional list", True),))
-    conds = [("field degree even", not q.degree_is_odd)]
-    for n in sorted(facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys()):
-        cond = _REFINE_CONDITIONS[n]
-        conds.append((str(cond), cond.holds(p)))
-    val = all(holds for _, holds in conds)
-    return ExistenceVerdict(g, val, val, cite, tuple(conds))
+    if row.__class__ is ExistenceVerdict:
+        return row
+    val = not q.degree_is_odd
+    conds = [("field degree even", val)]
+    for cond in row:
+        holds = cond.holds(p)
+        conds.append((cond.text, holds))
+        val = val and holds
+    return ExistenceVerdict(g, val, val, _REFINE_CITE, tuple(conds))

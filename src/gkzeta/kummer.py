@@ -6,6 +6,8 @@ zeta functions.
 """
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import Rejected
 from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, order
 from .numtheory import (
@@ -20,6 +22,7 @@ from .numtheory import (
 )
 
 G = GroupId
+_ONE_MINUS_T = (IntPolynomial._trusted((1, -1)), 1)  # k3_zeta's factor (1 - t), shared
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,7 @@ class NSCharPoly(Value):
 
     def __init__(self, parts: tuple):
         items = tuple(sorted((int(r), int(d)) for r, d in dict(parts).items()))
+        total = 0
         for r, d in items:
             if r < 1 or d < 1:
                 raise Rejected("orders and degrees must be positive")
@@ -178,8 +182,9 @@ class NSCharPoly(Value):
             # rejected below whatever phi(r) is, so no r > 2 * 22^2 is factored
             if d <= 22 and (r > 2 * d * d or d % euler_phi(r)):
                 raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
-        if sum(d for _, d in items) != 22:
-            raise Rejected(f"total degree {sum(d for _, d in items)} != 22")
+            total += d
+        if total != 22:
+            raise Rejected(f"total degree {total} != 22")
         object.__setattr__(self, "parts", items)
 
     def __str__(self):
@@ -194,15 +199,12 @@ def parse_zeta_notation(s: str) -> NSCharPoly:
         term = term.strip()
         if not term:
             raise ValueError("empty term in notation")
-        if "^" in term:
-            r_s, d_s = term.split("^", 1)
-            r, d = int(r_s), int(d_s)
-        else:
-            r, d = int(term), 1
+        r_s, caret, d_s = term.partition("^")
+        r, d = int(r_s), int(d_s) if caret else 1
         if r in parts:
             raise ValueError(f"order {r} repeated in notation")
         parts[r] = d
-    return NSCharPoly(tuple(parts.items()))
+    return NSCharPoly(parts)
 
 
 def format_zeta_notation(parts: dict) -> str:
@@ -283,13 +285,14 @@ def assemble_ns(orbits, h_part: dict) -> NSCharPoly:
 
 def trace_of(cp: NSCharPoly) -> int:
     """Trace of the normalized Frobenius on NS: sum of mu(r) d_r / phi(r)."""
-    return sum(moebius(r) * d // euler_phi(r) for r, d in cp.parts)
+    return sum([moebius(r) * d // euler_phi(r) for r, d in cp.parts])
 
 
 def k3_point_count(q: PrimePower, cp: NSCharPoly) -> int:
     """|X(F_q)| = 1 + q * Tr + q^2 for a surface whose cohomology is
     spanned by divisor classes."""
-    return 1 + q.q * trace_of(cp) + q.q * q.q
+    qq = q.q
+    return 1 + qq * trace_of(cp) + qq * qq
 
 
 class ZetaFunction(Value):
@@ -309,14 +312,15 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
     """Zeta function 1 / ((1-t) P2(t) (1-q^2 t)) where P2 collects, for each
     cyclotomic order r, the factor with roots q * zeta_r."""
     qq = q.q
-    factors = [(IntPolynomial._trusted((1, -1)), 1)]
+    powers = [1, qq, qq * qq]
+    factors = [_ONE_MINUS_T]
     for r, d in cp.parts:
-        coeffs, qi = [], 1  # Phi_r reversed, at q t: the last is +-q^phi(r), not 0
-        for c in reversed(cyclotomic(r).coeffs):
-            coeffs.append(c * qi)
-            qi *= qq
-        factors.append((IntPolynomial._trusted(tuple(coeffs)), d // euler_phi(r)))
-    factors.append((IntPolynomial._trusted((1, -qq * qq)), 1))
+        # Phi_r reversed, at q t: the last coefficient is +-q^phi(r), not 0
+        c = cyclotomic(r).coeffs[::-1]
+        while len(powers) < len(c):
+            powers.append(powers[-1] * qq)
+        factors.append((IntPolynomial._trusted(tuple(map(mul, c, powers))), d // (len(c) - 1)))
+    factors.append((IntPolynomial._trusted((1, -powers[2])), 1))
     return ZetaFunction(q, tuple(factors))
 
 

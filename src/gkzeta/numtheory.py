@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import attrgetter
 
 
@@ -42,17 +42,14 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _TRIAL:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    if gcd(n, 30030) > 1:  # 30030 = 2 * 3 * 5 * 7 * 11 * 13, the primes of _TRIAL
+        return n in _TRIAL
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
     # n > 13 here, so every base used is below n
     for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -221,7 +218,9 @@ class PrimePower(Value):
         (q at first) is replaced by its l-th root while that root is exact.
         q is a prime power iff the last root is prime. That is one integer
         root per prime below log2(q) / 4, plus one per prime factor of n,
-        and one is_prime."""
+        and one is_prime; a root of more than 256 bits is first sieved
+        (_is_power_residue), and a last root at or above _MR_BOUND, which
+        is_prime cannot prove prime, is refused before any power."""
         if q < 1:
             raise ValueError(f"{q} is not a positive integer")
         for p in _TRIAL:
@@ -235,19 +234,40 @@ class PrimePower(Value):
         root, n, l = q, 1, 2
         # an l-th power of an integer of at least 17 has more than 4 l bits
         while 4 * l < root.bit_length():
-            r = iroot(root, l)
-            if r ** l == root:
-                root, n = r, n * l
-            else:
-                l += 1 if l == 2 else 2
-                while not is_prime(l):
-                    l += 2
-        if is_prime(root):
-            return cls(root, n)
-        raise ValueError(f"{q} is not a prime power")
+            if root.bit_length() <= 256 or _is_power_residue(root, l):
+                r = iroot(root, l)
+                if r ** l == root:
+                    root, n = r, n * l
+                    continue
+            l += 1 if l == 2 else 2
+            while not is_prime(l):
+                l += 2
+        if root >= _MR_BOUND:
+            raise ValueError(f"{q} is not a prime power p^n with p < {_MR_BOUND}")
+        if not is_prime(root):
+            raise ValueError(f"{q} is not a prime power")
+        pp = object.__new__(cls)  # root is proven prime: __init__ would test it again
+        object.__setattr__(pp, "p", root)
+        object.__setattr__(pp, "n", n)
+        return pp
 
     def __str__(self):
         return f"{self.p}^{self.n}" if self.n > 1 else str(self.p)
+
+
+def _is_power_residue(x: int, l: int) -> bool:
+    """False when x is proven not to be an l-th power, l prime: for four
+    primes m = 1 mod l, an l-th power is 0 mod m or has x^((m - 1)/l) = 1
+    mod m (Bach-Sorenson, Algorithmica 9, 1993). A non-power passes each m
+    with chance about 1/l."""
+    tested, m = 0, 2 * l + 1
+    while tested < 4:
+        if is_prime(m):
+            if x % m and pow(x, (m - 1) // l, m) != 1:
+                return False
+            tested += 1
+        m += 2 * l
+    return True
 
 
 # ---------------------------------------------------------------------------

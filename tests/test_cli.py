@@ -116,6 +116,18 @@ class TestEmbedAndExists:
                          "--p", "318665857834031151167461")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", (["embed-check", "--group", "C8"],
+                                      ["exists", "--group", "C8", "--parity", "even"],
+                                      ["tables", "--which", "alginj"]), ids=" ".join)
+    def test_p_above_the_proven_bound(self, capsys, argv):
+        # 2^89 - 1 is prime; 10^4299 + 3 has no factor up to 13, and its
+        # Miller-Rabin powers alone take seconds
+        for p in (2 ** 89 - 1, 10 ** 4299 + 3):
+            with deadline(1):
+                code, out, err = run(capsys, *argv, "--p", str(p))
+            assert (code, out) == (2, "")
+            assert err.endswith("primality is only proven below 3317044064679887385961981\n")
+
     def test_embed_check_uncovered(self, capsys):
         code, _, err = run(capsys, "embed-check", "--group", "C2", "--p", "3")
         assert code == 1
@@ -170,6 +182,11 @@ class TestEmbedAndExists:
         assert code == 2
         assert out == ""
         assert err == "exists: --q 9 is not a power of --p 5\n"
+
+    def test_exists_parity_defaults_to_even(self, capsys):
+        for argv in (["--q", "9"], ["--q", "9", "--refine"], ["--p", "7"]):
+            assert run(capsys, "exists", "--group", "C8", *argv) == run(
+                capsys, "exists", "--group", "C8", *argv, "--parity", "even")
 
     def test_exists_p_and_q_agree(self, capsys):
         assert run(capsys, "exists", "--group", "Q8", "--p", "7", "--q", "343",
@@ -277,6 +294,12 @@ class TestSingAndZeta:
         assert err == ("rejected: |q| >= 10^195: the output would print an integer of more "
                        "than 4300 digits [zeta assembly]\n")
 
+    def test_zeta_assemble_eps_defaults_to_minus_one(self, capsys):
+        orbits = ["--orbit", "D4,2,1,trivial", "--orbit", "A3,3,1,trivial",
+                  "--orbit", "A1,2,1,trivial"]
+        assert run(capsys, "zeta-assemble", "--q", "3", "--group", "Q8", *orbits) == run(
+            capsys, "zeta-assemble", "--q", "3", "--group", "Q8", "--eps", "-1", *orbits)
+
     def test_zeta_assemble_missing_input(self, capsys):
         code, _, _ = run(capsys, "zeta-assemble", "--q", "3")
         assert code == 2
@@ -375,15 +398,16 @@ def digits(lo, hi):
 
 
 # integers of 20 to 4,300 digits (int() reads no more), either sign. A --q
-# that long is a power of 2; powers of 3, 5 and 7 stop at 1,000 digits and
-# other q at 600, because PrimePower.from_q takes seconds on a q of thousands
-# of digits that is not a power of 2
+# that long is a power of 2, 3, 5 or 7, or any integer: PrimePower.from_q
+# sieves the roots of a huge q and refuses a last root it cannot prove prime.
+# A --p that long is refused before any Miller-Rabin power
 HUGE = st.one_of(digits(20, 4300), digits(20, 4300).map(lambda n: -n)).map(str)
 HUGE_Q = st.one_of(st.integers(64, 14_284).map(lambda n: 2 ** n),
-                   st.builds(pow, st.sampled_from([3, 5, 7]), st.integers(40, 1_180)),
-                   digits(20, 600)).map(str)
+                   st.sampled_from([(3, 9012), (5, 6151), (7, 5088)]).flatmap(
+                       lambda bk: st.integers(40, bk[1]).map(lambda k: bk[0] ** k)),
+                   digits(20, 4300)).map(str)
 Q = st.one_of(st.sampled_from(PRIME_POWERS).map(str), INT, HUGE_Q, JUNK)
-P = st.one_of(st.sampled_from(SMALL).map(str), INT, JUNK)
+P = st.one_of(st.sampled_from(SMALL).map(str), INT, digits(26, 4300).map(str), JUNK)
 GROUP = st.one_of(st.sampled_from([g.value for g in G]), JUNK)
 COEF = st.integers(-400, 400).map(str)
 ORBIT = st.one_of(

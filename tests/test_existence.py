@@ -1,10 +1,11 @@
 import pytest
 
-from gkzeta import brauer
+from gkzeta import brauer, existence
 from gkzeta.brauer import rigid_embeds_in_m2hp
 from gkzeta.existence import (
     EVEN_DEGREE_GROUPS,
     _EVEN_TABLE,
+    ExistenceVerdict,
     Rejected,
     exists_over_even_degree,
     exists_over_odd_degree,
@@ -214,6 +215,59 @@ class TestKatsuraRefinement:
             katsura_refinement(G.SL2F5, PrimePower(3, 2))
         with pytest.raises(Rejected):
             katsura_refinement(G.C5_C8, PrimePower(3, 2))
+
+
+class TestStoredRows:
+    """The rows each per-prime call reads, built once at import, against the
+    typed tables they are built from."""
+
+    def test_refinement_rows_follow_the_element_orders(self):
+        assert set(existence._REFINE_ROWS) == set(CONFIG_GROUPS)
+        for g in CONFIG_GROUPS:
+            row = existence._REFINE_ROWS[g]
+            if g in existence._REFINE_DIRECT:
+                assert isinstance(row, ExistenceVerdict), g
+            else:
+                orders = sorted(facts(g).cyclic_subgroup_orders & {5, 8, 12})
+                assert [c.text for c in row] == [f"p != +-1 mod {n}" for n in orders], g
+
+    def test_even_rows_keep_the_table_conditions(self):
+        assert set(existence._EVEN_ROWS) == set(_EVEN_TABLE)
+        for g, conds in _EVEN_TABLE.items():
+            row = existence._EVEN_ROWS[g]
+            if conds is not None:
+                assert row == (*conds, f"symplectic: {conds[1]}"), g
+
+    SHARED = (
+        ("_EVEN_ROWS", exists_over_even_degree, lambda g: _EVEN_TABLE.get(g, ()) is None,
+         lambda g: ExistenceVerdict(g, True, True, "even-degree classification",
+                                    (("any p coprime to |G|", True),))),
+        ("_OUTSIDE_PRIME_FIELD", exists_over_prime_field,
+         lambda g: g not in existence._PRIME_FIELD,
+         lambda g: ExistenceVerdict(g, None, None, "prime-field sufficiency", (
+             ("group outside the prime-field sufficiency list", False),))),
+        ("_REFINE_ROWS", katsura_refinement, lambda g: g in existence._REFINE_DIRECT,
+         lambda g: ExistenceVerdict(g, True, True, "quotient refinement",
+                                    (("group in the unconditional list", True),))),
+    )
+
+    @pytest.mark.parametrize("table, fn, shared, fresh", SHARED, ids=[t[0] for t in SHARED])
+    def test_shared_verdicts(self, table, fn, shared, fresh):
+        # a verdict is shared exactly where the typed table makes it the same
+        # for every p; it equals one built afresh, is returned for every p
+        # the function answers, and refuses assignment
+        stored = {g: v for g, v in getattr(existence, table).items()
+                  if isinstance(v, ExistenceVerdict)}
+        assert set(stored) == {g for g in G if shared(g)}
+        for g, v in stored.items():
+            assert v == fresh(g)
+            for p in PRIMES_200[1:]:  # the refinement rejects p = 2
+                if order(g) % p:
+                    assert fn(g, PrimePower(p, 2) if fn is katsura_refinement else p) is v
+            with pytest.raises(AttributeError):
+                v.exists_rigid = not v.exists_rigid
+            with pytest.raises(AttributeError):
+                del v.conditions
 
 
 class TestTraceTableConsistency:

@@ -3,13 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkzeta import numtheory
 from gkzeta.numtheory import (
     Condition,
     IntPolynomial,
     PrimePower,
     cyclotomic,
     divisors,
+    _MR_BOUND,
     _PSI,
+    _is_power_residue,
     euler_phi,
     iroot,
     is_prime,
@@ -78,6 +81,32 @@ class TestPrimes:
         for psi in _PSI[:-1]:
             assert not is_prime(psi)
 
+    # the k <= 200 with 2^k - 1 prime (OEIS A000043) and with 2^k + 1 prime
+    # (the Fermat primes, A019434)
+    MERSENNE = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127)
+    FERMAT = (1, 2, 4, 8, 16)
+
+    def test_two_to_the_k_plus_minus_one(self):
+        for k in range(1, 201):
+            for n, prime in ((2 ** k - 1, k in self.MERSENNE), (2 ** k + 1, k in self.FERMAT)):
+                if prime and n >= _MR_BOUND:
+                    with pytest.raises(ValueError):
+                        is_prime(n)
+                else:
+                    assert is_prime(n) == prime, k
+
+    def test_a_multiple_of_a_trial_prime_takes_no_power(self, monkeypatch):
+        # the trial division by 2, 3, 5, 7, 11 and 13 answers before any
+        # Miller-Rabin power, however large n is
+        def no_power(*args):
+            raise AssertionError(f"Miller-Rabin power {args}")
+
+        monkeypatch.setattr(numtheory, "pow", no_power, raising=False)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert is_prime(p)
+            for m in (17, 19 * 23, 10 ** 30 + 1, 2 ** 14000 + 1):
+                assert not is_prime(p * m), (p, m)
+
     def test_matches_sieve_below_10_6(self):
         sieve = prime_sieve(10 ** 6)
         assert [n for n in range(10 ** 6) if is_prime(n) != sieve[n]] == []
@@ -139,6 +168,37 @@ class TestPrimePowerByRoots:
                 assert _outcome(PrimePower.from_q, p ** k) == PrimePower(p, k)
             for q in (3 * 2 ** 9973, 13 ** 2000 * 17):
                 assert _outcome(PrimePower.from_q, q) == f"{q} is not a prime power"
+
+    def test_root_is_tested_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counting)
+        for p, k in ((2, 5), (13, 4), (17, 1), (17, 2), (19997, 3), (10 ** 12 + 39, 2)):
+            calls.clear()
+            q = PrimePower.from_q(p ** k)
+            assert (q.p, q.n, calls.count(p)) == (p, k, 1)
+
+    def test_huge_q_is_bounded(self):
+        # 2^14000 + 1 took seconds in integer roots and in one Miller-Rabin
+        # power on the 14,000-bit root; 2^89 - 1 is prime and above the bound
+        from test_cli import deadline
+
+        refused = "{} is not a prime power p^n with p < 3317044064679887385961981"
+        with deadline(2):
+            for q in (2 ** 14000 + 1, 10 ** 4299 + 3, 2 ** 89 - 1, (2 ** 89 - 1) ** 7,
+                      (10 ** 24 + 7) ** 49 * 10009 ** 3):
+                assert _outcome(PrimePower.from_q, q) == refused.format(q)
+            for p, k in ((17, 3000), (1000003, 600), (10 ** 24 + 7, 50), (19997, 997)):
+                assert _outcome(PrimePower.from_q, p ** k) == PrimePower(p, k)
+
+    @given(st.integers(17, 2 ** 300), st.sampled_from([2, 3, 5, 7, 11, 13, 101, 3571]))
+    @settings(max_examples=200, deadline=None)
+    def test_power_residue_sieve_keeps_every_power(self, y, l):
+        assert _is_power_residue(y ** l, l)
 
     def test_iroot_matches_counting(self):
         assert [(x, k) for x in range(1500) for k in range(1, 13)
