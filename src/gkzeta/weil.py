@@ -117,6 +117,11 @@ def _supersingular_case(p: int, qq: int, r: int, b: int) -> str | None:
     return None
 
 
+# the slots' own setters, with which enumerate_elliptic builds each class
+_new, _set_coeffs = object.__new__, IntPolynomial.coeffs.__set__
+_set_q, _set_poly, _set_case = (WeilDescriptor.q.__set__, WeilDescriptor.poly.__set__,
+                                WeilDescriptor.case.__set__)
+
 # enumerate_elliptic classifies all 4 sqrt(q) + 1 traces in one pass; at this
 # limit that takes about 0.04 s (CPython 3.11.7 on a 2-CPU x86-64 VM)
 ENUMERATE_LIMIT = 10 ** 8
@@ -129,10 +134,22 @@ def enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
     if qq > ENUMERATE_LIMIT:
         raise Rejected(f"q = {qq} is above the enumeration limit {ENUMERATE_LIMIT}",
                        "elliptic isogeny classification")
-    r, bound, trusted = isqrt(qq), isqrt(4 * qq), IntPolynomial._trusted
-    # f = t^2 - b t + q needs no normalization: its end coefficients are nonzero
-    return [WeilDescriptor(q, trusted((qq, -b, 1)), case) for b in range(-bound, bound + 1)
-            if (case := "ordinary" if b % p else _supersingular_case(p, qq, r, b)) is not None]
+    r, bound = isqrt(qq), isqrt(4 * qq)
+    out = []
+    for b in range(-bound, bound + 1):
+        case = "ordinary" if b % p else _supersingular_case(p, qq, r, b)
+        if case is None:
+            continue
+        # WeilDescriptor(q, IntPolynomial._trusted((qq, -b, 1)), case) without
+        # the two calls: f = t^2 - b t + q needs no normalization
+        f = _new(IntPolynomial)
+        _set_coeffs(f, (qq, -b, 1))
+        w = _new(WeilDescriptor)
+        _set_q(w, q)
+        _set_poly(w, f)
+        _set_case(w, case)
+        out.append(w)
+    return out
 
 
 # ---------------------------------------------------------------------------
