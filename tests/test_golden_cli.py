@@ -183,6 +183,13 @@ DROPPED = (
     ["exists", "--group", "Q8", "--q", "9", "--parity", "odd", "--refine"],
 )
 
+# exists given --q and no --parity, over an odd degree and a prime field;
+# appended after DROPPED
+PARITY_OF_Q = (
+    ["exists", "--group", "C8", "--q", "27"],
+    ["exists", "--group", "C4", "--q", "7"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -206,7 +213,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(USAGE)
     + _with_json(HUGE)
     + _with_json(BOTH_INPUTS)
-    + _with_json(DROPPED))) if argv not in PINNED)
+    + _with_json(DROPPED)
+    + _with_json(PARITY_OF_Q))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
