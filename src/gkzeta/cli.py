@@ -289,6 +289,8 @@ def _table(which: str, p: int | None):
 def cmd_tables(args):
     if args.which == "alginj" and args.p is None:
         raise UsageError("tables --which alginj needs --p")
+    if args.which in ("sing", "rigidalg") and args.p is not None:
+        raise UsageError(f"tables --which {args.which} takes no --p")
     rows = list(_table(args.which, args.p))
     args.citation = args.which
     if args.json:
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="print a stored or derived table")
     p.add_argument("--which", choices=("sing", "sszeta1", "sszeta2", "rigidalg", "alginj"),
                    required=True)
-    p.add_argument("--p", type=_prime)
+    p.add_argument("--p", type=_prime, help="for alginj (needed), sszeta1 and sszeta2")
     p.set_defaults(func=cmd_tables, citation="reference tables")
 
     p = sub.add_parser("selftest", help="run internal consistency checks")

@@ -349,6 +349,11 @@ class TestTablesAndSelftest:
         code, _, _ = run(capsys, "tables", "--which", "alginj")
         assert code == 2
 
+    @pytest.mark.parametrize("which", ["sing", "rigidalg"])
+    def test_tables_without_p_refuse_p(self, capsys, which):
+        code, out, err = run(capsys, "tables", "--which", which, "--p", "7")
+        assert (code, out, err) == (2, "", f"tables --which {which} takes no --p\n")
+
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
