@@ -150,7 +150,8 @@ def cmd_exists(args):
         p = q.p
     elif q is not None and q.p != p:
         raise UsageError(f"exists: --q {q.q} is not a power of --p {p}")
-    parity = args.parity or "even"
+    # without --parity, --q names it by its degree (q = p is odd); else even
+    parity = args.parity or ("odd" if q is not None and q.degree_is_odd else "even")
     # an explicit --parity names the degree of --q: even, odd, or 1 (prime)
     if q is not None and args.parity and not (
             q.n == 1 if parity == "prime" else q.degree_is_odd == (parity == "odd")):
@@ -363,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=_group, required=True)
     p.add_argument("--p", type=_prime)
     p.add_argument("--q", type=_prime_power)
-    p.add_argument("--parity", choices=("even", "odd", "prime"), help="default: even")
+    p.add_argument("--parity", choices=("even", "odd", "prime"),
+                   help="default: odd for an odd-degree --q (q = p too), else even")
     p.add_argument("--refine", action="store_true",
                    help="apply the quotient-surface refinement")
     p.set_defaults(func=cmd_exists, citation="existence classification")

@@ -188,6 +188,11 @@ class TestEmbedAndExists:
             assert run(capsys, "exists", "--group", "C8", *argv) == run(
                 capsys, "exists", "--group", "C8", *argv, "--parity", "even")
 
+    def test_exists_parity_of_odd_degree_q_is_odd(self, capsys):
+        for argv in (["--q", "27"], ["--q", "7"], ["--p", "3", "--q", "27"]):
+            assert run(capsys, "exists", "--group", "C8", *argv) == run(
+                capsys, "exists", "--group", "C8", *argv, "--parity", "odd")
+
     def test_exists_p_and_q_agree(self, capsys):
         assert run(capsys, "exists", "--group", "Q8", "--p", "7", "--q", "343",
                    "--parity", "odd") == run(capsys, "exists", "--group", "Q8", "--q", "343",
