@@ -123,7 +123,8 @@ _set_q, _set_poly, _set_case = (WeilDescriptor.q.__set__, WeilDescriptor.poly.__
                                 WeilDescriptor.case.__set__)
 
 # enumerate_elliptic classifies all 4 sqrt(q) + 1 traces in one pass; at this
-# limit that takes about 0.04 s (CPython 3.11.7 on a 2-CPU x86-64 VM)
+# limit that takes about 0.04 s, 1 us a class, of which the cyclic garbage
+# collector takes a third or more (CPython 3.11.7 on a 2-CPU x86-64 VM)
 ENUMERATE_LIMIT = 10 ** 8
 
 
