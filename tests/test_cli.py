@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import faulthandler
 import io
 import json
 import re
 import signal
 
+import conftest
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,15 +24,22 @@ def run(capsys, *argv):
 
 @contextlib.contextmanager
 def deadline(seconds):
-    """Raise TimeoutError in the body once it has run for the given seconds."""
+    """Raise TimeoutError in the body once it has run for the given seconds.
+
+    The SIGALRM handler runs only between bytecodes, so it cannot stop one
+    long C-level call that checks no signal. As a backstop, faulthandler
+    dumps every thread's traceback to conftest.STDERR_FD and ends the test
+    process once the body has run ten times as long."""
     def expire(signum, frame):
         raise TimeoutError(f"did not end within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
+    faulthandler.dump_traceback_later(10 * seconds, exit=True, file=conftest.STDERR_FD)
     try:
         yield
     finally:
+        faulthandler.cancel_dump_traceback_later()
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 

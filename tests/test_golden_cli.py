@@ -258,6 +258,61 @@ def test_snapshot_records_each_argv_once():
     assert len(set(argvs)) == len(argvs)
 
 
+# (argv prefix, option and value): an option that the golden argv with this
+# prefix give and that leaves their answer as it is, so that the probe below
+# does not count it as dropped
+SAME_ANSWER_WITHOUT = {
+    # given at their default
+    (("exists",), ("--parity", "even")),  # with --p and no --q
+    (("exists",), ("--parity", "odd")),  # with an odd-degree --q
+    (("zeta-assemble",), ("--eps", "-1")),
+    # a filter that removes no row at these p (p = 13 does)
+    *((("tables", "--which", "sszeta1"), ("--p", p)) for p in ("3", "5", "7", "11")),
+}
+
+
+def _options(argv):
+    """The (start, end) slices of argv[1:] that each hold one option and its value."""
+    start = 1
+    while start < len(argv):
+        end = start + 1
+        if "=" not in argv[start] and end < len(argv) and not argv[end].startswith("--"):
+            end += 1
+        yield start, end
+        start = end
+
+
+def _answer(record):
+    """A record's output, without the query that --json echoes."""
+    if "--json" not in record["argv"]:
+        return record["stdout"]
+    body = json.loads(record["stdout"])
+    del body["query"]
+    return body
+
+
+def test_no_option_is_dropped(monkeypatch):
+    """Each option of each golden argv that exits 0, removed in turn, must
+    change the outcome: a different exit code or a different answer."""
+    monkeypatch.setenv("COLUMNS", "80")
+    dropped, excused = [], set()
+    for record in RECORDS:
+        if record["code"] != 0:
+            continue
+        argv = record["argv"]
+        for start, end in _options(argv):
+            without = replay(argv[:start] + argv[end:])
+            if without["code"] == 0 and _answer(without) == _answer(record):
+                keys = {(prefix, option) for prefix, option in SAME_ANSWER_WITHOUT
+                        if tuple(argv[:len(prefix)]) == prefix
+                        and option == tuple(argv[start:end])}
+                excused |= keys
+                if not keys:
+                    dropped.append((" ".join(argv), argv[start:end]))
+    assert dropped == []
+    assert excused == SAME_ANSWER_WITHOUT
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     records = [replay(argv) for argv in ARGVS]
