@@ -272,7 +272,8 @@ SAME_ANSWER_WITHOUT = {
 
 
 def _options(argv):
-    """The (start, end) slices of argv[1:] that each hold one option and its value."""
+    """The (start, end) slices of argv, after the command, that each hold one
+    option and its value."""
     start = 1
     while start < len(argv):
         end = start + 1

@@ -105,16 +105,43 @@ class TestElliptic:
 
 class TestEllipticOracle:
     """The one-pass classifier against the earlier trace-by-trace validation
-    (tests/oracles.py), for every prime power q < 3000."""
+    (tests/oracles.py), for every prime power q < 3000 and four larger q."""
 
     @staticmethod
     def fields(w):
         return (w.q, w.dim, w.poly, w.e, w.newton, w.case, str(w.endo))
 
+    @classmethod
+    def assert_enumeration_matches_oracle(cls, q):
+        """The classes of enumerate_elliptic against the oracle's, field by
+        field. enumerate_elliptic builds them without the constructors, so
+        each must also be the value WeilDescriptor(q, IntPolynomial((q, -b, 1)),
+        case) builds for the oracle's trace b and case, alike in equality,
+        hash, repr and pickling, and it must refuse assignment and deletion."""
+        oracle = brute_enumerate_elliptic(q)
+        got = enumerate_elliptic(q)
+        assert [cls.fields(w) for w in got] == [cls.fields(w) for w in oracle], q
+        want = [WeilDescriptor(q, IntPolynomial((q.q, -b, 1)), c.case)
+                for b, c in zip(brute_elliptic_traces(q), oracle, strict=True)]
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is WeilDescriptor and type(g.poly) is IntPolynomial
+            assert g == w and hash(g) == hash(w) and repr(g) == repr(w), (q, w)
+            assert pickle.loads(pickle.dumps(g)) == w, (q, w)
+        for g in (got[0], got[len(got) // 2], got[-1]):
+            for value, field in ((g, "q"), (g, "poly"), (g, "case"), (g.poly, "coeffs")):
+                with pytest.raises(AttributeError):
+                    setattr(value, field, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, field)
+
     def test_enumeration_matches_oracle(self):
         for q in prime_powers_upto(2999):
-            got = [self.fields(w) for w in enumerate_elliptic(q)]
-            assert got == [self.fields(w) for w in brute_enumerate_elliptic(q)], q
+            self.assert_enumeration_matches_oracle(q)
+
+    @pytest.mark.parametrize("qq", [99991, 3 ** 10, 2 ** 16, 99999989],
+                             ids=["99991", "3^10", "2^16", "99999989"])
+    def test_enumeration_matches_oracle_at_large_q(self, qq):
+        self.assert_enumeration_matches_oracle(PrimePower.from_q(qq))
 
     def test_validation_matches_oracle(self):
         checked = 0
@@ -131,36 +158,6 @@ class TestEllipticOracle:
                     assert self.fields(validate_elliptic(q, b)) == want, (q, b)
                 checked += 1
         assert checked > 60000
-
-    @staticmethod
-    def assert_built_as_constructed(q):
-        """enumerate_elliptic builds its classes without the constructors:
-        each must be the value WeilDescriptor(q, IntPolynomial((q, -b, 1)), case)
-        builds for the oracle's trace b and case, alike in equality, hash, repr
-        and pickling, and it must refuse assignment and deletion."""
-        want = [WeilDescriptor(q, IntPolynomial((q.q, -b, 1)), c.case) for b, c in
-                zip(brute_elliptic_traces(q), brute_enumerate_elliptic(q), strict=True)]
-        got = enumerate_elliptic(q)
-        assert len(got) == len(want), q
-        for g, w in zip(got, want):
-            assert type(g) is WeilDescriptor and type(g.poly) is IntPolynomial
-            assert g == w and hash(g) == hash(w) and repr(g) == repr(w), (q, w)
-            assert pickle.loads(pickle.dumps(g)) == w, (q, w)
-        for g in (got[0], got[len(got) // 2], got[-1]):
-            for value, field in ((g, "q"), (g, "poly"), (g, "case"), (g.poly, "coeffs")):
-                with pytest.raises(AttributeError):
-                    setattr(value, field, None)
-                with pytest.raises(AttributeError):
-                    delattr(value, field)
-
-    def test_enumeration_builds_constructed_values(self):
-        for q in prime_powers_upto(2999):
-            self.assert_built_as_constructed(q)
-
-    @pytest.mark.parametrize("qq", [99991, 3 ** 10, 2 ** 16, 99999989],
-                             ids=["99991", "3^10", "2^16", "99999989"])
-    def test_enumeration_builds_constructed_values_at_large_q(self, qq):
-        self.assert_built_as_constructed(PrimePower.from_q(qq))
 
 
 class TestSurfaceQuartic:
