@@ -4,6 +4,9 @@ replayed in-process through `cli.main` and compared byte for byte.
 Regenerate the snapshot (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which prints to stderr each record whose exit code, stdout or stderr changed,
+with the parts that changed, and the number of records appended.
 """
 import contextlib
 import io
@@ -317,7 +320,15 @@ def test_no_option_is_dropped(monkeypatch):
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     records = [replay(argv) for argv in ARGVS]
+    appended = 0
+    for record in records:
+        old = RECORD_OF.get(tuple(record["argv"]))
+        if old is None:
+            appended += 1
+        elif old != record:
+            parts = [k for k in ("code", "stdout", "stderr") if old[k] != record[k]]
+            print(f"changed {', '.join(parts)}: {_id(record['argv'])}", file=sys.stderr)
     with open(SNAPSHOT, "w", encoding="utf-8") as f:
         json.dump(records, f, indent=1, ensure_ascii=False)
         f.write("\n")
-    print(f"wrote {len(records)} records to {SNAPSHOT}", file=sys.stderr)
+    print(f"wrote {len(records)} records, {appended} appended, to {SNAPSHOT}", file=sys.stderr)
