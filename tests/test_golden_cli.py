@@ -194,6 +194,21 @@ PARITY_OF_Q = (
 )
 
 
+# weil-check given more than one input form, a full one or half a pair next to
+# another; appended after PARITY_OF_Q
+MIXED_FORMS = (
+    ["weil-check", "--q", "7", "--b", "3", "--a1", "1", "--a2", "1"],
+    ["weil-check", "--q", "7", "--b", "3", "--square=7,0,1"],
+    ["weil-check", "--q", "7", "--b", "3", "--a1", "1"],
+    ["weil-check", "--q", "9", "--square=9,0,1", "--a1", "0", "--a2", "9"],
+)
+
+# a notation that repeats an order (exit 2); appended after MIXED_FORMS
+REPEATED_ORDER = (
+    ["zeta-assemble", "--q", "9", "--notation", "1^20,1^2"],
+)
+
+
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
 
@@ -217,7 +232,9 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(HUGE)
     + _with_json(BOTH_INPUTS)
     + _with_json(DROPPED)
-    + _with_json(PARITY_OF_Q))) if argv not in PINNED)
+    + _with_json(PARITY_OF_Q)
+    + _with_json(MIXED_FORMS)
+    + _with_json(REPEATED_ORDER))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
