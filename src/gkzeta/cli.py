@@ -97,6 +97,9 @@ def cmd_weil_check(args):
     from . import weil
 
     q = args.q
+    pair = args.a1 is not None or args.a2 is not None
+    if (args.b is not None) + pair + (args.square is not None) > 1:
+        raise UsageError("weil-check takes one form: --b, or --a1 and --a2, or --square")
     _printable(2000, q=q.q, b=args.b, a1=args.a1, a2=args.a2)
     if args.b is not None:
         w = weil.validate_elliptic(q, args.b)

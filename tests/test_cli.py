@@ -106,6 +106,26 @@ class TestWeilCommands:
         code, _, _ = run(capsys, "weil-check", "--q", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("given", [
+        [name for k, name in enumerate(("b", "a1", "a2", "square")) if mask >> k & 1]
+        for mask in range(16)], ids=lambda given: "+".join(given) or "none")
+    def test_weil_check_takes_exactly_one_form(self, capsys, given):
+        # each piece alone would be valid at q = 7: t^2 - 3t + 7,
+        # t^4 + t^3 + t^2 + 7t + 49 and (t^2 - 7)^2
+        pieces = {"b": ["--b", "3"], "a1": ["--a1", "1"], "a2": ["--a2", "1"],
+                  "square": ["--square=-7,0,1"]}
+        code, out, err = run(capsys, "weil-check", "--q", "7",
+                             *(t for name in given for t in pieces[name]))
+        forms = ("b" in given) + ("a1" in given or "a2" in given) + ("square" in given)
+        if given in (["b"], ["a1", "a2"], ["square"]):
+            assert (code, err) == (0, "")
+        elif forms > 1:
+            assert (code, out) == (2, "")
+            assert err == "weil-check takes one form: --b, or --a1 and --a2, or --square\n"
+        else:
+            assert (code, out) == (2, "")
+            assert err == "weil-check needs --b, or --a1 and --a2, or --square\n"
+
 
 class TestEmbedAndExists:
     def test_embed_check(self, capsys):
