@@ -104,16 +104,16 @@ def cmd_weil_check(args):
     if args.b is not None:
         w = weil.validate_elliptic(q, args.b)
     elif args.square is not None:
-        w = weil.validate_surface_simple(q, square_of=args.square)
+        w = weil.validate_surface_square(q, args.square)
     elif args.a1 is not None and args.a2 is not None:
-        w = weil.validate_surface_simple(q, a1=args.a1, a2=args.a2)
+        w = weil.validate_surface_simple(q, args.a1, args.a2)
     else:
         raise UsageError("weil-check needs --b, or --a1 and --a2, or --square")
     # only the selected output is built: the slopes are printed, not sent
     if args.json:
         return {"q": q.q}, {"verdict": {
             "valid": True, "poly": str(w.poly), "e": w.e, "newton": w.newton.value,
-            "endo": str(w.endo), "case": w.case}}
+            "endo": w.endo, "case": w.case}}
     return {"q": q.q}, [
         f"valid: f = {w.poly} over F_{q.q} (dim {w.dim}, e = {w.e})",
         f"newton: {w.newton.value} (slopes {','.join(w.slopes())})",

@@ -18,7 +18,6 @@ class ExistenceVerdict(Value):
     # text, evaluated bool) pairs; weil_options: WeilOption
     __slots__ = ("group", "exists_rigid", "exists_rigid_symplectic", "citation",
                  "conditions", "weil_options")
-    _defaults = ((),)
 
 
 class WeilOption(Value):
@@ -58,7 +57,7 @@ EVEN_DEGREE_GROUPS = frozenset(_EVEN_TABLE)
 
 # built once: a group's shared verdict, or its two conditions and column II's text
 _EVEN_CITE = "even-degree classification"
-_EVEN_ROWS = {g: ExistenceVerdict(g, True, True, _EVEN_CITE, (("any p coprime to |G|", True),))
+_EVEN_ROWS = {g: ExistenceVerdict(g, True, True, _EVEN_CITE, (("any p coprime to |G|", True),), ())
               if conds is None else (*conds, f"symplectic: {conds[1]}")
               for g, conds in _EVEN_TABLE.items()}
 
@@ -74,7 +73,7 @@ def exists_over_even_degree(g: GroupId, p: int) -> ExistenceVerdict:
         return row
     rigid, sympl, sympl_text = row
     r, s = rigid.holds(p), sympl.holds(p)
-    return ExistenceVerdict(g, r, s, _EVEN_CITE, ((rigid.text, r), (sympl_text, s)))
+    return ExistenceVerdict(g, r, s, _EVEN_CITE, ((rigid.text, r), (sympl_text, s)), ())
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,7 @@ _PRIME_FIELD = {
 _PRIME_CITE = "prime-field sufficiency"
 _OUTSIDE_PRIME_FIELD = {
     g: ExistenceVerdict(g, None, None, _PRIME_CITE,
-                        (("group outside the prime-field sufficiency list", False),))
+                        (("group outside the prime-field sufficiency list", False),), ())
     for g in GroupId if g not in _PRIME_FIELD}
 
 
@@ -105,7 +104,7 @@ def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
         return _OUTSIDE_PRIME_FIELD[g]
     ok = cond.holds(p)
     val = True if ok else None
-    return ExistenceVerdict(g, val, val, _PRIME_CITE, ((cond.text, ok),))
+    return ExistenceVerdict(g, val, val, _PRIME_CITE, ((cond.text, ok),), ())
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,7 @@ _REFINE_CONDITIONS = {n: Condition(f"p != +-1 mod {n}") for n in (5, 8, 12)}
 # built once: a direct group's shared verdict, else its clauses
 _REFINE_CITE = "quotient refinement"
 _REFINE_ROWS = {g: ExistenceVerdict(g, True, True, _REFINE_CITE,
-                                    (("group in the unconditional list", True),))
+                                    (("group in the unconditional list", True),), ())
                 if g in _REFINE_DIRECT else tuple(_REFINE_CONDITIONS[n] for n in sorted(
                     facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys()))
                 for g in CONFIG_GROUPS}
@@ -206,4 +205,4 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
         holds = cond.holds(p)
         conds.append((cond.text, holds))
         val = val and holds
-    return ExistenceVerdict(g, val, val, _REFINE_CITE, tuple(conds))
+    return ExistenceVerdict(g, val, val, _REFINE_CITE, tuple(conds), ())

@@ -167,49 +167,44 @@ def ns_rank_bound(cfg: SingularConfig) -> tuple[int, bool]:
 # the degree-22 characteristic polynomial in cyclotomic notation
 
 class NSCharPoly(Value):
-    """det(t - F/q | NS) encoded as {r: d_r} with d_r the total degree of the
-    cyclotomic factor Phi_r^(d_r / phi(r))."""
+    """det(t - F/q | NS) as its parts (r, d_r), one per order r, with d_r the
+    total degree of the cyclotomic factor Phi_r^(d_r / phi(r)); printed in
+    the notation that parse_zeta_notation reads."""
 
     __slots__ = ("parts",)  # sorted ((r, d_r), ...)
 
-    def __init__(self, parts: tuple):
-        items = tuple(sorted((int(r), int(d)) for r, d in dict(parts).items()))
-        total = 0
+    def __init__(self, parts):
+        items = tuple(sorted((int(r), int(d)) for r, d in parts))
+        total, last = 0, None
         for r, d in items:
+            if r == last:
+                raise Rejected(f"order {r} repeated in notation")
             if r < 1 or d < 1:
                 raise Rejected("orders and degrees must be positive")
             # phi(r) >= sqrt(r/2) > d if r > 2d^2; a part with d > 22 is
             # rejected below whatever phi(r) is, so no r > 2 * 22^2 is factored
             if d <= 22 and (r > 2 * d * d or d % euler_phi(r)):
                 raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
-            total += d
+            total, last = total + d, r
         if total != 22:
             raise Rejected(f"total degree {total} != 22")
         object.__setattr__(self, "parts", items)
 
     def __str__(self):
-        return format_zeta_notation(dict(self.parts))
+        return ",".join(f"{r}^{d}" if d > 1 else str(r) for r, d in self.parts)
 
 
 def parse_zeta_notation(s: str) -> NSCharPoly:
     """Parse '1^20,2^2' style notation: comma-separated r^d terms with d the
     total degree contributed at order r (omitted exponent means d = 1)."""
-    parts: dict[int, int] = {}
+    parts = []
     for term in s.split(","):
         term = term.strip()
         if not term:
             raise ValueError("empty term in notation")
         r_s, caret, d_s = term.partition("^")
-        r, d = int(r_s), int(d_s) if caret else 1
-        if r in parts:
-            raise ValueError(f"order {r} repeated in notation")
-        parts[r] = d
+        parts.append((int(r_s), int(d_s) if caret else 1))
     return NSCharPoly(parts)
-
-
-def format_zeta_notation(parts: dict) -> str:
-    items = sorted((r, d) for r, d in parts.items() if d)
-    return ",".join(f"{r}^{d}" if d > 1 else str(r) for r, d in items)
 
 
 # ---------------------------------------------------------------------------

@@ -130,16 +130,14 @@ class Value:
     A subclass names its fields in order in __slots__. Unless it defines
     __init__ (to validate or normalize), it gets a constructor compiled from
     __slots__ once, when the class is created: like a namedtuple's, it takes
-    the fields by position or keyword, and the last len(_defaults) fields
-    default to _defaults. Instances compare equal only within their class,
-    hash by their fields, print as Name(field=value, ...), and refuse
-    assignment and deletion, so that a cached instance is safe to share.
+    each field by position or keyword. Instances compare equal only within
+    their class, hash by their fields, print as Name(field=value, ...), and
+    refuse assignment and deletion, so that a cached instance is safe to share.
     (The value types are not dataclasses: importing dataclasses takes longer
     than most CLI calls spend computing.)
     """
 
     __slots__ = ()
-    _defaults = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
@@ -180,7 +178,6 @@ def _constructor(cls):
     source = f"def __init__(self, {', '.join(fields)}):{body}"
     exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
     init = namespace["__init__"]
-    init.__defaults__ = cls._defaults
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
 

@@ -17,22 +17,6 @@ class NewtonType(Enum):
     MIXED = "mixed"
 
 
-class EndoDescriptor(Value):
-    """Shape of the endomorphism algebra End(A) (x) Q of an isogeny class,
-    built on demand by WeilDescriptor.endo.
-
-    kind is 'field', 'quaternion-Hp', 'quaternion-Hinfty' or
-    'quaternion-over-field'; detail is a printable refinement, such as
-    'p=3' or the field 'Q[t]/(t^2 + 7)'.
-    """
-
-    __slots__ = ("kind", "detail")
-    _defaults = ("",)
-
-    def __str__(self):
-        return f"{self.kind}({self.detail})" if self.detail else self.kind
-
-
 class WeilDescriptor(Value):
     """A validated isogeny class over F_q: its characteristic polynomial
     poly = f = P^e and its case, 'ordinary', 'mixed' or a supersingular 'ss-*'.
@@ -57,17 +41,20 @@ class WeilDescriptor(Value):
         return NewtonType.MIXED if self.case == "mixed" else NewtonType.SUPERSINGULAR
 
     @property
-    def endo(self) -> EndoDescriptor:
+    def endo(self) -> str:
+        """The endomorphism algebra End(A) (x) Q as text: its kind, 'field',
+        'quaternion-Hp', 'quaternion-Hinfty' or 'quaternion-over-field', and
+        in parentheses a refinement such as p=3 or the field Q[t]/(t^2 + 7)."""
         case, p = self.case, self.q.p
         if case == "ss-inseparable":
-            return EndoDescriptor("quaternion-Hp", f"p={p}")
+            return f"quaternion-Hp(p={p})"
         if case == "ss-square-odd":
-            return EndoDescriptor("quaternion-Hinfty", f"Q(sqrt({p}))")
+            return f"quaternion-Hinfty(Q(sqrt({p})))"
         if case.startswith("ss-square-even"):
             # f = P^2 with P = t^2 + (f_3 / 2) t + q
             P = IntPolynomial._trusted((self.q.q, self.poly[3] // 2, 1))
-            return EndoDescriptor("quaternion-over-field", f"Q[t]/({P})")
-        return EndoDescriptor("field", f"Q[t]/({self.poly})")
+            return f"quaternion-over-field(Q[t]/({P}))"
+        return f"field(Q[t]/({self.poly}))"
 
     def slopes(self) -> tuple[str, ...]:
         """The p-adic slopes of poly as text, normalized so that v(q) = 1,
@@ -175,7 +162,7 @@ _SS_QUARTICS = {
 
 def _quartic_is_irreducible(qq: int, a1: int, a2: int) -> bool:
     """Irreducibility over Q of f = t^4 + a1 t^3 + a2 t^2 + a1 q t + q^2,
-    for (a1, a2) inside the Weil box checked by _validate_surface_quartic.
+    for (a1, a2) inside the Weil box checked by validate_surface_simple.
 
     f(t) = t^2 h(t + q/t) with h(x) = x^2 + a1 x + (a2 - 2q). If h splits
     over Q, so does f. If not, a rational quadratic factor of f pairs two
@@ -191,22 +178,9 @@ def _quartic_is_irreducible(qq: int, a1: int, a2: int) -> bool:
     return isqrt(disc) ** 2 != disc
 
 
-def validate_surface_simple(q: PrimePower, a1: int = None, a2: int = None,
-                            square_of: IntPolynomial = None) -> WeilDescriptor:
-    """Validate a simple abelian surface isogeny class over F_q.
-
-    Either give (a1, a2) for an irreducible quartic
-    f = t^4 + a1 t^3 + a2 t^2 + a1 q t + q^2, or give square_of = P, a monic
-    quadratic, for the classes with f = P^2.
-    """
-    if square_of is not None:
-        return _validate_surface_square(q, square_of)
-    if a1 is None or a2 is None:
-        raise Rejected("need either (a1, a2) or square_of")
-    return _validate_surface_quartic(q, a1, a2)
-
-
-def _validate_surface_quartic(q: PrimePower, a1: int, a2: int) -> WeilDescriptor:
+def validate_surface_simple(q: PrimePower, a1: int, a2: int) -> WeilDescriptor:
+    """Validate the simple abelian surface isogeny class over F_q of the
+    irreducible quartic f = t^4 + a1 t^3 + a2 t^2 + a1 q t + q^2."""
     p, qq = q.p, q.q
     f = IntPolynomial([qq * qq, a1 * qq, a2, a1, 1])
     if a1 * a1 > 16 * qq:
@@ -236,7 +210,9 @@ def _validate_surface_quartic(q: PrimePower, a1: int, a2: int) -> WeilDescriptor
     raise Rejected(f"the Newton polygon of {f} is not that of an abelian surface")
 
 
-def _validate_surface_square(q: PrimePower, P: IntPolynomial) -> WeilDescriptor:
+def validate_surface_square(q: PrimePower, P: IntPolynomial) -> WeilDescriptor:
+    """Validate the abelian surface isogeny class over F_q with f = P^2, for a
+    monic quadratic P."""
     p, qq = q.p, q.q
     if P.degree != 2 or not P.is_monic():
         raise Rejected("square_of must be a monic quadratic")

@@ -24,7 +24,6 @@ from gkzeta.numtheory import (
 )
 from gkzeta.weil import (
     ENUMERATE_LIMIT,
-    EndoDescriptor,
     NewtonType,
     WeilDescriptor,
 )
@@ -180,11 +179,11 @@ def brute_validate_elliptic(q: PrimePower, b: int) -> EllipticClass:
     f = IntPolynomial([qq, -b, 1])
     if b * b == 4 * qq:
         # b = +-2*sqrt(q), so q must be a square; f = (t -+ sqrt(q))^2
-        endo = EndoDescriptor("quaternion-Hp", f"p={p}")
+        endo = f"quaternion-Hp(p={p})"
         return EllipticClass(q, 1, f, 2, NewtonType.SUPERSINGULAR, endo, "ss-inseparable")
 
     if b % p != 0:
-        endo = EndoDescriptor("field", f"Q[t]/({f})")
+        endo = f"field(Q[t]/({f}))"
         return EllipticClass(q, 1, f, 1, NewtonType.ORDINARY, endo, "ordinary")
 
     case = None
@@ -199,7 +198,7 @@ def brute_validate_elliptic(q: PrimePower, b: int) -> EllipticClass:
         case = "ss-d"
     if case is None:
         raise Rejected(f"b = {b} is divisible by p but matches no supersingular case over F_{qq}")
-    endo = EndoDescriptor("field", f"Q[t]/({f})")
+    endo = f"field(Q[t]/({f}))"
     return EllipticClass(q, 1, f, 1, NewtonType.SUPERSINGULAR, endo, case)
 
 

@@ -334,8 +334,8 @@ def test_criterion_7_weil_oracles():
         weil.validate_surface_simple(PrimePower(7, 2), a1=7, a2=49),
         weil.validate_surface_simple(PrimePower(5, 1), a1=5, a2=15),
         weil.validate_surface_simple(PrimePower(2, 1), a1=2, a2=2),
-        weil.validate_surface_simple(PrimePower(3, 1), square_of=IntPolynomial([-3, 0, 1])),
-        weil.validate_surface_simple(PrimePower(5, 2), square_of=IntPolynomial([25, 0, 1])),
+        weil.validate_surface_square(PrimePower(3, 1), IntPolynomial([-3, 0, 1])),
+        weil.validate_surface_square(PrimePower(5, 2), IntPolynomial([25, 0, 1])),
     ]
     for w in descriptors + ss_surfaces:
         if list(w.slopes()) != [str(s) for s in direct_newton_slopes(w.poly, w.q)]:

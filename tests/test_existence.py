@@ -241,14 +241,14 @@ class TestStoredRows:
     SHARED = (
         ("_EVEN_ROWS", exists_over_even_degree, lambda g: _EVEN_TABLE.get(g, ()) is None,
          lambda g: ExistenceVerdict(g, True, True, "even-degree classification",
-                                    (("any p coprime to |G|", True),))),
+                                    (("any p coprime to |G|", True),), ())),
         ("_OUTSIDE_PRIME_FIELD", exists_over_prime_field,
          lambda g: g not in existence._PRIME_FIELD,
          lambda g: ExistenceVerdict(g, None, None, "prime-field sufficiency", (
-             ("group outside the prime-field sufficiency list", False),))),
+             ("group outside the prime-field sufficiency list", False),), ())),
         ("_REFINE_ROWS", katsura_refinement, lambda g: g in existence._REFINE_DIRECT,
          lambda g: ExistenceVerdict(g, True, True, "quotient refinement",
-                                    (("group in the unconditional list", True),))),
+                                    (("group in the unconditional list", True),), ())),
     )
 
     @pytest.mark.parametrize("table, fn, shared, fresh", SHARED, ids=[t[0] for t in SHARED])

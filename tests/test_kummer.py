@@ -15,7 +15,6 @@ from gkzeta.kummer import (
     artin_check,
     assemble_ns,
     exceptional_charpoly,
-    format_zeta_notation,
     invariant_h_poly,
     k3_point_count,
     k3_zeta,
@@ -172,7 +171,7 @@ class TestNotation:
             parse_zeta_notation("1^20,1^2")       # repeated order
 
     def test_format(self):
-        assert format_zeta_notation({2: 1, 1: 21}) == "1^21,2"
+        assert str(NSCharPoly(((2, 1), (1, 21)))) == "1^21,2"
 
 
 class TestTraceAndPoints:

@@ -22,7 +22,7 @@ from gkzeta.kummer import (
     ZetaFunction,
 )
 from gkzeta.numtheory import Condition, IntPolynomial, PrimePower, Value
-from gkzeta.weil import EndoDescriptor, WeilDescriptor
+from gkzeta.weil import WeilDescriptor
 
 A1 = ADEType("A", 1)
 
@@ -54,7 +54,6 @@ CASES = [
     (TraceRow, {"trace": 22, "notation": "1^22", "group": G.C2,
                 "p_condition": Condition("p > 2"), "weil_shape": "(t +- sqrt(q))^4"},
      ("trace", 20)),
-    (EndoDescriptor, {"kind": "field", "detail": "Q[t]/(t^2 + 7)"}, ("detail", "")),
     (WeilDescriptor, {"q": PrimePower(7, 1), "poly": IntPolynomial([7, 0, 1]), "case": "ss-a"},
      ("case", "ss-b")),
 ]
@@ -90,8 +89,7 @@ def test_construction_needs_exactly_the_fields(cls, fields, change):
 
 
 # the declared defaults of the trailing fields
-DEFAULTS = {FieldDesc: (0,), CSADescriptor: ((),), ExistenceVerdict: ((),),
-            SingularOrbit: (1, 1, "unknown"), EndoDescriptor: ("",)}
+DEFAULTS = {FieldDesc: (0,), CSADescriptor: ((),), SingularOrbit: (1, 1, "unknown")}
 
 
 @parametrize
@@ -118,7 +116,7 @@ def test_equality_and_hash_by_class_and_fields(cls, fields, change):
 def test_equality_needs_the_same_class():
     assert PrimePower(3, 2) != (3, 2)
     assert (3, 2) != PrimePower(3, 2)
-    assert FieldDesc("Q", 0) != EndoDescriptor("Q", 0)
+    assert FieldDesc("Q", 0) != StabilizerTable("Q", 0)
     assert IntPolynomial((1, 2)) != (1, 2)
     assert {PrimePower(3, 2): 1}.get((3, 2)) is None
 
@@ -163,10 +161,9 @@ def test_literal_reprs():
     assert repr(PrimePower(3, 2)) == "PrimePower(p=3, n=2)"
     assert repr(FieldDesc("quad", 5)) == "FieldDesc(kind='quad', param=5)"
     assert repr(IntPolynomial([7, 0, 1, 0])) == "IntPolynomial(coeffs=(7, 0, 1))"
-    assert repr(NSCharPoly({2: 2, 1: 20})) == "NSCharPoly(parts=((1, 20), (2, 2)))"
-    assert repr(EndoDescriptor("field")) == "EndoDescriptor(kind='field', detail='')"
+    assert repr(NSCharPoly(((2, 2), (1, 20)))) == "NSCharPoly(parts=((1, 20), (2, 2)))"
     # a type without __str__ prints its repr, as in `--json` output through default=str
-    assert str(ExistenceVerdict(G.C3, True, None, "c", ())) == (
+    assert str(ExistenceVerdict(G.C3, True, None, "c", (), ())) == (
         "ExistenceVerdict(group=<GroupId.C3: 'C3'>, exists_rigid=True, "
         "exists_rigid_symplectic=None, citation='c', conditions=(), weil_options=())")
 
@@ -183,10 +180,8 @@ def test_copy_and_pickle_keep_the_value(cls, fields, change):
 def test_defaults():
     assert FieldDesc("Q") == FieldDesc("Q", 0)
     assert CSADescriptor(FieldDesc("Q"), 1).invariants == ()
-    assert ExistenceVerdict(G.C3, True, True, "c", ()).weil_options == ()
     o = SingularOrbit(A1)
     assert (o.count, o.degree, o.graph_action) == (1, 1, "unknown")
-    assert EndoDescriptor("field").detail == ""
 
 
 def test_construction_normalizes():
@@ -213,6 +208,7 @@ def test_construction_normalizes():
     (lambda: SingularOrbit(A1, 3, 2), ValueError, "orbit degree must divide the point count"),
     (lambda: SingularOrbit(A1, graph_action="flip"), ValueError, "bad graph action 'flip'"),
     (lambda: NSCharPoly(((1, 21),)), Rejected, "total degree 21 != 22"),
+    (lambda: NSCharPoly(((1, 21), (2, 1), (1, 21))), Rejected, "order 1 repeated in notation"),
     (lambda: NSCharPoly(((3, 21), (1, 1))), Rejected,
      "degree 21 at order 3 is not a multiple of phi(3)"),
 ])
