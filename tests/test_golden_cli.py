@@ -208,6 +208,18 @@ REPEATED_ORDER = (
     ["zeta-assemble", "--q", "9", "--notation", "1^20,1^2"],
 )
 
+# weil-check given no complete form next to a huge integer: half a pair with a
+# huge --a1, and a huge --q alone; appended after REPEATED_ORDER
+HALF_FORMS = (
+    ["weil-check", "--q", "7", "--a1", str(10 ** 2000)],
+    ["weil-check", "--q", str(3 ** 5000)],
+)
+
+# a notation with an empty term (exit 2); appended after HALF_FORMS
+EMPTY_TERM = (
+    ["zeta-assemble", "--q", "9", "--notation", "1^20,,2^2"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -234,7 +246,9 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(DROPPED)
     + _with_json(PARITY_OF_Q)
     + _with_json(MIXED_FORMS)
-    + _with_json(REPEATED_ORDER))) if argv not in PINNED)
+    + _with_json(REPEATED_ORDER)
+    + _with_json(HALF_FORMS)
+    + _with_json(EMPTY_TERM))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
