@@ -100,15 +100,15 @@ def cmd_weil_check(args):
     pair = args.a1 is not None or args.a2 is not None
     if (args.b is not None) + pair + (args.square is not None) > 1:
         raise UsageError("weil-check takes one form: --b, or --a1 and --a2, or --square")
+    if args.b is None and args.square is None and (args.a1 is None or args.a2 is None):
+        raise UsageError("weil-check needs --b, or --a1 and --a2, or --square")
     _printable(2000, q=q.q, b=args.b, a1=args.a1, a2=args.a2)
     if args.b is not None:
         w = weil.validate_elliptic(q, args.b)
     elif args.square is not None:
         w = weil.validate_surface_square(q, args.square)
-    elif args.a1 is not None and args.a2 is not None:
-        w = weil.validate_surface_simple(q, args.a1, args.a2)
     else:
-        raise UsageError("weil-check needs --b, or --a1 and --a2, or --square")
+        w = weil.validate_surface_simple(q, args.a1, args.a2)
     # only the selected output is built: the slopes are printed, not sent
     if args.json:
         return {"q": q.q}, {"verdict": {

@@ -126,6 +126,16 @@ class TestWeilCommands:
             assert (code, out) == (2, "")
             assert err == "weil-check needs --b, or --a1 and --a2, or --square\n"
 
+    @pytest.mark.parametrize("given", [["--q", "7", "--a1", str(10 ** 2000)],
+                                       ["--q", "7", "--a2", str(-10 ** 2000)],
+                                       ["--q", str(3 ** 5000)]],
+                             ids=["huge-a1", "huge-a2", "huge-q"])
+    def test_weil_check_usage_before_print_limit(self, capsys, given):
+        # no complete form: the usage error, not the print-limit rejection
+        code, out, err = run(capsys, "weil-check", *given)
+        assert (code, out) == (2, "")
+        assert err == "weil-check needs --b, or --a1 and --a2, or --square\n"
+
 
 class TestEmbedAndExists:
     def test_embed_check(self, capsys):
