@@ -215,7 +215,7 @@ def validate_surface_square(q: PrimePower, P: IntPolynomial) -> WeilDescriptor:
     monic quadratic P."""
     p, qq = q.p, q.q
     if P.degree != 2 or not P.is_monic():
-        raise Rejected("square_of must be a monic quadratic")
+        raise Rejected("P must be a monic quadratic")
     if P[0] != qq and P[0] != -qq:
         raise Rejected("quadratic constant term must be +-q")
     b = -P[1]
