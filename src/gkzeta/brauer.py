@@ -18,10 +18,6 @@ from .groups import rigid_algebra
 from .numtheory import Condition, Value, euler_phi, is_prime, squarefree_part
 
 
-class ReciprocityError(Rejected):
-    """Local invariants that violate a global constraint."""
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -30,7 +26,7 @@ class FieldDesc(Value):
 
     __slots__ = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc'
 
-    def __init__(self, kind: str, param: int = 0):
+    def __init__(self, kind: str, param: int):
         if kind == "Q":
             if param:
                 raise ValueError("Q takes no parameter")
@@ -42,8 +38,7 @@ class FieldDesc(Value):
                 raise ValueError(f"cyclotomic index {param} is not in canonical form")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
+        self._fill(kind, param)
 
     @property
     def degree(self) -> int:
@@ -91,7 +86,7 @@ class CSADescriptor(Value):
 
     __slots__ = ("center", "degree", "ramified")
 
-    def __init__(self, center: FieldDesc, degree: int, ramified: tuple = ()):
+    def __init__(self, center: FieldDesc, degree: int, ramified: tuple):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         ramified = tuple(sorted(ramified, key=_place_key))
@@ -101,19 +96,15 @@ class CSADescriptor(Value):
                 raise ValueError(f"duplicate place {pl}")
             seen.add(pl)
             if degree % 2:
-                raise ReciprocityError(
-                    f"invariant 1/2 has period not dividing the degree {degree}")
+                raise ValueError(f"invariant 1/2 has period not dividing the degree {degree}")
             if pl[0] == "inf" and pl[1] >= center.real_place_count:
                 raise ValueError(f"center {center} has no real place #{pl[1]}")
             if pl[0] == "fin" and not is_prime(pl[1]):
                 raise ValueError(f"{pl[1]} is not prime")
         if len(ramified) % 2:
             # Hilbert reciprocity: the invariants 1/2 sum to an integer
-            raise ReciprocityError(
-                f"local invariants sum to {len(ramified)}/2, not an integer")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "ramified", ramified)
+            raise ValueError(f"local invariants sum to {len(ramified)}/2, not an integer")
+        self._fill(center, degree, ramified)
 
     @property
     def invariants(self) -> tuple:

@@ -44,41 +44,24 @@ class ADEType(Value):
             ok = False
         if not ok:
             raise ValueError(f"invalid ADE type {kind}{m}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def nodes(self) -> int:
-        return self.m
+        self._fill(kind, m)
 
     def __str__(self):
         return f"{self.kind}{self.m}"
 
 
-def A(m):
-    return ADEType("A", m)
-
-
-def D(m):
-    return ADEType("D", m)
-
-
-def E(m):
-    return ADEType("E", m)
-
-
 # stabilizer subgroup -> singularity type of its image point
 def ade_of_stabilizer(h: GroupId) -> ADEType:
     if is_cyclic(h):
-        return A(order(h) - 1)
+        return ADEType("A", order(h) - 1)
     if h.value.startswith("Q"):
-        return D(order(h) // 4 + 2)
+        return ADEType("D", order(h) // 4 + 2)
     if h == G.SL2F3:
-        return E(6)
+        return ADEType("E", 6)
     if h == G.ESL2F3:
-        return E(7)
+        return ADEType("E", 7)
     if h == G.SL2F5:
-        return E(8)
+        return ADEType("E", 8)
     raise ValueError(f"{h} cannot stabilize a point")
 
 
@@ -95,22 +78,18 @@ class SingularOrbit(Value):
 
     __slots__ = ("ade", "count", "degree", "graph_action")
 
-    def __init__(self, ade: ADEType, count: int = 1, degree: int = 1,
-                 graph_action: str = "unknown"):
+    def __init__(self, ade: ADEType, count: int, degree: int, graph_action: str):
         if count < 1 or degree < 1:
             raise ValueError("count and degree must be >= 1")
         if count % degree:
             raise ValueError("orbit degree must divide the point count")
         if graph_action not in ("trivial", "chain-flip", "unknown"):
             raise ValueError(f"bad graph action {graph_action!r}")
-        object.__setattr__(self, "ade", ade)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "graph_action", graph_action)
+        self._fill(ade, count, degree, graph_action)
 
     @property
     def nodes(self) -> int:
-        return self.count * self.ade.nodes
+        return self.count * self.ade.m
 
     def __str__(self):
         head = f"{self.count}{self.ade}" if self.count > 1 else str(self.ade)
@@ -146,8 +125,8 @@ def singular_configs(g: GroupId) -> tuple[SingularConfig, ...]:
             num, rem = divmod(pts * order(h), n)
             if rem:
                 raise AssertionError(f"stabilizer table for {g} is not orbit-consistent")
-            orbits.append(SingularOrbit(ade_of_stabilizer(h), num))
-        orbits.sort(key=lambda o: (-o.ade.nodes, -ord(o.ade.kind)))
+            orbits.append(SingularOrbit(ade_of_stabilizer(h), num, 1, "unknown"))
+        orbits.sort(key=lambda o: (-o.ade.m, -ord(o.ade.kind)))
         out.append(SingularConfig(g, tab.case, tuple(orbits)))
     return tuple(out)
 
@@ -188,7 +167,7 @@ class NSCharPoly(Value):
             total, last = total + d, r
         if total != 22:
             raise Rejected(f"total degree {total} != 22")
-        object.__setattr__(self, "parts", items)
+        self._fill(items)
 
     def __str__(self):
         return ",".join(f"{r}^{d}" if d > 1 else str(r) for r, d in self.parts)
@@ -221,9 +200,9 @@ def exceptional_charpoly(orbit: SingularOrbit) -> dict[int, int]:
     out: dict[int, int] = {}
     if orbit.graph_action == "trivial":
         for r in divisors(orbit.degree):
-            out[r] = out.get(r, 0) + euler_phi(r) * orbit.ade.nodes * (orbit.count // orbit.degree)
+            out[r] = out.get(r, 0) + euler_phi(r) * orbit.ade.m * (orbit.count // orbit.degree)
         return out
-    m = orbit.ade.nodes
+    m = orbit.ade.m
     out[1] = (m + 1) // 2 * orbit.count
     if m // 2:
         out[2] = m // 2 * orbit.count

@@ -127,22 +127,25 @@ def squarefree_part(d: int) -> int:
 class Value:
     """Base of the library's immutable value types.
 
-    A subclass names its fields in order in __slots__. Unless it defines
-    __init__ (to validate or normalize), it gets a constructor compiled from
-    __slots__ once, when the class is created: like a namedtuple's, it takes
-    each field by position or keyword. Instances compare equal only within
-    their class, hash by their fields, print as Name(field=value, ...), and
-    refuse assignment and deletion, so that a cached instance is safe to share.
-    (The value types are not dataclasses: importing dataclasses takes longer
-    than most CLI calls spend computing.)
+    A subclass names its fields in order in __slots__. When the class is
+    created, Value compiles from __slots__ the one function that sets them,
+    cls._fill(self, *fields): like a namedtuple's constructor, it takes each
+    field by position or keyword, and every field is required. A type that
+    only stores its fields has _fill as its __init__; one that validates or
+    normalizes writes an __init__ that ends in self._fill(...). Instances
+    compare equal only within their class, hash by their fields, print as
+    Name(field=value, ...), and refuse assignment and deletion, so that a
+    cached instance is safe to share. (The value types are not dataclasses:
+    importing dataclasses takes longer than most CLI calls spend computing.)
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
+        cls._fill = _constructor(cls)
         if "__init__" not in cls.__dict__:
-            cls.__init__ = _constructor(cls)
+            cls.__init__ = cls._fill
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -167,19 +170,19 @@ class Value:
 
 
 def _constructor(cls):
-    """The __init__ that sets each field of cls from the argument of the same
-    name, compiled so that a construction costs one call and no loop. Each
+    """The _fill(self, *fields) that sets each slot of cls from the argument
+    of the same name, compiled so that it costs one call and no loop. Each
     field is set by its slot's own __set__, bound once as a global of the
-    function: that skips the attribute lookup of object.__setattr__. Its
-    file name, <Class.__init__>, tells the classes apart in profiles."""
+    function, so that no call looks the setter up on the class. Its file
+    name, <Class._fill>, tells the classes apart in profiles."""
     fields = cls.__slots__
     body = "".join(f"\n _set_{f}(self, {f})" for f in fields)
     namespace = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-    source = f"def __init__(self, {', '.join(fields)}):{body}"
-    exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    source = f"def _fill(self, {', '.join(fields)}):{body}"
+    exec(compile(source, f"<{cls.__qualname__}._fill>", "exec"), namespace)
+    fill = namespace["_fill"]
+    fill.__qualname__ = f"{cls.__qualname__}._fill"
+    return fill
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +198,7 @@ class PrimePower(Value):
             raise ValueError(f"{p} is not prime")
         if n < 1:
             raise ValueError("exponent must be >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
+        self._fill(p, n)
 
     @property
     def q(self) -> int:
@@ -244,8 +246,7 @@ class PrimePower(Value):
         if not is_prime(root):
             raise ValueError(f"{q} is not a prime power")
         pp = object.__new__(cls)  # root is proven prime: __init__ would test it again
-        object.__setattr__(pp, "p", root)
-        object.__setattr__(pp, "n", n)
+        pp._fill(root, n)
         return pp
 
     def __str__(self):
@@ -292,13 +293,9 @@ class Condition:
             raise ValueError(f"{text!r} is not a condition on p")
         mod = int(m["m"] or 1)
         r = int(m["r"] or 0)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "bound", int(m["gt"] or 0))
-        object.__setattr__(self, "excluded", int(m["ne"] or 0))
-        object.__setattr__(self, "modulus", mod)
-        object.__setattr__(self, "residues", frozenset(
-            {r % mod, -r % mod} if m["sign"] == "+-" else {(-r if m["sign"] else r) % mod}))
-        object.__setattr__(self, "negated", m["op"] == "!=")
+        residues = {r % mod, -r % mod} if m["sign"] == "+-" else {(-r if m["sign"] else r) % mod}
+        self._fill(text=text, bound=int(m["gt"] or 0), excluded=int(m["ne"] or 0),
+                   modulus=mod, residues=frozenset(residues), negated=m["op"] == "!=")
 
     # refuses assignment and deletion as a Value does; copies parse the text again
     __setattr__ = Value.__setattr__
@@ -318,6 +315,9 @@ class Condition:
         return f"Condition({self.text!r})"
 
 
+Condition._fill = _constructor(Condition)
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials
 
@@ -333,7 +333,7 @@ class IntPolynomial(Value):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        _set_coeffs(self, tuple(int(c) for c in cs))
+        self._fill(tuple(int(c) for c in cs))
 
     # -- constructors ------------------------------------------------------
 
@@ -341,7 +341,7 @@ class IntPolynomial(Value):
     def _trusted(cls, coeffs: tuple) -> "IntPolynomial":
         """Wrap a tuple of ints whose last entry is nonzero, unnormalized."""
         f = object.__new__(cls)
-        _set_coeffs(f, coeffs)
+        f._fill(coeffs)
         return f
 
     # -- structure ---------------------------------------------------------
@@ -366,12 +366,6 @@ class IntPolynomial(Value):
                     out[i + j] += a * b
         return IntPolynomial(out)
 
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     # -- printing ----------------------------------------------------------
 
     def format(self, ascending: bool = False) -> str:
@@ -393,9 +387,6 @@ class IntPolynomial(Value):
 
     def __str__(self):
         return self.format()
-
-
-_set_coeffs = IntPolynomial.coeffs.__set__
 
 
 # ---------------------------------------------------------------------------

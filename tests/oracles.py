@@ -313,6 +313,14 @@ def direct_newton_slopes(f: IntPolynomial, q: PrimePower) -> list[Fraction]:
     return sorted(out)
 
 
+def evaluate(f: IntPolynomial, x: int) -> int:
+    """f(x), by Horner's rule."""
+    out = 0
+    for c in reversed(f.coeffs):
+        out = out * x + c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exact power series over Q, as coefficient lists
 
@@ -379,7 +387,7 @@ def brute_quartic_is_irreducible(f: IntPolynomial) -> bool:
     while d * d <= abs(c0):
         if abs(c0) % d == 0:
             for root in {d, -d, abs(c0) // d, -abs(c0) // d}:
-                if f(root) == 0:
+                if evaluate(f, root) == 0:
                     return False
         d += 1
     # quadratic factor t^2 + u t + v with integer u, v
@@ -610,7 +618,7 @@ def _canonical_cyclotomic_index(m: int) -> int:
 
 
 def rationals() -> FieldDesc:
-    return FieldDesc("Q")
+    return FieldDesc("Q", 0)
 
 
 def quadratic(d: int) -> FieldDesc:

@@ -5,10 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkzeta.groups import GroupId as G
 from gkzeta.kummer import (
-    A,
     ADEType,
-    D,
-    E,
     NSCharPoly,
     Rejected,
     SingularOrbit,
@@ -39,16 +36,16 @@ from oracles import (
 
 class TestADE:
     def test_validation(self):
-        assert A(1).nodes == 1
-        assert D(4).nodes == 4
-        assert E(8).nodes == 8
+        assert ADEType("A", 1).m == 1
+        assert ADEType("D", 4).m == 4
+        assert ADEType("E", 8).m == 8
         for bad in (("A", 0), ("D", 3), ("E", 5), ("F", 4)):
             with pytest.raises(ValueError):
                 ADEType(*bad)
 
     def test_str(self):
-        assert str(A(11)) == "A11"
-        assert str(D(6)) == "D6"
+        assert str(ADEType("A", 11)) == "A11"
+        assert str(ADEType("D", 6)) == "D6"
 
 
 class TestConfigs:
@@ -86,15 +83,15 @@ class TestConfigs:
 
 class TestExceptionalCharpoly:
     def test_trivial_rational(self):
-        orb = SingularOrbit(A(3), 4, 1, "trivial")
+        orb = SingularOrbit(ADEType("A", 3), 4, 1, "trivial")
         assert exceptional_charpoly(orb) == {1: 12}
 
     def test_trivial_degree_2(self):
-        orb = SingularOrbit(A(3), 2, 2, "trivial")
+        orb = SingularOrbit(ADEType("A", 3), 2, 2, "trivial")
         assert exceptional_charpoly(orb) == {1: 3, 2: 3}
 
     def test_trivial_degree_4(self):
-        orb = SingularOrbit(A(1), 4, 4, "trivial")
+        orb = SingularOrbit(ADEType("A", 1), 4, 4, "trivial")
         assert exceptional_charpoly(orb) == {1: 1, 2: 1, 4: 2}
 
     @pytest.mark.parametrize("m", range(1, 12))
@@ -104,22 +101,22 @@ class TestExceptionalCharpoly:
         perm = {i: m - 1 - i for i in range(m)}
         fixed = sum(1 for i in perm if perm[i] == i)
         twos = (m - fixed) // 2
-        got = exceptional_charpoly(SingularOrbit(A(m), 1, 1, "chain-flip"))
+        got = exceptional_charpoly(SingularOrbit(ADEType("A", m), 1, 1, "chain-flip"))
         assert got.get(1, 0) == fixed + twos
         assert got.get(2, 0) == twos
 
     def test_chain_flip_total_degree(self):
         for m in range(1, 12):
-            got = exceptional_charpoly(SingularOrbit(A(m), 1, 1, "chain-flip"))
+            got = exceptional_charpoly(SingularOrbit(ADEType("A", m), 1, 1, "chain-flip"))
             assert sum(got.values()) == m
 
     def test_rejections(self):
         with pytest.raises(Rejected):
-            exceptional_charpoly(SingularOrbit(D(4), 1, 1, "chain-flip"))
+            exceptional_charpoly(SingularOrbit(ADEType("D", 4), 1, 1, "chain-flip"))
         with pytest.raises(Rejected):
-            exceptional_charpoly(SingularOrbit(A(3), 1, 1, "unknown"))
+            exceptional_charpoly(SingularOrbit(ADEType("A", 3), 1, 1, "unknown"))
         with pytest.raises(Rejected):
-            exceptional_charpoly(SingularOrbit(A(3), 2, 2, "chain-flip"))
+            exceptional_charpoly(SingularOrbit(ADEType("A", 3), 2, 2, "chain-flip"))
 
 
 class TestInvariantPart:
@@ -169,6 +166,11 @@ class TestNotation:
             parse_zeta_notation("1^19,3^3")       # phi(3) does not divide 3
         with pytest.raises(ValueError):
             parse_zeta_notation("1^20,1^2")       # repeated order
+
+    @pytest.mark.parametrize("s", ["1^20,,2^2", ",1^22", "1^22,", "1^20, ,2^2"])
+    def test_empty_term(self, s):
+        with pytest.raises(ValueError, match=r"^empty term in notation$"):
+            parse_zeta_notation(s)
 
     def test_format(self):
         assert str(NSCharPoly(((2, 1), (1, 21)))) == "1^21,2"
@@ -241,30 +243,30 @@ class TestTraceAndPoints:
 
 class TestAssembly:
     def test_c4_rational_case(self):
-        orbits = [SingularOrbit(A(3), 4, 1, "trivial"),
-                  SingularOrbit(A(1), 6, 1, "trivial")]
+        orbits = [SingularOrbit(ADEType("A", 3), 4, 1, "trivial"),
+                  SingularOrbit(ADEType("A", 1), 6, 1, "trivial")]
         cp = assemble_ns(orbits, invariant_h_poly(G.C4, -1))
         assert str(cp) == "1^20,2^2"
 
     def test_c4_split_case(self):
-        orbits = [SingularOrbit(A(3), 2, 1, "trivial"),
-                  SingularOrbit(A(3), 2, 2, "trivial"),
-                  SingularOrbit(A(1), 2, 1, "trivial"),
-                  SingularOrbit(A(1), 4, 2, "trivial")]
+        orbits = [SingularOrbit(ADEType("A", 3), 2, 1, "trivial"),
+                  SingularOrbit(ADEType("A", 3), 2, 2, "trivial"),
+                  SingularOrbit(ADEType("A", 1), 2, 1, "trivial"),
+                  SingularOrbit(ADEType("A", 1), 4, 2, "trivial")]
         cp = assemble_ns(orbits, invariant_h_poly(G.C4, -1))
         assert str(cp) == "1^15,2^7"
 
     def test_q8_case(self):
-        orbits = [SingularOrbit(D(4), 2, 1, "trivial"),
-                  SingularOrbit(A(3), 3, 1, "trivial"),
-                  SingularOrbit(A(1), 2, 1, "trivial")]
+        orbits = [SingularOrbit(ADEType("D", 4), 2, 1, "trivial"),
+                  SingularOrbit(ADEType("A", 3), 3, 1, "trivial"),
+                  SingularOrbit(ADEType("A", 1), 2, 1, "trivial")]
         cp = assemble_ns(orbits, invariant_h_poly(G.Q8, -1))
         assert str(cp) == "1^21,2"
         assert trace_of(cp) == 20
 
     def test_total_must_be_22(self):
         with pytest.raises(ValueError):
-            assemble_ns([SingularOrbit(A(1), 1, 1, "trivial")], {1: 2, 2: 2})
+            assemble_ns([SingularOrbit(ADEType("A", 1), 1, 1, "trivial")], {1: 2, 2: 2})
 
 
 class TestTraceTables:

@@ -1,15 +1,19 @@
 """The contract of the library's value types (subclasses of numtheory.Value):
-construction by position and by keyword with defaults, a signature that lists
-the fields, equality and hash by class and fields, no assignment or deletion,
-literal reprs, copies and pickles, and the validation that every construction
-runs."""
+construction by position and by keyword with every field required, a signature
+that lists the fields, equality and hash by class and fields, no assignment or
+deletion, literal reprs, copies and pickles, the validation that every
+construction runs, and one way to set the fields, each class's compiled _fill."""
+import ast
 import copy
+import glob
 import inspect
+import os
 import pickle
 
 import pytest
 
-from gkzeta.brauer import CSADescriptor, FieldDesc, ReciprocityError
+import gkzeta
+from gkzeta.brauer import CSADescriptor, FieldDesc
 from gkzeta.errors import Rejected
 from gkzeta.existence import ExistenceVerdict, WeilOption
 from gkzeta.groups import GroupFacts, GroupId as G, StabilizerTable
@@ -31,7 +35,7 @@ CASES = [
     (PrimePower, {"p": 3, "n": 2}, ("n", 3)),
     (IntPolynomial, {"coeffs": (7, 0, 1)}, ("coeffs", (-7, 0, 1))),
     (FieldDesc, {"kind": "quad", "param": 5}, ("param", -1)),
-    (CSADescriptor, {"center": FieldDesc("Q"), "degree": 2,
+    (CSADescriptor, {"center": FieldDesc("Q", 0), "degree": 2,
                      "ramified": (("inf", 0), ("fin", 3, 0))},
      ("degree", 4)),
     (StabilizerTable, {"case": "A", "entries": ((G.Q8, 4), (G.C2, 12))}, ("case", "B")),
@@ -46,7 +50,8 @@ CASES = [
     (ADEType, {"kind": "D", "m": 4}, ("m", 5)),
     (SingularOrbit, {"ade": A1, "count": 2, "degree": 2, "graph_action": "trivial"},
      ("degree", 1)),
-    (SingularConfig, {"group": G.C2, "case": "", "orbits": (SingularOrbit(A1, 16),)},
+    (SingularConfig, {"group": G.C2, "case": "",
+                      "orbits": (SingularOrbit(A1, 16, 1, "unknown"),)},
      ("case", "A")),
     (NSCharPoly, {"parts": ((1, 20), (2, 2))}, ("parts", ((1, 22),))),
     (ZetaFunction, {"q": PrimePower(3, 1), "denominator": ((IntPolynomial([1, -1]), 1),)},
@@ -88,17 +93,12 @@ def test_construction_needs_exactly_the_fields(cls, fields, change):
         cls(*fields.values(), None)
 
 
-# the declared defaults of the trailing fields
-DEFAULTS = {FieldDesc: (0,), CSADescriptor: ((),), SingularOrbit: (1, 1, "unknown")}
-
-
 @parametrize
 def test_signature_lists_the_fields(cls, fields, change):
     params = inspect.signature(cls).parameters.values()
     assert [p.name for p in params] == list(cls.__slots__) == list(fields)
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
-    defaults = tuple(p.default for p in params if p.default is not p.empty)
-    assert defaults == DEFAULTS.get(cls, ())
+    assert all(p.default is p.empty for p in params)
 
 
 @parametrize
@@ -134,15 +134,23 @@ def test_no_assignment_or_deletion(cls, fields, change):
     assert {f: getattr(v, f) for f in fields} == fields
 
 
+# the types that validate or normalize, whose own __init__ ends in self._fill
+VALIDATING = {PrimePower, IntPolynomial, FieldDesc, CSADescriptor, ADEType, SingularOrbit,
+              NSCharPoly}
+
+
 def test_generated_constructors_set_the_slots_directly():
-    generated = [(cls, fields) for cls, fields, _ in CASES
-                 if cls.__init__.__code__.co_filename == f"<{cls.__qualname__}.__init__>"]
-    assert WeilDescriptor in {cls for cls, _ in generated}
-    trusted = IntPolynomial._trusted.__func__
-    for func in [cls.__init__ for cls, _ in generated] + [trusted]:
+    classes = [cls for cls, _, _ in CASES] + [Condition]
+    for cls in classes:
+        assert cls._fill.__code__.co_filename == f"<{cls.__qualname__}._fill>"
+    generated = {cls for cls, _, _ in CASES if cls.__init__ is cls._fill}
+    assert generated == {cls for cls, _, _ in CASES} - VALIDATING
+    trusted, from_q = IntPolynomial._trusted.__func__, PrimePower.from_q.__func__
+    for func in [cls._fill for cls in classes] + [trusted, from_q]:
         assert object.__setattr__ not in func.__globals__.values()
         assert "__setattr__" not in func.__code__.co_names
-    values = [cls(**fields) for cls, fields in generated] + [IntPolynomial._trusted((7, 0, 1))]
+    values = [cls(**fields) for cls, fields, _ in CASES] + [
+        IntPolynomial._trusted((7, 0, 1)), PrimePower.from_q(17 ** 3), Condition("p > 2")]
     for v in values:
         for f in v.__slots__:
             with pytest.raises(AttributeError):
@@ -177,15 +185,21 @@ def test_copy_and_pickle_keep_the_value(cls, fields, change):
         assert type(c) is cls and repr(c) == repr(v)
 
 
-def test_defaults():
-    assert FieldDesc("Q") == FieldDesc("Q", 0)
-    assert CSADescriptor(FieldDesc("Q"), 1).invariants == ()
-    o = SingularOrbit(A1)
-    assert (o.count, o.degree, o.graph_action) == (1, 1, "unknown")
+def test_no_module_sets_a_field_through_object():
+    """Every field is set by a compiled _fill: no module under src/gkzeta
+    reaches object.__setattr__."""
+    uses = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gkzeta.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        uses += [(os.path.basename(path), n.lineno) for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr == "__setattr__"
+                 and isinstance(n.value, ast.Name) and n.value.id == "object"]
+    assert uses == []
 
 
 def test_construction_normalizes():
-    q, places = FieldDesc("Q"), (("fin", 3, 0), ("inf", 0))
+    q, places = FieldDesc("Q", 0), (("fin", 3, 0), ("inf", 0))
     assert CSADescriptor(q, 2, places).ramified == places[::-1]
     assert CSADescriptor(q, 2, list(places)) == CSADescriptor(q, 2, places)
     assert NSCharPoly(((2, 2), (1, 20))).parts == ((1, 20), (2, 2))
@@ -199,14 +213,21 @@ def test_construction_normalizes():
     (lambda: FieldDesc("quad", 4), ValueError, "4 is not a valid squarefree discriminant base"),
     (lambda: FieldDesc("cyc", 6), ValueError, "cyclotomic index 6 is not in canonical form"),
     (lambda: FieldDesc("realcyc", 3), ValueError, "unknown field kind 'realcyc'"),
-    (lambda: FieldDesc("R"), ValueError, "unknown field kind 'R'"),
-    (lambda: CSADescriptor(FieldDesc("Q"), 0), ValueError, "degree must be >= 1"),
-    (lambda: CSADescriptor(FieldDesc("Q"), 2, (("fin", 3, 0),)), ReciprocityError,
+    (lambda: FieldDesc("R", 0), ValueError, "unknown field kind 'R'"),
+    (lambda: CSADescriptor(FieldDesc("Q", 0), 0, ()), ValueError, "degree must be >= 1"),
+    (lambda: CSADescriptor(FieldDesc("Q", 0), 2, (("fin", 3, 0),)), ValueError,
      "local invariants sum to 1/2, not an integer"),
+    (lambda: CSADescriptor(FieldDesc("Q", 0), 2, (("inf", 0), ("inf", 0))), ValueError,
+     "duplicate place ('inf', 0)"),
+    (lambda: CSADescriptor(FieldDesc("cyc", 3), 2, (("inf", 0), ("fin", 3, 0))), ValueError,
+     "center Q(zeta_3) has no real place #0"),
+    (lambda: CSADescriptor(FieldDesc("Q", 0), 2, (("inf", 0), ("fin", 4, 0))), ValueError,
+     "4 is not prime"),
     (lambda: ADEType("D", 3), ValueError, "invalid ADE type D3"),
     (lambda: ADEType("E", 9), ValueError, "invalid ADE type E9"),
-    (lambda: SingularOrbit(A1, 3, 2), ValueError, "orbit degree must divide the point count"),
-    (lambda: SingularOrbit(A1, graph_action="flip"), ValueError, "bad graph action 'flip'"),
+    (lambda: SingularOrbit(A1, 3, 2, "trivial"), ValueError,
+     "orbit degree must divide the point count"),
+    (lambda: SingularOrbit(A1, 1, 1, "flip"), ValueError, "bad graph action 'flip'"),
     (lambda: NSCharPoly(((1, 21),)), Rejected, "total degree 21 != 22"),
     (lambda: NSCharPoly(((1, 21), (2, 1), (1, 21))), Rejected, "order 1 repeated in notation"),
     (lambda: NSCharPoly(((3, 21), (1, 1))), Rejected,
