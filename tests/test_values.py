@@ -221,8 +221,8 @@ def test_construction_normalizes():
      "duplicate place ('inf', 0)"),
     (lambda: CSADescriptor(FieldDesc("cyc", 3), 2, (("inf", 0), ("fin", 3, 0))), ValueError,
      "center Q(zeta_3) has no real place #0"),
-    (lambda: CSADescriptor(FieldDesc("Q", 0), 2, (("inf", 0), ("fin", 4, 0))), ValueError,
-     "4 is not prime"),
+    (lambda: CSADescriptor(FieldDesc("Q", 0), 2, (("inf", 0), ("fin", 9, 0))), ValueError,
+     "9 is not prime"),
     (lambda: ADEType("D", 3), ValueError, "invalid ADE type D3"),
     (lambda: ADEType("E", 9), ValueError, "invalid ADE type E9"),
     (lambda: SingularOrbit(A1, 3, 2, "trivial"), ValueError,
