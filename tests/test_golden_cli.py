@@ -220,6 +220,12 @@ EMPTY_TERM = (
     ["zeta-assemble", "--q", "9", "--notation", "1^20,,2^2"],
 )
 
+# --eps given with a group whose invariant part does not read it; appended
+# after EMPTY_TERM
+EPS_UNREAD = (
+    ["zeta-assemble", "--q", "25", "--group", "C3", "--eps", "1", "--orbit", "A2,9,3,trivial"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -248,7 +254,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(MIXED_FORMS)
     + _with_json(REPEATED_ORDER)
     + _with_json(HALF_FORMS)
-    + _with_json(EMPTY_TERM))) if argv not in PINNED)
+    + _with_json(EMPTY_TERM)
+    + _with_json(EPS_UNREAD))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
