@@ -172,7 +172,7 @@ def cmd_exists(args):
         v = (existence.exists_over_even_degree if parity == "even"
              else existence.exists_over_prime_field)(g, p)
         query = {"p": p, "parity": parity}
-    query = {"group": str(v.group), **query}
+    query = {"group": str(g), **query}
     args.citation = v.citation
     if args.json:
         return query, {
@@ -182,7 +182,7 @@ def cmd_exists(args):
                               "condition": o.condition, "satisfied": o.satisfied}
                              for o in v.weil_options]}
     return query, [
-        f"group {v.group}:",
+        f"group {g}:",
         f"  rigid action: {_ANSWER[v.exists_rigid]} [{v.citation}]",
         f"  rigid symplectic action: {_ANSWER[v.exists_rigid_symplectic]} [{v.citation}]",
         *(f"  condition: {t} -> {_HOLDS[val]}" for t, val in v.conditions),

@@ -15,9 +15,10 @@ G = GroupId
 class ExistenceVerdict(Value):
     # exists_rigid, exists_rigid_symplectic: True, False or None (not
     # determined); citation: the classification's tag; conditions: (condition
-    # text, evaluated bool) pairs; weil_options: WeilOption
-    __slots__ = ("group", "exists_rigid", "exists_rigid_symplectic", "citation",
-                 "conditions", "weil_options")
+    # text, evaluated bool) pairs; weil_options: WeilOption. It names no
+    # group: the groups with one answer for every p share one verdict
+    __slots__ = ("exists_rigid", "exists_rigid_symplectic", "citation", "conditions",
+                 "weil_options")
 
 
 class WeilOption(Value):
@@ -33,21 +34,33 @@ class WeilOption(Value):
 # ---------------------------------------------------------------------------
 # even-degree fields (containing F_{p^2})
 
-# (column I: rigid action exists, column II: rigid and symplectic), or None
-# when both hold for every p
+_EVEN_CITE = "even-degree classification"
+# the answer of every group whose two columns hold for every p
+_EVEN_ALWAYS = ExistenceVerdict(True, True, _EVEN_CITE, (("any p coprime to |G|", True),), ())
+
+
+def _even(rigid: str, sympl: str = None) -> tuple[Condition, Condition, str]:
+    # column I (rigid action exists), column II (rigid and symplectic; the
+    # same condition if not given) and column II's printed text
+    r = Condition(rigid)
+    s = r if sympl is None else Condition(sympl)
+    return r, s, f"symplectic: {s}"
+
+
+# built once: the shared verdict, or the row that each call evaluates at p
 _EVEN_TABLE = {
-    G.C3: None, G.C6: None, G.C4: None,
-    G.C8: (Condition("p != 1 mod 8"), Condition("p != +-1 mod 8")),
-    G.C5: (Condition("p != 1 mod 5"), Condition("p != +-1 mod 5")),
-    G.C10: (Condition("p != 1 mod 5"), Condition("p != +-1 mod 5")),
-    G.C12: (Condition("p != 1 mod 12"), Condition("p != +-1 mod 12")),
-    G.Q8: None, G.Q12: None,
-    G.Q16: (Condition("p != +-1 mod 8"),) * 2,
-    G.Q20: (Condition("p != +-1 mod 5"),) * 2,
-    G.Q24: (Condition("p != +-1 mod 12"),) * 2,
-    G.SL2F3: None,
-    G.ESL2F3: (Condition("p != +-1 mod 8"),) * 2,
-    G.SL2F5: (Condition("p != +-1 mod 5"),) * 2,
+    G.C3: _EVEN_ALWAYS, G.C6: _EVEN_ALWAYS, G.C4: _EVEN_ALWAYS,
+    G.C8: _even("p != 1 mod 8", "p != +-1 mod 8"),
+    G.C5: _even("p != 1 mod 5", "p != +-1 mod 5"),
+    G.C10: _even("p != 1 mod 5", "p != +-1 mod 5"),
+    G.C12: _even("p != 1 mod 12", "p != +-1 mod 12"),
+    G.Q8: _EVEN_ALWAYS, G.Q12: _EVEN_ALWAYS,
+    G.Q16: _even("p != +-1 mod 8"),
+    G.Q20: _even("p != +-1 mod 5"),
+    G.Q24: _even("p != +-1 mod 12"),
+    G.SL2F3: _EVEN_ALWAYS,
+    G.ESL2F3: _even("p != +-1 mod 8"),
+    G.SL2F5: _even("p != +-1 mod 5"),
 }
 
 # the groups of the even-degree classification; the M(2, H_p) embedding
@@ -55,25 +68,19 @@ _EVEN_TABLE = {
 # the same groups, and column I reads as that condition
 EVEN_DEGREE_GROUPS = frozenset(_EVEN_TABLE)
 
-# built once: a group's shared verdict, or its two conditions and column II's text
-_EVEN_CITE = "even-degree classification"
-_EVEN_ROWS = {g: ExistenceVerdict(g, True, True, _EVEN_CITE, (("any p coprime to |G|", True),), ())
-              if conds is None else (*conds, f"symplectic: {conds[1]}")
-              for g, conds in _EVEN_TABLE.items()}
-
 
 def exists_over_even_degree(g: GroupId, p: int) -> ExistenceVerdict:
     """Existence of a supersingular abelian surface over a field containing
     F_{p^2} with a rigid (column I) or rigid symplectic (column II) action.
     """
-    row = _EVEN_ROWS.get(g)
+    row = _EVEN_TABLE.get(g)
     if row is None:
         raise Rejected(f"{g} is not covered by the even-degree classification")
-    if row.__class__ is ExistenceVerdict:
+    if row is _EVEN_ALWAYS:
         return row
     rigid, sympl, sympl_text = row
     r, s = rigid.holds(p), sympl.holds(p)
-    return ExistenceVerdict(g, r, s, _EVEN_CITE, ((rigid.text, r), (sympl_text, s)), ())
+    return ExistenceVerdict(r, s, _EVEN_CITE, ((rigid.text, r), (sympl_text, s)), ())
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +93,10 @@ _PRIME_FIELD = {
     G.Q12: Condition("p > 3"),
 }
 
-# built once: the shared verdict of each group outside the list
+# built once: the verdict shared by every group outside the list
 _PRIME_CITE = "prime-field sufficiency"
-_OUTSIDE_PRIME_FIELD = {
-    g: ExistenceVerdict(g, None, None, _PRIME_CITE,
-                        (("group outside the prime-field sufficiency list", False),), ())
-    for g in GroupId if g not in _PRIME_FIELD}
+_OUTSIDE_PRIME_FIELD = ExistenceVerdict(
+    None, None, _PRIME_CITE, (("group outside the prime-field sufficiency list", False),), ())
 
 
 def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
@@ -101,30 +106,27 @@ def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
     """
     cond = _PRIME_FIELD.get(g)
     if cond is None:
-        return _OUTSIDE_PRIME_FIELD[g]
+        return _OUTSIDE_PRIME_FIELD
     ok = cond.holds(p)
     val = True if ok else None
-    return ExistenceVerdict(g, val, val, _PRIME_CITE, ((cond.text, ok),), ())
+    return ExistenceVerdict(val, val, _PRIME_CITE, ((cond.text, ok),), ())
 
 
 # ---------------------------------------------------------------------------
 # odd-degree fields
 
-# the admissible Frobenius shapes t^4 + u q t^2 + q^2, by their coefficient u
-_SHAPES = {"t^4 + q^2": 0, "t^4 + q t^2 + q^2": 1, "t^4 - q t^2 + q^2": -1,
-           "(t^2 - q)^2": -2, "(t^2 + q)^2": 2}
-
-_SQUARE_ROWS = (("(t^2 - q)^2", Condition("p > 2")), ("(t^2 + q)^2", Condition("p > 2")))
-_C3_ROWS = (("t^4 + q t^2 + q^2", Condition("any p")),
-            ("t^4 - q t^2 + q^2", Condition("any p"))) + _SQUARE_ROWS
-_Q8_ROWS = (("(t^2 - q)^2", Condition("p != 1 mod 8")),
-            ("(t^2 + q)^2", Condition("p != -1 mod 8")))
+# the admissible Frobenius shapes t^4 + u q t^2 + q^2: (shape, u, condition)
+_SQUARE_ROWS = (("(t^2 - q)^2", -2, Condition("p > 2")), ("(t^2 + q)^2", 2, Condition("p > 2")))
+_C3_ROWS = (("t^4 + q t^2 + q^2", 1, Condition("any p")),
+            ("t^4 - q t^2 + q^2", -1, Condition("any p"))) + _SQUARE_ROWS
+_Q8_ROWS = (("(t^2 - q)^2", -2, Condition("p != 1 mod 8")),
+            ("(t^2 + q)^2", 2, Condition("p != -1 mod 8")))
 _ODD_TABLE = {
-    G.C4: (("t^4 + q^2", Condition("any p")),) + _SQUARE_ROWS,
+    G.C4: (("t^4 + q^2", 0, Condition("any p")),) + _SQUARE_ROWS,
     G.C3: _C3_ROWS, G.C6: _C3_ROWS,
     G.Q8: _Q8_ROWS, G.SL2F3: _Q8_ROWS,
-    G.Q12: (("(t^2 - q)^2", Condition("p != 2 mod 3")),
-            ("(t^2 + q)^2", Condition("p != 1 mod 3"))),
+    G.Q12: (("(t^2 - q)^2", -2, Condition("p != 2 mod 3")),
+            ("(t^2 + q)^2", 2, Condition("p != 1 mod 3"))),
 }
 
 # characteristic-special shapes, by p; the exact quartic is left symbolic
@@ -144,16 +146,14 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     if order(g) <= 2:
         raise Rejected("only groups of order > 2 are classified here")
     p, qq = q.p, q.q
+    if order(g) % p == 0:
+        raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
 
-    opts = [WeilOption(shape, IntPolynomial([qq * qq, 0, _SHAPES[shape] * qq, 0, 1]),
-                       str(cond), cond.holds(p))
-            for shape, cond in _ODD_TABLE.get(g, ())]
+    opts = [WeilOption(shape, IntPolynomial([qq * qq, 0, u * qq, 0, 1]), str(cond), cond.holds(p))
+            for shape, u, cond in _ODD_TABLE.get(g, ())]
     special_groups, shape = _SPECIAL_SHAPES.get(p, ((), ""))
     if g in special_groups:
         opts.append(WeilOption(shape, None, f"p = {p} (shape stated ambiguously)", None))
-
-    if order(g) % p == 0 and not any(o.satisfied is None for o in opts):
-        raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
 
     val = any(o.satisfied is True for o in opts)
     if not val and any(o.satisfied is None for o in opts):
@@ -161,24 +161,25 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     conds = tuple((f"{o.shape}: {o.condition}", o.satisfied) for o in opts)
     if not opts:
         conds = (("group matches no odd-degree classification row", False),)
-    return ExistenceVerdict(g, val, val, "odd-degree classification", conds, tuple(opts))
+    return ExistenceVerdict(val, val, "odd-degree classification", conds, tuple(opts))
 
 
 # ---------------------------------------------------------------------------
 # surface-level refinement
 
-_REFINE_DIRECT = (G.C2, G.C3, G.C4, G.C6, G.Q8, G.Q12, G.SL2F3)
+_REFINE_CITE = "quotient refinement"
+# the answer of every direct group
+_REFINE_ALWAYS = ExistenceVerdict(True, True, _REFINE_CITE,
+                                  (("group in the unconditional list", True),), ())
 
 # the extra congruence clause, by the element orders n in {5, 8, 12} of G
 # that trigger it
 _REFINE_CONDITIONS = {n: Condition(f"p != +-1 mod {n}") for n in (5, 8, 12)}
 
-# built once: a direct group's shared verdict, else its clauses
-_REFINE_CITE = "quotient refinement"
-_REFINE_ROWS = {g: ExistenceVerdict(g, True, True, _REFINE_CITE,
-                                    (("group in the unconditional list", True),), ())
-                if g in _REFINE_DIRECT else tuple(_REFINE_CONDITIONS[n] for n in sorted(
-                    facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys()))
+# built once: a group's clauses, or the shared verdict for a group with none,
+# the seven direct groups C2, C3, C4, C6, Q8, Q12 and SL2F3
+_REFINE_ROWS = {g: tuple(_REFINE_CONDITIONS[n] for n in sorted(
+                    facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys())) or _REFINE_ALWAYS
                 for g in CONFIG_GROUPS}
 
 
@@ -197,7 +198,7 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     row = _REFINE_ROWS.get(g)
     if row is None:
         raise Rejected(f"{g} is not in the quotient-construction list")
-    if row.__class__ is ExistenceVerdict:
+    if row is _REFINE_ALWAYS:
         return row
     val = not q.degree_is_odd
     conds = [("field degree even", val)]
@@ -205,4 +206,4 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
         holds = cond.holds(p)
         conds.append((cond.text, holds))
         val = val and holds
-    return ExistenceVerdict(g, val, val, _REFINE_CITE, tuple(conds), ())
+    return ExistenceVerdict(val, val, _REFINE_CITE, tuple(conds), ())

@@ -46,42 +46,20 @@ class GroupId(Enum):
         return self.value
 
 
-_ALIASES = {
-    "CSU2F3": GroupId.ESL2F3,
-    "CSU2F5": GroupId.ESL2F5,
-    "C5SEMIC8": GroupId.C5_C8,
-    "C3SEMIC8": GroupId.C3_C8,
-    "C3SEMIQ16": GroupId.C3_Q16,
+G = GroupId
+
+# every group by its name in upper case, and by the other names of five
+_BY_NAME = {g.value.upper(): g for g in GroupId} | {
+    "CSU2F3": G.ESL2F3, "CSU2F5": G.ESL2F5,
+    "C5SEMIC8": G.C5_C8, "C3SEMIC8": G.C3_C8, "C3SEMIQ16": G.C3_Q16,
 }
 
 
 def parse_group(name: str) -> GroupId:
-    key = name.strip().upper()
-    for g in GroupId:
-        if g.value.upper() == key:
-            return g
-    if key in _ALIASES:
-        return _ALIASES[key]
-    raise ValueError(f"unknown group name {name!r}")
-
-
-_ORDERS = {
-    GroupId.C2: 2, GroupId.C3: 3, GroupId.C4: 4, GroupId.C5: 5,
-    GroupId.C6: 6, GroupId.C8: 8, GroupId.C10: 10, GroupId.C12: 12,
-    GroupId.Q8: 8, GroupId.Q12: 12, GroupId.Q16: 16, GroupId.Q20: 20,
-    GroupId.Q24: 24, GroupId.SL2F3: 24, GroupId.ESL2F3: 48,
-    GroupId.SL2F5: 120, GroupId.C5_C8: 40, GroupId.C3_C8: 24,
-    GroupId.C3xQ8: 24, GroupId.C3_Q16: 48, GroupId.ESL2F5: 240,
-}
-
-
-def order(g: GroupId) -> int:
-    return _ORDERS[g]
-
-
-def is_cyclic(g: GroupId) -> bool:
-    # cyclic iff it has an element of its own order
-    return order(g) in facts(g).cyclic_subgroup_orders
+    g = _BY_NAME.get(name.strip().upper())
+    if g is None:
+        raise ValueError(f"unknown group name {name!r}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +76,7 @@ class StabilizerTable(Value):
 
 
 class GroupFacts(Value):
-    __slots__ = ("group", "cyclic_subgroup_orders",
+    __slots__ = ("order", "cyclic_subgroup_orders",
                  "stabilizer_tables")  # stabilizer_tables: tuple of StabilizerTable
 
 
@@ -106,45 +84,58 @@ def _tab(case, *entries):
     return StabilizerTable(case, tuple(entries))
 
 
-G = GroupId
+def _facts(order, cyclic_subgroup_orders, *stabilizer_tables):
+    return GroupFacts(order, frozenset(cyclic_subgroup_orders), stabilizer_tables)
+
 
 _FACTS = {
-    G.C2: ({1, 2}, (_tab("", (G.C2, 16)),)),
-    G.C3: ({1, 3}, (_tab("", (G.C3, 9)),)),
-    G.C4: ({1, 2, 4}, (_tab("", (G.C4, 4), (G.C2, 12)),)),
-    G.C5: ({1, 5}, (_tab("", (G.C5, 5)),)),
-    G.C6: ({1, 2, 3, 6}, (_tab("", (G.C6, 1), (G.C3, 8), (G.C2, 15)),)),
-    G.C8: ({1, 2, 4, 8}, (_tab("", (G.C8, 2), (G.C4, 2), (G.C2, 12)),)),
-    G.C10: ({1, 2, 5, 10}, (_tab("", (G.C10, 1), (G.C5, 4), (G.C2, 15)),)),
-    G.C12: ({1, 2, 3, 4, 6, 12}, (_tab("", (G.C12, 1), (G.C4, 3), (G.C3, 8), (G.C2, 12)),)),
-    G.Q8: ({1, 2, 4},
-           (_tab("A", (G.Q8, 4), (G.C2, 12)),
-            _tab("B", (G.Q8, 2), (G.C4, 6), (G.C2, 8)))),
-    G.Q12: ({1, 2, 3, 4, 6}, (_tab("", (G.Q12, 1), (G.C4, 9), (G.C3, 8), (G.C2, 6)),)),
-    G.Q16: ({1, 2, 4, 8}, (_tab("", (G.Q16, 2), (G.Q8, 2), (G.C4, 4), (G.C2, 8)),)),
-    G.Q20: ({1, 2, 4, 5, 10}, (_tab("", (G.Q20, 1), (G.C5, 4), (G.C4, 15)),)),
-    G.Q24: ({1, 2, 3, 4, 6, 12}, (_tab("", (G.Q24, 1), (G.Q8, 3), (G.C4, 12), (G.C3, 8)),)),
-    G.SL2F3: ({1, 2, 3, 4, 6}, (_tab("", (G.SL2F3, 1), (G.Q8, 3), (G.C3, 32), (G.C2, 12)),)),
-    G.ESL2F3: ({1, 2, 3, 4, 6, 8}, (_tab("", (G.ESL2F3, 1), (G.Q16, 3), (G.C4, 12), (G.C3, 32)),)),
-    G.SL2F5: ({1, 2, 3, 4, 5, 6, 10},
-              (_tab("", (G.SL2F5, 1), (G.Q8, 15), (G.C5, 24), (G.C3, 80)),)),
-    G.C5_C8: ({1, 2, 4, 5, 8, 10}, ()),
-    G.C3_C8: ({1, 2, 3, 4, 6, 8, 12}, ()),
-    G.C3xQ8: ({1, 2, 3, 4, 6, 12}, ()),
-    G.C3_Q16: ({1, 2, 3, 4, 6, 8, 12}, ()),
-    G.ESL2F5: ({1, 2, 3, 4, 5, 6, 8, 10, 12}, ()),
+    G.C2: _facts(2, {1, 2}, _tab("", (G.C2, 16))),
+    G.C3: _facts(3, {1, 3}, _tab("", (G.C3, 9))),
+    G.C4: _facts(4, {1, 2, 4}, _tab("", (G.C4, 4), (G.C2, 12))),
+    G.C5: _facts(5, {1, 5}, _tab("", (G.C5, 5))),
+    G.C6: _facts(6, {1, 2, 3, 6}, _tab("", (G.C6, 1), (G.C3, 8), (G.C2, 15))),
+    G.C8: _facts(8, {1, 2, 4, 8}, _tab("", (G.C8, 2), (G.C4, 2), (G.C2, 12))),
+    G.C10: _facts(10, {1, 2, 5, 10}, _tab("", (G.C10, 1), (G.C5, 4), (G.C2, 15))),
+    G.C12: _facts(12, {1, 2, 3, 4, 6, 12},
+                  _tab("", (G.C12, 1), (G.C4, 3), (G.C3, 8), (G.C2, 12))),
+    G.Q8: _facts(8, {1, 2, 4}, _tab("A", (G.Q8, 4), (G.C2, 12)),
+                 _tab("B", (G.Q8, 2), (G.C4, 6), (G.C2, 8))),
+    G.Q12: _facts(12, {1, 2, 3, 4, 6}, _tab("", (G.Q12, 1), (G.C4, 9), (G.C3, 8), (G.C2, 6))),
+    G.Q16: _facts(16, {1, 2, 4, 8}, _tab("", (G.Q16, 2), (G.Q8, 2), (G.C4, 4), (G.C2, 8))),
+    G.Q20: _facts(20, {1, 2, 4, 5, 10}, _tab("", (G.Q20, 1), (G.C5, 4), (G.C4, 15))),
+    G.Q24: _facts(24, {1, 2, 3, 4, 6, 12},
+                  _tab("", (G.Q24, 1), (G.Q8, 3), (G.C4, 12), (G.C3, 8))),
+    G.SL2F3: _facts(24, {1, 2, 3, 4, 6},
+                    _tab("", (G.SL2F3, 1), (G.Q8, 3), (G.C3, 32), (G.C2, 12))),
+    G.ESL2F3: _facts(48, {1, 2, 3, 4, 6, 8},
+                     _tab("", (G.ESL2F3, 1), (G.Q16, 3), (G.C4, 12), (G.C3, 32))),
+    G.SL2F5: _facts(120, {1, 2, 3, 4, 5, 6, 10},
+                    _tab("", (G.SL2F5, 1), (G.Q8, 15), (G.C5, 24), (G.C3, 80))),
+    G.C5_C8: _facts(40, {1, 2, 4, 5, 8, 10}),
+    G.C3_C8: _facts(24, {1, 2, 3, 4, 6, 8, 12}),
+    G.C3xQ8: _facts(24, {1, 2, 3, 4, 6, 12}),
+    G.C3_Q16: _facts(48, {1, 2, 3, 4, 6, 8, 12}),
+    G.ESL2F5: _facts(240, {1, 2, 3, 4, 5, 6, 8, 10, 12}),
 }
-
-_GROUP_FACTS = {g: GroupFacts(g, frozenset(cyc), tabs) for g, (cyc, tabs) in _FACTS.items()}
 
 
 def facts(g: GroupId) -> GroupFacts:
-    return _GROUP_FACTS[g]
+    return _FACTS[g]
+
+
+def order(g: GroupId) -> int:
+    return _FACTS[g].order
+
+
+def is_cyclic(g: GroupId) -> bool:
+    # cyclic iff it has an element of its own order
+    f = _FACTS[g]
+    return f.order in f.cyclic_subgroup_orders
 
 
 # groups handled by the geometric singularity classification: those with
 # stabilizer tables
-CONFIG_GROUPS = tuple(g for g, f in _GROUP_FACTS.items() if f.stabilizer_tables)
+CONFIG_GROUPS = tuple(g for g, f in _FACTS.items() if f.stabilizer_tables)
 
 
 # ---------------------------------------------------------------------------

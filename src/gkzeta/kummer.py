@@ -114,19 +114,15 @@ class SingularConfig(Value):
 def singular_configs(g: GroupId) -> tuple[SingularConfig, ...]:
     """All singularity configurations for G, derived from the stabilizer
     tables by orbit counting: a stabilizer class H with N points gives
-    N * |H| / |G| singular points of the ADE type attached to H."""
+    N * |H| / |G| singular points of the ADE type attached to H (a whole
+    number for every table: tests/test_groups.py checks it)."""
     if g not in CONFIG_GROUPS:
         raise Rejected(f"{g} has no recorded singularity configuration")
     out = []
     n = order(g)
     for tab in facts(g).stabilizer_tables:
-        orbits = []
-        for h, pts in tab.entries:
-            num, rem = divmod(pts * order(h), n)
-            if rem:
-                raise AssertionError(f"stabilizer table for {g} is not orbit-consistent")
-            orbits.append(SingularOrbit(ade_of_stabilizer(h), num, 1, "unknown"))
-        orbits.sort(key=lambda o: (-o.ade.m, -ord(o.ade.kind)))
+        orbits = sorted((SingularOrbit(ade_of_stabilizer(h), pts * order(h) // n, 1, "unknown")
+                         for h, pts in tab.entries), key=lambda o: (-o.ade.m, -ord(o.ade.kind)))
         out.append(SingularConfig(g, tab.case, tuple(orbits)))
     return tuple(out)
 
@@ -272,7 +268,7 @@ def k3_point_count(q: PrimePower, cp: NSCharPoly) -> int:
 class ZetaFunction(Value):
     """1 / prod of the listed (polynomial, multiplicity) factors."""
 
-    __slots__ = ("q", "denominator")  # denominator: (IntPolynomial, int) pairs
+    __slots__ = ("denominator",)  # (IntPolynomial, int) pairs
 
     def __str__(self):
         def fmt(f, m):
@@ -295,7 +291,7 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
             powers.append(powers[-1] * qq)
         factors.append((IntPolynomial._trusted(tuple(map(mul, c, powers))), d // (len(c) - 1)))
     factors.append((IntPolynomial._trusted((1, -powers[2])), 1))
-    return ZetaFunction(q, tuple(factors))
+    return ZetaFunction(tuple(factors))
 
 
 def artin_check(q: PrimePower, cp: NSCharPoly) -> bool:

@@ -91,7 +91,7 @@ class TestEvenDegree:
         cond = brauer._embedding_condition(g)
         if g in EVEN_DEGREE_GROUPS:
             row = _EVEN_TABLE[g]
-            assert str(cond) == ("any p" if row is None else str(row[0]))
+            assert str(cond) == ("any p" if row is existence._EVEN_ALWAYS else str(row[0]))
         else:
             assert cond == f"{rigid_algebra(g)} is not among the tabulated embedding rows"
 
@@ -155,6 +155,14 @@ class TestOddDegree:
         v = exists_over_odd_degree(G.C3, PrimePower(2, 1))
         assert any(o.satisfied is None for o in v.weil_options)
 
+    def test_special_shapes_never_meet_p_dividing_the_order(self):
+        # an undetermined special shape cannot keep a p | |G| from being
+        # rejected: no group it applies to has an order that p divides
+        pairs = [(p, g) for p, (gs, _) in existence._SPECIAL_SHAPES.items() for g in gs]
+        assert pairs == [(3, G.C4), (3, G.C8), (3, G.Q8), (2, G.C3)]
+        for p, g in pairs:
+            assert order(g) % p, (p, g)
+
     def test_no_row_groups_refuted(self):
         v = exists_over_odd_degree(G.Q16, PrimePower(7, 1))
         assert v.exists_rigid is False
@@ -217,6 +225,14 @@ class TestKatsuraRefinement:
             katsura_refinement(G.C5_C8, PrimePower(3, 2))
 
 
+# the groups whose even-degree columns both hold for every p, the groups
+# outside the prime-field list, and the seven direct refinement groups, as
+# the paper lists them
+EVEN_ALWAYS = {G.C3, G.C4, G.C6, G.Q8, G.Q12, G.SL2F3}
+PRIME_FIELD_LIST = {G.C2, G.C3, G.C4, G.C6, G.Q8, G.Q12, G.SL2F3}
+REFINE_DIRECT = {G.C2, G.C3, G.C4, G.C6, G.Q8, G.Q12, G.SL2F3}
+
+
 class TestStoredRows:
     """The rows each per-prime call reads, built once at import, against the
     typed tables they are built from."""
@@ -225,49 +241,57 @@ class TestStoredRows:
         assert set(existence._REFINE_ROWS) == set(CONFIG_GROUPS)
         for g in CONFIG_GROUPS:
             row = existence._REFINE_ROWS[g]
-            if g in existence._REFINE_DIRECT:
-                assert isinstance(row, ExistenceVerdict), g
+            if g in REFINE_DIRECT:
+                assert row is existence._REFINE_ALWAYS, g
             else:
                 orders = sorted(facts(g).cyclic_subgroup_orders & {5, 8, 12})
                 assert [c.text for c in row] == [f"p != +-1 mod {n}" for n in orders], g
 
     def test_even_rows_keep_the_table_conditions(self):
-        assert set(existence._EVEN_ROWS) == set(_EVEN_TABLE)
-        for g, conds in _EVEN_TABLE.items():
-            row = existence._EVEN_ROWS[g]
-            if conds is not None:
-                assert row == (*conds, f"symplectic: {conds[1]}"), g
+        # column II prints as its condition's text after "symplectic: "
+        assert set(_EVEN_TABLE) == set(EVEN_TABLE_LITERAL)
+        for g, row in _EVEN_TABLE.items():
+            if g in EVEN_ALWAYS:
+                assert row is existence._EVEN_ALWAYS, g
+            else:
+                _, sympl, sympl_text = row
+                assert sympl_text == f"symplectic: {sympl.text}", g
 
     SHARED = (
-        ("_EVEN_ROWS", exists_over_even_degree, lambda g: _EVEN_TABLE.get(g, ()) is None,
-         lambda g: ExistenceVerdict(g, True, True, "even-degree classification",
-                                    (("any p coprime to |G|", True),), ())),
-        ("_OUTSIDE_PRIME_FIELD", exists_over_prime_field,
-         lambda g: g not in existence._PRIME_FIELD,
-         lambda g: ExistenceVerdict(g, None, None, "prime-field sufficiency", (
+        ("_EVEN_TABLE", exists_over_even_degree, EVEN_ALWAYS,
+         ExistenceVerdict(True, True, "even-degree classification",
+                          (("any p coprime to |G|", True),), ())),
+        ("_OUTSIDE_PRIME_FIELD", exists_over_prime_field, set(G) - PRIME_FIELD_LIST,
+         ExistenceVerdict(None, None, "prime-field sufficiency", (
              ("group outside the prime-field sufficiency list", False),), ())),
-        ("_REFINE_ROWS", katsura_refinement, lambda g: g in existence._REFINE_DIRECT,
-         lambda g: ExistenceVerdict(g, True, True, "quotient refinement",
-                                    (("group in the unconditional list", True),), ())),
+        ("_REFINE_ROWS", katsura_refinement, REFINE_DIRECT,
+         ExistenceVerdict(True, True, "quotient refinement",
+                          (("group in the unconditional list", True),), ())),
     )
 
     @pytest.mark.parametrize("table, fn, shared, fresh", SHARED, ids=[t[0] for t in SHARED])
     def test_shared_verdicts(self, table, fn, shared, fresh):
-        # a verdict is shared exactly where the typed table makes it the same
-        # for every p; it equals one built afresh, is returned for every p
-        # the function answers, and refuses assignment
-        stored = {g: v for g, v in getattr(existence, table).items()
-                  if isinstance(v, ExistenceVerdict)}
-        assert set(stored) == {g for g in G if shared(g)}
-        for g, v in stored.items():
-            assert v == fresh(g)
+        # each classification answers with one object, the same for every
+        # group and every p, exactly where the typed table makes the answer
+        # the same for every p; it equals one built afresh and refuses
+        # assignment
+        answers = {}
+        for g in G:
             for p in PRIMES_200[1:]:  # the refinement rejects p = 2
-                if order(g) % p:
-                    assert fn(g, PrimePower(p, 2) if fn is katsura_refinement else p) is v
-            with pytest.raises(AttributeError):
-                v.exists_rigid = not v.exists_rigid
-            with pytest.raises(AttributeError):
-                del v.conditions
+                try:
+                    v = fn(g, PrimePower(p, 2) if fn is katsura_refinement else p)
+                except Rejected:
+                    continue
+                answers.setdefault(g, []).append(v)
+        shared_by = {g for g, vs in answers.items() if vs[0] == fresh}
+        assert shared_by == shared
+        (v,) = {id(v): v for g in shared for v in answers[g]}.values()
+        assert v == fresh
+        assert all(w is not v for g in set(answers) - shared for w in answers[g])
+        with pytest.raises(AttributeError):
+            v.exists_rigid = not v.exists_rigid
+        with pytest.raises(AttributeError):
+            del v.conditions
 
 
 class TestTraceTableConsistency:

@@ -37,7 +37,12 @@ class TestCatalog:
         assert parse_group("CSU2F5") is G.ESL2F5
         assert parse_group("C3xQ8") is G.C3xQ8
         assert parse_group("C5:C8") is G.C5_C8
-        with pytest.raises(ValueError):
+        assert parse_group(" c3:q16 ") is G.C3_Q16
+        for name, g in (("C5semiC8", G.C5_C8), ("C3SEMIC8", G.C3_C8), ("c3semiq16", G.C3_Q16)):
+            assert parse_group(name) is g
+        for g in G:
+            assert parse_group(g.value.lower()) is g
+        with pytest.raises(ValueError, match="unknown group name 'D8'"):
             parse_group("D8")
 
     def test_orders_divide_240(self):
@@ -91,6 +96,15 @@ class TestFacts:
         assert dict(tabs[0].entries)[G.Q8] == 4
         assert dict(tabs[1].entries)[G.C4] == 6
 
+    def test_every_table_counts_whole_orbits(self):
+        # N points with stabilizer H fall into N |H| / |G| orbits, a whole
+        # number; kummer.singular_configs divides without checking it
+        tables = [(g, tab) for g in CONFIG_GROUPS for tab in facts(g).stabilizer_tables]
+        assert len(CONFIG_GROUPS) == 16 and len(tables) == 17
+        for g, tab in tables:
+            for h, n in tab.entries:
+                assert n * order(h) % order(g) == 0, (g, tab.case, h)
+
     def test_torsion_conservation(self):
         # for each prime l dividing |G|, the l^4 points of the l-torsion
         # subgroup split into the tabulated points whose stabilizer order is
@@ -104,6 +118,14 @@ class TestFacts:
                     assert (l ** 4 - counted) % order(g) == 0
 
 
+# |G| for every group of the catalog
+ORDERS = {
+    G.C2: 2, G.C3: 3, G.C4: 4, G.C5: 5, G.C6: 6, G.C8: 8, G.C10: 10, G.C12: 12,
+    G.Q8: 8, G.Q12: 12, G.Q16: 16, G.Q20: 20, G.Q24: 24, G.SL2F3: 24, G.ESL2F3: 48,
+    G.SL2F5: 120, G.C5_C8: 40, G.C3_C8: 24, G.C3xQ8: 24, G.C3_Q16: 48, G.ESL2F5: 240,
+}
+
+
 class TestStoredFacts:
     @pytest.mark.parametrize("g", list(G), ids=str)
     def test_one_value_per_group(self, g):
@@ -112,9 +134,11 @@ class TestStoredFacts:
         assert pickle.loads(pickle.dumps(g)) is g
         assert copy.deepcopy(g) is g
         assert {g: 1}[G(g.value)] == 1
-        assert facts(g) is facts(g)
-        cyc, tables = _FACTS[g]
-        assert facts(g) == GroupFacts(g, frozenset(cyc), tables)
+        f = facts(g)
+        assert f is facts(g) is _FACTS[g]
+        assert f.order == order(g) == ORDERS[g]
+        assert f == GroupFacts(ORDERS[g], frozenset(f.cyclic_subgroup_orders),
+                               tuple(f.stabilizer_tables))
 
     def test_catalog_and_config_groups(self):
         assert len(G) == 21
