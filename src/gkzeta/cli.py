@@ -238,6 +238,10 @@ def cmd_zeta_assemble(args):
     elif args.group is None:
         raise UsageError("zeta-assemble needs --group (with --orbit) or --notation")
     else:
+        if args.eps is not None and (kummer.invariant_h_poly(args.group, 1)
+                                     == kummer.invariant_h_poly(args.group, -1)):
+            raise UsageError(f"zeta-assemble takes no --eps with --group {args.group}: "
+                             "its invariant part is the same for both signs")
         for orbit in args.orbit or ():  # the total degree text prints count * index
             _printable(2000, count=orbit.count, index=orbit.ade.m)
         eps = -1 if args.eps is None else args.eps

@@ -344,6 +344,28 @@ class TestSingAndZeta:
         assert run(capsys, "zeta-assemble", "--q", "3", "--group", "Q8", *orbits) == run(
             capsys, "zeta-assemble", "--q", "3", "--group", "Q8", "--eps", "-1", *orbits)
 
+    @pytest.mark.parametrize("g", list(G), ids=str)
+    def test_zeta_assemble_eps_only_where_read(self, capsys, g):
+        # an explicit --eps must change the invariant part, or exit 2; a group
+        # with no recorded invariant part stays rejected. The orbit fills the
+        # degree up to 22 next to an invariant part of degree 3 or 4
+        reads_eps = g in (G.Q8, G.Q12, G.SL2F3)
+        base = ["zeta-assemble", "--q", "25", "--group", str(g),
+                "--orbit", f"A1,{19 if reads_eps else 18},1,trivial"]
+        without = run(capsys, *base)
+        with_eps = {eps: run(capsys, *base, "--eps", eps) for eps in ("1", "-1")}
+        if reads_eps:
+            assert with_eps["-1"] == without
+            assert with_eps["1"][0] == 0 and with_eps["1"] != without
+        elif g in (G.C3, G.C4, G.C6):
+            assert without[0] == 0
+            assert with_eps["1"] == with_eps["-1"] == (2, "", (
+                f"zeta-assemble takes no --eps with --group {g}: its invariant part "
+                "is the same for both signs\n"))
+        else:
+            assert with_eps["1"] == with_eps["-1"] == without == (1, "", (
+                f"rejected: no invariant-part polynomial recorded for {g} [zeta assembly]\n"))
+
     def test_zeta_assemble_missing_input(self, capsys):
         code, _, _ = run(capsys, "zeta-assemble", "--q", "3")
         assert code == 2
