@@ -25,15 +25,24 @@ class UsageError(Exception):
     """Arguments that parse but do not combine (exit 2, message printed as is)."""
 
 
-def _prime_power(s: str) -> PrimePower:
+def _int(s: str) -> int:
+    """int(s), refused with the text that argparse gives for type=int."""
     try:
-        return PrimePower.from_q(int(s))
+        return int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}")
+
+
+def _prime_power(s: str) -> PrimePower:
+    q = _int(s)
+    try:
+        return PrimePower.from_q(q)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _prime(s: str) -> int:
-    p = int(s)
+    p = _int(s)
     if p >= _MR_BOUND:  # is_prime cannot prove it prime: refused before any power
         raise argparse.ArgumentTypeError(f"primality is only proven below {_MR_BOUND}")
     if not is_prime(p):

@@ -102,6 +102,23 @@ class TestWeilCommands:
         code, _, _ = run(capsys, "weil-list", "--q", "12")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", (
+        ["embed-check", "--group", "C8", "--p", "x"],
+        ["exists", "--group", "C8", "--p", "x"],
+        ["tables", "--which", "alginj", "--p", "x"],
+        ["exists", "--group", "C8", "--q", "x"],
+        ["weil-list", "--q", "x"],
+        ["zeta-assemble", "--q", "x", "--notation", "1^22"],
+        ["weil-check", "--q", "7", "--b", "x"],
+        ["weil-check", "--q", "7", "--a1", "x", "--a2", "0"],
+    ), ids=" ".join)
+    def test_non_integer_option(self, capsys, argv):
+        # every integer option refuses a non-integer in the same words
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        option = argv[argv.index("x") - 1]
+        assert err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
+
     def test_missing_args(self, capsys):
         code, _, _ = run(capsys, "weil-check", "--q", "7")
         assert code == 2
