@@ -26,10 +26,9 @@ class UsageError(Exception):
 
 
 def _int(s: str) -> int:
-    """int(s), refused with the text that argparse gives for type=int."""
     try:
         return int(s)
-    except ValueError:
+    except ValueError:  # in the words argparse uses for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {s!r}")
 
 

@@ -55,12 +55,9 @@ _EVEN_TABLE = {
     G.C10: _even("p != 1 mod 5", "p != +-1 mod 5"),
     G.C12: _even("p != 1 mod 12", "p != +-1 mod 12"),
     G.Q8: _EVEN_ALWAYS, G.Q12: _EVEN_ALWAYS,
-    G.Q16: _even("p != +-1 mod 8"),
-    G.Q20: _even("p != +-1 mod 5"),
-    G.Q24: _even("p != +-1 mod 12"),
-    G.SL2F3: _EVEN_ALWAYS,
-    G.ESL2F3: _even("p != +-1 mod 8"),
-    G.SL2F5: _even("p != +-1 mod 5"),
+    G.Q16: _even("p != +-1 mod 8"), G.Q20: _even("p != +-1 mod 5"),
+    G.Q24: _even("p != +-1 mod 12"), G.SL2F3: _EVEN_ALWAYS,
+    G.ESL2F3: _even("p != +-1 mod 8"), G.SL2F5: _even("p != +-1 mod 5"),
 }
 
 # the groups of the even-degree classification; the M(2, H_p) embedding

@@ -80,8 +80,8 @@ class GroupFacts(Value):
                  "stabilizer_tables")  # stabilizer_tables: tuple of StabilizerTable
 
 
-def _tab(case, *entries):
-    return StabilizerTable(case, tuple(entries))
+def _tab(*entries, case=""):
+    return StabilizerTable(case, entries)
 
 
 def _facts(order, cyclic_subgroup_orders, *stabilizer_tables):
@@ -89,28 +89,25 @@ def _facts(order, cyclic_subgroup_orders, *stabilizer_tables):
 
 
 _FACTS = {
-    G.C2: _facts(2, {1, 2}, _tab("", (G.C2, 16))),
-    G.C3: _facts(3, {1, 3}, _tab("", (G.C3, 9))),
-    G.C4: _facts(4, {1, 2, 4}, _tab("", (G.C4, 4), (G.C2, 12))),
-    G.C5: _facts(5, {1, 5}, _tab("", (G.C5, 5))),
-    G.C6: _facts(6, {1, 2, 3, 6}, _tab("", (G.C6, 1), (G.C3, 8), (G.C2, 15))),
-    G.C8: _facts(8, {1, 2, 4, 8}, _tab("", (G.C8, 2), (G.C4, 2), (G.C2, 12))),
-    G.C10: _facts(10, {1, 2, 5, 10}, _tab("", (G.C10, 1), (G.C5, 4), (G.C2, 15))),
-    G.C12: _facts(12, {1, 2, 3, 4, 6, 12},
-                  _tab("", (G.C12, 1), (G.C4, 3), (G.C3, 8), (G.C2, 12))),
-    G.Q8: _facts(8, {1, 2, 4}, _tab("A", (G.Q8, 4), (G.C2, 12)),
-                 _tab("B", (G.Q8, 2), (G.C4, 6), (G.C2, 8))),
-    G.Q12: _facts(12, {1, 2, 3, 4, 6}, _tab("", (G.Q12, 1), (G.C4, 9), (G.C3, 8), (G.C2, 6))),
-    G.Q16: _facts(16, {1, 2, 4, 8}, _tab("", (G.Q16, 2), (G.Q8, 2), (G.C4, 4), (G.C2, 8))),
-    G.Q20: _facts(20, {1, 2, 4, 5, 10}, _tab("", (G.Q20, 1), (G.C5, 4), (G.C4, 15))),
-    G.Q24: _facts(24, {1, 2, 3, 4, 6, 12},
-                  _tab("", (G.Q24, 1), (G.Q8, 3), (G.C4, 12), (G.C3, 8))),
-    G.SL2F3: _facts(24, {1, 2, 3, 4, 6},
-                    _tab("", (G.SL2F3, 1), (G.Q8, 3), (G.C3, 32), (G.C2, 12))),
+    G.C2: _facts(2, {1, 2}, _tab((G.C2, 16))),
+    G.C3: _facts(3, {1, 3}, _tab((G.C3, 9))),
+    G.C4: _facts(4, {1, 2, 4}, _tab((G.C4, 4), (G.C2, 12))),
+    G.C5: _facts(5, {1, 5}, _tab((G.C5, 5))),
+    G.C6: _facts(6, {1, 2, 3, 6}, _tab((G.C6, 1), (G.C3, 8), (G.C2, 15))),
+    G.C8: _facts(8, {1, 2, 4, 8}, _tab((G.C8, 2), (G.C4, 2), (G.C2, 12))),
+    G.C10: _facts(10, {1, 2, 5, 10}, _tab((G.C10, 1), (G.C5, 4), (G.C2, 15))),
+    G.C12: _facts(12, {1, 2, 3, 4, 6, 12}, _tab((G.C12, 1), (G.C4, 3), (G.C3, 8), (G.C2, 12))),
+    G.Q8: _facts(8, {1, 2, 4}, _tab((G.Q8, 4), (G.C2, 12), case="A"),
+                 _tab((G.Q8, 2), (G.C4, 6), (G.C2, 8), case="B")),
+    G.Q12: _facts(12, {1, 2, 3, 4, 6}, _tab((G.Q12, 1), (G.C4, 9), (G.C3, 8), (G.C2, 6))),
+    G.Q16: _facts(16, {1, 2, 4, 8}, _tab((G.Q16, 2), (G.Q8, 2), (G.C4, 4), (G.C2, 8))),
+    G.Q20: _facts(20, {1, 2, 4, 5, 10}, _tab((G.Q20, 1), (G.C5, 4), (G.C4, 15))),
+    G.Q24: _facts(24, {1, 2, 3, 4, 6, 12}, _tab((G.Q24, 1), (G.Q8, 3), (G.C4, 12), (G.C3, 8))),
+    G.SL2F3: _facts(24, {1, 2, 3, 4, 6}, _tab((G.SL2F3, 1), (G.Q8, 3), (G.C3, 32), (G.C2, 12))),
     G.ESL2F3: _facts(48, {1, 2, 3, 4, 6, 8},
-                     _tab("", (G.ESL2F3, 1), (G.Q16, 3), (G.C4, 12), (G.C3, 32))),
+                     _tab((G.ESL2F3, 1), (G.Q16, 3), (G.C4, 12), (G.C3, 32))),
     G.SL2F5: _facts(120, {1, 2, 3, 4, 5, 6, 10},
-                    _tab("", (G.SL2F5, 1), (G.Q8, 15), (G.C5, 24), (G.C3, 80))),
+                    _tab((G.SL2F5, 1), (G.Q8, 15), (G.C5, 24), (G.C3, 80))),
     G.C5_C8: _facts(40, {1, 2, 4, 5, 8, 10}),
     G.C3_C8: _facts(24, {1, 2, 3, 4, 6, 8, 12}),
     G.C3xQ8: _facts(24, {1, 2, 3, 4, 6, 12}),
