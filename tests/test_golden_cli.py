@@ -226,6 +226,32 @@ EPS_UNREAD = (
     ["zeta-assemble", "--q", "25", "--group", "C3", "--eps", "1", "--orbit", "A2,9,3,trivial"],
 )
 
+COMMANDS = ("weil-list", "weil-check", "embed-check", "exists", "sing-config",
+            "zeta-assemble", "tables", "selftest")
+
+# a whole argv of each command followed by a stray argument: argparse refuses
+# it with the top-level usage line
+STRAY = tuple(argv + ["extra"] for argv in (
+    ["weil-list", "--q", "9"],
+    ["weil-check", "--q", "7", "--b", "3"],
+    ["embed-check", "--group", "C8", "--p", "7"],
+    ["exists", "--group", "C8", "--p", "7"],
+    ["sing-config", "--group", "Q8"],
+    ["zeta-assemble", "--q", "9", "--notation", "1^20,2^2"],
+    ["tables", "--which", "sing"],
+    ["selftest"],
+))
+
+# the texts argparse prints itself: the top-level help, an option before any
+# command, an unknown command, each command's help, a stray argument, and a
+# type error inside a subcommand; appended after EPS_UNREAD
+PARSER_TEXTS = (
+    ["--help"], ["--json"], ["frobnicate"],
+    *([command, "--help"] for command in COMMANDS),
+    *STRAY,
+    ["embed-check", "--group", "C8", "--p", "4"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -255,7 +281,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(REPEATED_ORDER)
     + _with_json(HALF_FORMS)
     + _with_json(EMPTY_TERM)
-    + _with_json(EPS_UNREAD))) if argv not in PINNED)
+    + _with_json(EPS_UNREAD)
+    + PARSER_TEXTS)) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
@@ -288,6 +315,15 @@ def _id(argv):
 def test_golden(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
     assert replay(argv) == RECORD_OF[argv]
+
+
+@pytest.mark.parametrize("argv", STRAY, ids=_id)
+def test_stray_argument_prints_every_command_at_any_width(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough for the usage on one line
+    assert replay(argv)["stderr"] == (
+        "usage: gkzeta [-h] {weil-list,weil-check,embed-check,exists,sing-config,"
+        "zeta-assemble,tables,selftest} ...\n"
+        "gkzeta: error: unrecognized arguments: extra\n")
 
 
 def test_snapshot_covers_every_argv():
