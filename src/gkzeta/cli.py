@@ -311,6 +311,8 @@ def cmd_tables(args):
     args.citation = args.which
     if args.json:
         return {"which": args.which, "p": args.p}, {"result": [record for _, record in rows]}
+    if args.which in ("sszeta1", "sszeta2") and args.p == 2:  # kummer.trace_table: no rows
+        return {"which": args.which, "p": 2}, ["no row holds at p = 2: every row needs an odd p"]
     return {"which": args.which, "p": args.p}, [line for line, _ in rows]
 
 
