@@ -14,7 +14,6 @@ so a one-shot call loads only those (see README, "Start-up").
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import Rejected
@@ -352,71 +351,70 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
+_NEEDED_Q = {"type": _prime_power, "required": True}
+_NEEDED_GROUP = {"type": _group, "required": True}
+
+# name: (help, function, citation, {flag: keywords of add_argument})
+_COMMANDS = {
+    "weil-list": ("enumerate elliptic isogeny classes over F_q", cmd_weil_list,
+                  "elliptic isogeny classification", {"--q": _NEEDED_Q}),
+    "weil-check": ("validate a Weil polynomial", cmd_weil_check,
+                   "Weil polynomial classification", {
+        "--q": _NEEDED_Q,
+        "--b": {"type": int, "help": "elliptic trace of Frobenius"},
+        "--a1": {"type": int, "help": "quartic coefficient a1"},
+        "--a2": {"type": int, "help": "quartic coefficient a2"},
+        "--square": {"type": _quadratic,
+                     "help": "monic quadratic P (coefficients c0,c1,1) for f = P^2"}}),
+    "embed-check": ("rigid group algebra into M(2, H_p)", cmd_embed_check, "embedding table",
+                    {"--group": _NEEDED_GROUP, "--p": {"type": _prime, "required": True}}),
+    "exists": ("existence of rigid/symplectic actions", cmd_exists, "existence classification", {
+        "--group": _NEEDED_GROUP, "--p": {"type": _prime}, "--q": {"type": _prime_power},
+        "--parity": {"choices": ("even", "odd", "prime"),
+                     "help": "default: odd for an odd-degree --q (q = p too), else even"},
+        "--refine": {"action": "store_true", "help": "apply the quotient-surface refinement"}}),
+    "sing-config": ("singularity configuration of the quotient", cmd_sing_config,
+                    "singularity configuration table", {"--group": _NEEDED_GROUP}),
+    "zeta-assemble": ("assemble the NS characteristic polynomial", cmd_zeta_assemble,
+                      "zeta assembly", {
+        "--q": _NEEDED_Q, "--group": {"type": _group},
+        "--eps": {"type": int, "choices": (1, -1), "help": "default: -1"},
+        "--orbit": {"type": _parse_orbit, "action": "append",
+                    "help": "orbit spec ADE,count,degree,action (repeatable)"},
+        "--notation": {"type": _notation, "help": "direct notation such as 1^20,2^2"}}),
+    "tables": ("print a stored or derived table", cmd_tables, "reference tables", {
+        "--which": {"choices": ("sing", "sszeta1", "sszeta2", "rigidalg", "alginj"),
+                    "required": True},
+        "--p": {"type": _prime, "help": "for alginj (needed), sszeta1 and sszeta2"}}),
+    "selftest": ("run internal consistency checks", cmd_selftest, None, {}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with only `command`'s subparser
+    built: the one a call that names it parses with (see main)."""
     parser = argparse.ArgumentParser(
         prog="gkzeta",
         description="exact arithmetic for supersingular quotient surfaces")
     parser.set_defaults(status=0)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("weil-list", help="enumerate elliptic isogeny classes over F_q")
-    p.add_argument("--q", type=_prime_power, required=True)
-    p.set_defaults(func=cmd_weil_list, citation="elliptic isogeny classification")
-
-    p = sub.add_parser("weil-check", help="validate a Weil polynomial")
-    p.add_argument("--q", type=_prime_power, required=True)
-    p.add_argument("--b", type=int, help="elliptic trace of Frobenius")
-    p.add_argument("--a1", type=int, help="quartic coefficient a1")
-    p.add_argument("--a2", type=int, help="quartic coefficient a2")
-    p.add_argument("--square", type=_quadratic,
-                   help="monic quadratic P (coefficients c0,c1,1) for f = P^2")
-    p.set_defaults(func=cmd_weil_check, citation="Weil polynomial classification")
-
-    p = sub.add_parser("embed-check", help="rigid group algebra into M(2, H_p)")
-    p.add_argument("--group", type=_group, required=True)
-    p.add_argument("--p", type=_prime, required=True)
-    p.set_defaults(func=cmd_embed_check, citation="embedding table")
-
-    p = sub.add_parser("exists", help="existence of rigid/symplectic actions")
-    p.add_argument("--group", type=_group, required=True)
-    p.add_argument("--p", type=_prime)
-    p.add_argument("--q", type=_prime_power)
-    p.add_argument("--parity", choices=("even", "odd", "prime"),
-                   help="default: odd for an odd-degree --q (q = p too), else even")
-    p.add_argument("--refine", action="store_true",
-                   help="apply the quotient-surface refinement")
-    p.set_defaults(func=cmd_exists, citation="existence classification")
-
-    p = sub.add_parser("sing-config", help="singularity configuration of the quotient")
-    p.add_argument("--group", type=_group, required=True)
-    p.set_defaults(func=cmd_sing_config, citation="singularity configuration table")
-
-    p = sub.add_parser("zeta-assemble", help="assemble the NS characteristic polynomial")
-    p.add_argument("--q", type=_prime_power, required=True)
-    p.add_argument("--group", type=_group)
-    p.add_argument("--eps", type=int, choices=(1, -1), help="default: -1")
-    p.add_argument("--orbit", type=_parse_orbit, action="append",
-                   help="orbit spec ADE,count,degree,action (repeatable)")
-    p.add_argument("--notation", type=_notation, help="direct notation such as 1^20,2^2")
-    p.set_defaults(func=cmd_zeta_assemble, citation="zeta assembly")
-
-    p = sub.add_parser("tables", help="print a stored or derived table")
-    p.add_argument("--which", choices=("sing", "sszeta1", "sszeta2", "rigidalg", "alginj"),
-                   required=True)
-    p.add_argument("--p", type=_prime, help="for alginj (needed), sszeta1 and sszeta2")
-    p.set_defaults(func=cmd_tables, citation="reference tables")
-
-    p = sub.add_parser("selftest", help="run internal consistency checks")
-    p.set_defaults(func=cmd_selftest, citation=None)
-
-    # last, so that every usage line ends in [--json]
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    # one subparser still lists every command in the top-level usage; the full
+    # parser names none, since its errors name the argument by its metavar
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (summary, func, citation, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for flag, keywords in arguments.items():
+                p.add_argument(flag, **keywords)
+            # last, so that every usage line ends in [--json]
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            p.set_defaults(func=func, citation=citation)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -430,6 +428,8 @@ def main(argv=None) -> int:
         print(f"rejected: {exc.reason} [{exc.citation or args.citation}]", file=sys.stderr)
         return 1
     if args.json:
+        import json
+
         cited = {"citations": [args.citation]} if args.citation else {}
         print(json.dumps({"query": {"command": args.command, **query}, **out, **cited}, indent=2))
     else:
