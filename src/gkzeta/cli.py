@@ -14,6 +14,7 @@ so a one-shot call loads only those (see README, "Start-up").
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import Rejected
@@ -427,14 +428,21 @@ def main(argv=None) -> int:
     except Rejected as exc:
         print(f"rejected: {exc.reason} [{exc.citation or args.citation}]", file=sys.stderr)
         return 1
-    if args.json:
-        import json
+    try:
+        if args.json:
+            import json
 
-        cited = {"citations": [args.citation]} if args.citation else {}
-        print(json.dumps({"query": {"command": args.command, **query}, **out, **cited}, indent=2))
-    else:
-        for line in out:
-            print(line)
+            cited = {"citations": [args.citation]} if args.citation else {}
+            print(json.dumps({"query": {"command": args.command, **query}, **out, **cited},
+                             indent=2))
+        else:
+            for line in out:
+                print(line)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader stopped reading: the answer stands, silently
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit writes there
+        os.close(devnull)
     return args.status
 
 

@@ -9,7 +9,8 @@ places, each with invariant 1/2, and weil prints its slopes as text, so no
 Fraction is built). The smoke test runs one
 golden argv per subcommand through `python -m gkzeta.cli`, which catches
 import-order and circular-import faults that the in-process golden replay,
-with every layer already imported, cannot see.
+with every layer already imported, cannot see. A reader that closes the
+pipe early ends the call quietly.
 """
 import json
 import os
@@ -23,10 +24,14 @@ SRC = os.path.join(os.path.dirname(TESTS), "src")
 LAYERS = ("brauer", "existence", "groups", "kummer", "weil")
 
 
-def python(*args):
+def environment():
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+    return dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+
+
+def python(*args):
+    return subprocess.run([sys.executable, *args], env=environment(), capture_output=True,
+                          timeout=60)
 
 
 # prints the modules that importing gkzeta.cli adds, then those that main(argv) adds
@@ -113,3 +118,16 @@ def test_fresh_process_matches_golden(argv):
     done = python("-m", "gkzeta.cli", *argv)
     assert (done.returncode, done.stdout, done.stderr) == (
         record["code"], record["stdout"].encode(), record["stderr"].encode())
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that closes the pipe early, as `| head -1` does, ends the call
+    with exit 0 and nothing on stderr: weil-list at q = 9999991 writes about
+    0.8 MB, more than a pipe holds, so it is still writing when the pipe closes."""
+    with subprocess.Popen([sys.executable, "-m", "gkzeta.cli", "weil-list", "--q", "9999991"],
+                          env=environment(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as done:
+        assert done.stdout.readline() == b"isogeny classes of elliptic curves over F_9999991:\n"
+        done.stdout.close()
+        _, err = done.communicate(timeout=60)
+    assert (done.returncode, err) == (0, b"")
