@@ -1,17 +1,21 @@
-"""Cold start of the CLI, each check in a fresh interpreter.
+"""Cold start of the CLI, each check but the last in a fresh interpreter.
 
 The import-graph guard keeps `import gkzeta.cli` light: it loads neither
-dataclasses, inspect nor fractions, and no layer besides errors and
+dataclasses, inspect, fractions nor json, and no layer besides errors and
 numtheory; each subcommand then loads only the layers it uses, and neither
 dataclasses, inspect nor fractions (the value types' constructors are
 compiled without the first two; brauer stores an algebra by its ramified
 places, each with invariant 1/2, and weil prints its slopes as text, so no
-Fraction is built). The smoke test runs one
+Fraction is built), and json only for --json. The smoke test runs one
 golden argv per subcommand through `python -m gkzeta.cli`, which catches
 import-order and circular-import faults that the in-process golden replay,
 with every layer already imported, cannot see. A reader that closes the
-pipe early ends the call quietly.
+pipe early ends the call quietly. Last, in-process: the one subparser that
+main builds for a call prints the same help as in the parser of every
+command.
 """
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -34,15 +38,18 @@ def python(*args):
                           timeout=60)
 
 
-# prints the modules that importing gkzeta.cli adds, then those that main(argv) adds
+# prints the modules that importing gkzeta.cli adds, then those that main(argv)
+# adds; json is imported only after both are taken
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 from gkzeta.cli import main
 imported = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(imported - before), sorted(set(sys.modules) - imported)]))
+loaded = set(sys.modules) - imported
+import json
+print(json.dumps([code, sorted(imported - before), sorted(loaded)]))
 """
 
 
@@ -57,8 +64,16 @@ def test_import_loads_no_dataclasses_and_no_layer():
     assert "dataclasses" not in imported
     assert "inspect" not in imported
     assert "fractions" not in imported
+    assert "json" not in imported
     assert sorted(m for m in imported if m.startswith("gkzeta.")) == [
         "gkzeta.cli", "gkzeta.errors", "gkzeta.numtheory"]
+
+
+@pytest.mark.parametrize("as_json", (False, True), ids=("plain", "json"))
+def test_only_json_output_loads_json(as_json):
+    code, _, loaded = probe("exists", "--group", "C8", "--p", "7", *["--json"] * as_json)
+    assert code == 0
+    assert ("json" in loaded) == as_json
 
 
 # an argv per subcommand, and the layers it loads
@@ -131,3 +146,25 @@ def test_closed_pipe_ends_quietly():
         done.stdout.close()
         _, err = done.communicate(timeout=60)
     assert (done.returncode, err) == (0, b"")
+
+
+COMMANDS = ("weil-list", "weil-check", "embed-check", "exists", "sing-config",
+            "zeta-assemble", "tables", "selftest")
+
+
+def command_help(parser, command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subparser_helps_as_the_full_parser(command, monkeypatch):
+    """main builds only the subparser its argv names: it reads as the same
+    subparser of the parser of every command."""
+    from gkzeta.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert command_help(build_parser(command), command) == command_help(build_parser(), command)
+
