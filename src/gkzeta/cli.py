@@ -157,29 +157,25 @@ def cmd_exists(args):
     if p is None and q is None:
         raise UsageError("exists --refine needs --q or --p" if args.refine
                          else "exists needs --p (or --q)")
-    if p is None:
-        p = q.p
-    elif q is not None and q.p != p:
+    if p is not None and q is not None and q.p != p:
         raise UsageError(f"exists: --q {q.q} is not a power of --p {p}")
     # without --parity, --q names it by its degree (q = p is odd); else even
     parity = args.parity or ("odd" if q is not None and q.degree_is_odd else "even")
-    # an explicit --parity names the degree of --q: even, odd, or 1 (prime)
-    if q is not None and args.parity and not (
-            q.n == 1 if parity == "prime" else q.degree_is_odd == (parity == "odd")):
+    q = q or PrimePower(p, 2 if parity == "even" else 1)
+    # --parity names q's degree, even, odd or 1 (prime), as a q built from --p does
+    if not (q.n == 1 if parity == "prime" else q.degree_is_odd == (parity == "odd")):
         raise UsageError(f"--parity {parity} needs {_DEGREE[parity]} --q")
     if args.refine:
-        q = q or PrimePower(p, 2 if parity == "even" else 1)
         v = existence.katsura_refinement(g, q)
         query = {"q": q.q, "refine": True}
     elif parity == "odd":
-        q = q or PrimePower(p, 1)
         _printable(2000, q=q.q)  # the JSON options print q^2
         v = existence.exists_over_odd_degree(g, q)
         query = {"q": q.q, "parity": "odd"}
     else:
         v = (existence.exists_over_even_degree if parity == "even"
-             else existence.exists_over_prime_field)(g, p)
-        query = {"p": p, "parity": parity}
+             else existence.exists_over_prime_field)(g, q.p)
+        query = {"p": q.p, "parity": parity}
     query = {"group": str(g), **query}
     args.citation = v.citation
     if args.json:

@@ -6,7 +6,7 @@ for the quotient construction.
 from __future__ import annotations
 
 from .errors import Rejected
-from .groups import CONFIG_GROUPS, GroupId, facts, order
+from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, order
 from .numtheory import Condition, IntPolynomial, PrimePower, Value
 
 G = GroupId
@@ -31,6 +31,14 @@ class WeilOption(Value):
     __slots__ = ("shape", "poly", "condition", "satisfied")
 
 
+# the paper's refinement of Katsura's theorem: the one clause p != +-1 mod n
+# of G's element order n in {5, 8, 12}, or None for a group with none; it
+# decides column II of the even-degree table and the quotient refinement
+_CLAUSE = {g: next((Condition(f"p != +-1 mod {n}")
+                    for n in facts(g).cyclic_subgroup_orders & {5, 8, 12}), None)
+           for g in CONFIG_GROUPS}
+
+
 # ---------------------------------------------------------------------------
 # even-degree fields (containing F_{p^2})
 
@@ -39,26 +47,15 @@ _EVEN_CITE = "even-degree classification"
 _EVEN_ALWAYS = ExistenceVerdict(True, True, _EVEN_CITE, (("any p coprime to |G|", True),), ())
 
 
-def _even(rigid: str, sympl: str = None) -> tuple[Condition, Condition, str]:
-    # column I (rigid action exists), column II (rigid and symplectic; the
-    # same condition if not given) and column II's printed text
-    r = Condition(rigid)
-    s = r if sympl is None else Condition(sympl)
-    return r, s, f"symplectic: {s}"
-
-
-# built once: the shared verdict, or the row that each call evaluates at p
-_EVEN_TABLE = {
-    G.C3: _EVEN_ALWAYS, G.C6: _EVEN_ALWAYS, G.C4: _EVEN_ALWAYS,
-    G.C8: _even("p != 1 mod 8", "p != +-1 mod 8"),
-    G.C5: _even("p != 1 mod 5", "p != +-1 mod 5"),
-    G.C10: _even("p != 1 mod 5", "p != +-1 mod 5"),
-    G.C12: _even("p != 1 mod 12", "p != +-1 mod 12"),
-    G.Q8: _EVEN_ALWAYS, G.Q12: _EVEN_ALWAYS,
-    G.Q16: _even("p != +-1 mod 8"), G.Q20: _even("p != +-1 mod 5"),
-    G.Q24: _even("p != +-1 mod 12"), G.SL2F3: _EVEN_ALWAYS,
-    G.ESL2F3: _even("p != +-1 mod 8"), G.SL2F5: _even("p != +-1 mod 5"),
-}
+# built once from the refinement clause of G: the shared verdict for a group
+# with none, else the row each call evaluates at p: column I (rigid action
+# exists), p != 1 mod n for a cyclic G and the clause otherwise, column II
+# (rigid and symplectic), the clause, and column II's printed text; C2 is
+# not classified here
+_EVEN_TABLE = {g: _EVEN_ALWAYS if c is None else (
+                   Condition(f"p != 1 mod {c.modulus}") if is_cyclic(g) else c,
+                   c, f"symplectic: {c}")
+               for g, c in _CLAUSE.items() if order(g) > 2}
 
 # the groups of the even-degree classification; the M(2, H_p) embedding
 # condition derived from local degrees (brauer._embedding_condition) covers
@@ -169,23 +166,17 @@ _REFINE_CITE = "quotient refinement"
 _REFINE_ALWAYS = ExistenceVerdict(True, True, _REFINE_CITE,
                                   (("group in the unconditional list", True),), ())
 
-# the extra congruence clause, by the element orders n in {5, 8, 12} of G
-# that trigger it
-_REFINE_CONDITIONS = {n: Condition(f"p != +-1 mod {n}") for n in (5, 8, 12)}
-
-# built once: a group's clauses, or the shared verdict for a group with none,
-# the seven direct groups C2, C3, C4, C6, Q8, Q12 and SL2F3
-_REFINE_ROWS = {g: tuple(_REFINE_CONDITIONS[n] for n in sorted(
-                    facts(g).cyclic_subgroup_orders & _REFINE_CONDITIONS.keys())) or _REFINE_ALWAYS
-                for g in CONFIG_GROUPS}
+# built once: a group's one clause, or the shared verdict for a group with
+# none, the seven direct groups C2, C3, C4, C6, Q8, Q12 and SL2F3
+_REFINE_ROWS = {g: _REFINE_ALWAYS if c is None else c for g, c in _CLAUSE.items()}
 
 
 def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     """Existence of a supersingular quotient surface construction for (G, q).
 
     Requires p odd and coprime to |G|.  Direct for the seven small groups;
-    otherwise needs an even-degree field and, for every element order
-    n in {5, 8, 12}, the condition p != +-1 mod n.
+    otherwise needs an even-degree field and p != +-1 mod n for the one
+    element order n in {5, 8, 12} of G.
     """
     p = q.p
     if p == 2:
@@ -197,10 +188,7 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
         raise Rejected(f"{g} is not in the quotient-construction list")
     if row is _REFINE_ALWAYS:
         return row
-    val = not q.degree_is_odd
-    conds = [("field degree even", val)]
-    for cond in row:
-        holds = cond.holds(p)
-        conds.append((cond.text, holds))
-        val = val and holds
-    return ExistenceVerdict(val, val, _REFINE_CITE, tuple(conds), ())
+    even, holds = not q.degree_is_odd, row.holds(p)
+    val = even and holds
+    return ExistenceVerdict(val, val, _REFINE_CITE,
+                            (("field degree even", even), (row.text, holds)), ())

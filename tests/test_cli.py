@@ -2,6 +2,7 @@ import ast
 import contextlib
 import faulthandler
 import io
+import itertools
 import json
 import re
 import signal
@@ -12,8 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from gkzeta import cli
 from gkzeta.cli import main
+from gkzeta.errors import Rejected
+from gkzeta.existence import (
+    exists_over_even_degree,
+    exists_over_odd_degree,
+    exists_over_prime_field,
+    katsura_refinement,
+)
 from gkzeta.groups import GroupId as G
-from gkzeta.numtheory import is_prime
+from gkzeta.numtheory import PrimePower, is_prime
 
 
 def run(capsys, *argv):
@@ -253,6 +261,61 @@ class TestEmbedAndExists:
         assert run(capsys, "exists", "--group", "Q8", "--p", "7", "--q", "343",
                    "--parity", "odd") == run(capsys, "exists", "--group", "Q8", "--q", "343",
                                              "--parity", "odd")
+
+
+# every q that the rule test below passes, as its (p, n) with q = p^n
+EXISTS_Q = {3: (3, 1), 9: (3, 2), 27: (3, 3), 81: (3, 4), 7: (7, 1), 49: (7, 2),
+            343: (7, 3), 5: (5, 1), 125: (5, 3)}
+NAMED_DEGREE = {"even": "an even-degree", "odd": "an odd-degree", "prime": "a prime"}
+
+
+def exists_rule(group, p, q, parity, refine):
+    """What README's rule makes of an exists call: (2, the usage text), or
+    the exit code and the start of the output line of the classification it
+    names, read over the field it names. Given both, q must be a power of p,
+    and an explicit parity the degree of q: even, odd, or 1 for prime.
+    Without one, an odd-degree q reads as odd and anything else as even. A
+    field built from p alone is p^2 for even and p otherwise; --refine
+    applies the quotient refinement over that field."""
+    if p is None and q is None:
+        return 2, "exists --refine needs --q or --p\n" if refine else "exists needs --p (or --q)\n"
+    base, n = EXISTS_Q[q] if q is not None else (p, None)
+    if p is not None and base != p:
+        return 2, f"exists: --q {q} is not a power of --p {p}\n"
+    if parity is None:
+        parity = "odd" if n is not None and n % 2 else "even"
+    elif n is not None and not (n == 1 if parity == "prime" else n % 2 == (parity == "odd")):
+        return 2, f"--parity {parity} needs {NAMED_DEGREE[parity]} --q\n"
+    field = PrimePower(base, n or (2 if parity == "even" else 1))
+    fn, at = {"even": (exists_over_even_degree, base), "prime": (exists_over_prime_field, base),
+              "odd": (exists_over_odd_degree, field)}[parity]
+    if refine:
+        fn, at = katsura_refinement, field
+    try:
+        v = fn(G(group), at)
+    except Rejected as exc:
+        return 1, f"rejected: {exc.reason} ["
+    answer = {True: "yes", False: "no", None: "not determined"}[v.exists_rigid]
+    return 0, f"  rigid action: {answer} [{v.citation}]"
+
+
+def test_exists_follows_the_documented_rule(capsys):
+    combinations = list(itertools.product(("Q8", "C8", "SL2F5", "C3", "C2", "C5:C8"),
+                                          (None, 3, 5, 7), (None, *EXISTS_Q),
+                                          (None, "even", "odd", "prime"), (False, True)))
+    assert len(combinations) == 1920
+    disagreements = []
+    for given in combinations:
+        group, p, q, parity, refine = given
+        argv = ["exists", "--group", group]
+        for flag, value in (("--p", p), ("--q", q), ("--parity", parity)):
+            argv += [flag, str(value)] * (value is not None)
+        code, out, err = run(capsys, *argv, *["--refine"] * refine)
+        want, text = exists_rule(*given)
+        if code != want or not {2: out == "" and err == text, 1: err.startswith(text),
+                                0: text in out.splitlines()}[code]:
+            disagreements.append((argv, want, text, code, out, err))
+    assert disagreements == []
 
 
 class TestSingAndZeta:
@@ -528,6 +591,14 @@ GRAMMAR = {
     "selftest": {},
     "frobnicate": {},
 }
+
+
+def test_grammar_fuzzes_every_flag():
+    # an option added to a command and not here would go unfuzzed; frobnicate
+    # stands for an unknown command
+    assert {name: set(GRAMMAR[name]) for name in cli._COMMANDS} == {
+        name: set(row[3]) for name, row in cli._COMMANDS.items()}
+    assert set(GRAMMAR) - set(cli._COMMANDS) == {"frobnicate"}
 
 
 @st.composite

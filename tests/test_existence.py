@@ -87,7 +87,7 @@ class TestEvenDegree:
     @pytest.mark.parametrize("g", list(G), ids=str)
     def test_embedding_condition_is_column_one(self, g):
         # the condition derived from the algebra's center, against the one
-        # typed from the paper: equal texts decide alike at every p
+        # derived from the element orders: equal texts decide alike at every p
         cond = brauer._embedding_condition(g)
         if g in EVEN_DEGREE_GROUPS:
             row = _EVEN_TABLE[g]
@@ -245,7 +245,7 @@ class TestStoredRows:
                 assert row is existence._REFINE_ALWAYS, g
             else:
                 orders = sorted(facts(g).cyclic_subgroup_orders & {5, 8, 12})
-                assert [c.text for c in row] == [f"p != +-1 mod {n}" for n in orders], g
+                assert [row.text] == [f"p != +-1 mod {n}" for n in orders], g
 
     def test_even_rows_keep_the_table_conditions(self):
         # column II prints as its condition's text after "symplectic: "
