@@ -24,9 +24,10 @@ from .numtheory import Condition, Value, euler_phi, is_prime, squarefree_part
 class FieldDesc(Value):
     """A small number field: Q, Q(sqrt(d)) or Q(zeta_m)."""
 
-    __slots__ = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc'
+    __slots__ = ()
+    _fields = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc'
 
-    def __init__(self, kind: str, param: int):
+    def __new__(cls, kind: str, param: int):
         if kind == "Q":
             if param:
                 raise ValueError("Q takes no parameter")
@@ -38,7 +39,7 @@ class FieldDesc(Value):
                 raise ValueError(f"cyclotomic index {param} is not in canonical form")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-        self._fill(kind, param)
+        return tuple.__new__(cls, (kind, param))
 
     @property
     def degree(self) -> int:
@@ -84,9 +85,10 @@ class CSADescriptor(Value):
     it ramifies, each with local invariant 1/2 (the others have 0).
     """
 
-    __slots__ = ("center", "degree", "ramified")
+    __slots__ = ()
+    _fields = ("center", "degree", "ramified")
 
-    def __init__(self, center: FieldDesc, degree: int, ramified: tuple):
+    def __new__(cls, center: FieldDesc, degree: int, ramified: tuple):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         ramified = tuple(sorted(ramified, key=_place_key))
@@ -104,7 +106,7 @@ class CSADescriptor(Value):
         if len(ramified) % 2:
             # Hilbert reciprocity: the invariants 1/2 sum to an integer
             raise ValueError(f"local invariants sum to {len(ramified)}/2, not an integer")
-        self._fill(center, degree, ramified)
+        return tuple.__new__(cls, (center, degree, ramified))
 
     @property
     def invariants(self) -> tuple:

@@ -161,7 +161,7 @@ def cmd_exists(args):
         raise UsageError(f"exists: --q {q.q} is not a power of --p {p}")
     # without --parity, --q names it by its degree (q = p is odd); else even
     parity = args.parity or ("odd" if q is not None and q.degree_is_odd else "even")
-    q = q or PrimePower(p, 2 if parity == "even" else 1)
+    q = q or tuple.__new__(PrimePower, (p, 2 if parity == "even" else 1))  # _prime proved p prime
     # --parity names q's degree, even, odd or 1 (prime), as a q built from --p does
     if not (q.n == 1 if parity == "prime" else q.degree_is_odd == (parity == "odd")):
         raise UsageError(f"--parity {parity} needs {_DEGREE[parity]} --q")

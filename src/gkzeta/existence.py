@@ -17,8 +17,9 @@ class ExistenceVerdict(Value):
     # determined); citation: the classification's tag; conditions: (condition
     # text, evaluated bool) pairs; weil_options: WeilOption. It names no
     # group: the groups with one answer for every p share one verdict
-    __slots__ = ("exists_rigid", "exists_rigid_symplectic", "citation", "conditions",
-                 "weil_options")
+    __slots__ = ()
+    _fields = ("exists_rigid", "exists_rigid_symplectic", "citation", "conditions",
+               "weil_options")
 
 
 class WeilOption(Value):
@@ -28,7 +29,8 @@ class WeilOption(Value):
     is True, False or None.
     """
 
-    __slots__ = ("shape", "poly", "condition", "satisfied")
+    __slots__ = ()
+    _fields = ("shape", "poly", "condition", "satisfied")
 
 
 # the paper's refinement of Katsura's theorem: the one clause p != +-1 mod n

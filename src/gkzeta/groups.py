@@ -72,12 +72,14 @@ class StabilizerTable(Value):
     own GroupId) to the number of such points on the abelian surface.
     """
 
-    __slots__ = ("case", "entries")  # entries: ((GroupId, int), ...)
+    __slots__ = ()
+    _fields = ("case", "entries")  # entries: ((GroupId, int), ...)
 
 
 class GroupFacts(Value):
-    __slots__ = ("order", "cyclic_subgroup_orders",
-                 "stabilizer_tables")  # stabilizer_tables: tuple of StabilizerTable
+    __slots__ = ()
+    _fields = ("order", "cyclic_subgroup_orders",
+               "stabilizer_tables")  # stabilizer_tables: tuple of StabilizerTable
 
 
 def _tab(*entries, case=""):

@@ -31,9 +31,10 @@ _ONE_MINUS_T = (IntPolynomial._trusted((1, -1)), 1)  # k3_zeta's factor (1 - t),
 class ADEType(Value):
     """A rational double point type: A_m (m>=1), D_m (m>=4) or E_m (m in 6..8)."""
 
-    __slots__ = ("kind", "m")
+    __slots__ = ()
+    _fields = ("kind", "m")
 
-    def __init__(self, kind: str, m: int):
+    def __new__(cls, kind: str, m: int):
         if kind == "A":
             ok = m >= 1
         elif kind == "D":
@@ -44,7 +45,7 @@ class ADEType(Value):
             ok = False
         if not ok:
             raise ValueError(f"invalid ADE type {kind}{m}")
-        self._fill(kind, m)
+        return tuple.__new__(cls, (kind, m))
 
     def __str__(self):
         return f"{self.kind}{self.m}"
@@ -76,16 +77,17 @@ class SingularOrbit(Value):
     'chain-flip' or 'unknown').
     """
 
-    __slots__ = ("ade", "count", "degree", "graph_action")
+    __slots__ = ()
+    _fields = ("ade", "count", "degree", "graph_action")
 
-    def __init__(self, ade: ADEType, count: int, degree: int, graph_action: str):
+    def __new__(cls, ade: ADEType, count: int, degree: int, graph_action: str):
         if count < 1 or degree < 1:
             raise ValueError("count and degree must be >= 1")
         if count % degree:
             raise ValueError("orbit degree must divide the point count")
         if graph_action not in ("trivial", "chain-flip", "unknown"):
             raise ValueError(f"bad graph action {graph_action!r}")
-        self._fill(ade, count, degree, graph_action)
+        return tuple.__new__(cls, (ade, count, degree, graph_action))
 
     @property
     def nodes(self) -> int:
@@ -99,7 +101,8 @@ class SingularOrbit(Value):
 class SingularConfig(Value):
     """The full geometric singularity configuration of a quotient surface."""
 
-    __slots__ = ("group", "case", "orbits")  # orbits: SingularOrbit, by descending nodes
+    __slots__ = ()
+    _fields = ("group", "case", "orbits")  # orbits: SingularOrbit, by descending nodes
 
     @property
     def total_nodes(self) -> int:
@@ -146,9 +149,10 @@ class NSCharPoly(Value):
     total degree of the cyclotomic factor Phi_r^(d_r / phi(r)); printed in
     the notation that parse_zeta_notation reads."""
 
-    __slots__ = ("parts",)  # sorted ((r, d_r), ...)
+    __slots__ = ()
+    _fields = ("parts",)  # sorted ((r, d_r), ...)
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         items = tuple(sorted((int(r), int(d)) for r, d in parts))
         total, last = 0, None
         for r, d in items:
@@ -163,7 +167,7 @@ class NSCharPoly(Value):
             total, last = total + d, r
         if total != 22:
             raise Rejected(f"total degree {total} != 22")
-        self._fill(items)
+        return tuple.__new__(cls, (items,))
 
     def __str__(self):
         return ",".join(f"{r}^{d}" if d > 1 else str(r) for r, d in self.parts)
@@ -268,7 +272,8 @@ def k3_point_count(q: PrimePower, cp: NSCharPoly) -> int:
 class ZetaFunction(Value):
     """1 / prod of the listed (polynomial, multiplicity) factors."""
 
-    __slots__ = ("denominator",)  # (IntPolynomial, int) pairs
+    __slots__ = ()
+    _fields = ("denominator",)  # (IntPolynomial, int) pairs
 
     def __str__(self):
         def fmt(f, m):
@@ -309,7 +314,8 @@ def artin_check(q: PrimePower, cp: NSCharPoly) -> bool:
 # trace tables
 
 class TraceRow(Value):
-    __slots__ = ("trace", "notation", "group", "p_condition", "weil_shape")
+    __slots__ = ()
+    _fields = ("trace", "notation", "group", "p_condition", "weil_shape")
 
 
 def _rows(*rows) -> tuple[TraceRow, ...]:

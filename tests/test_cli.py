@@ -11,7 +11,7 @@ import conftest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkzeta import cli
+from gkzeta import cli, numtheory
 from gkzeta.cli import main
 from gkzeta.errors import Rejected
 from gkzeta.existence import (
@@ -316,6 +316,24 @@ def test_exists_follows_the_documented_rule(capsys):
                                 0: text in out.splitlines()}[code]:
             disagreements.append((argv, want, text, code, out, err))
     assert disagreements == []
+
+
+def test_exists_proves_p_prime_once(capsys, monkeypatch):
+    """--p is proven prime while parsing; the field built from it is not
+    tested again (about 0.17 ms at a 25-digit p), under either name of
+    is_prime."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counting)
+    monkeypatch.setattr(numtheory, "is_prime", counting)
+    p = "3317044064679887385961813"
+    code, out, _ = run(capsys, "exists", "--group", "C8", "--p", p, "--parity", "even")
+    assert code == 0 and out.startswith("group C8:")
+    assert calls == [int(p)]
 
 
 class TestSingAndZeta:

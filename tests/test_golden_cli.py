@@ -326,6 +326,32 @@ def test_stray_argument_prints_every_command_at_any_width(argv, monkeypatch):
         "gkzeta: error: unrecognized arguments: extra\n")
 
 
+def _values_in(payload):
+    """Every numtheory.Value inside a JSON payload of dicts, lists and tuples."""
+    from gkzeta.numtheory import Value
+
+    if isinstance(payload, Value):
+        return [payload]
+    items = payload.values() if isinstance(payload, dict) else (
+        payload if isinstance(payload, (list, tuple)) else ())
+    return [v for item in items for v in _values_in(item)]
+
+
+def test_json_payload_holds_no_value(monkeypatch):
+    """A value is a tuple, which json.dumps would print as a list without a
+    word: every --json payload that main hands to json.dumps is built of
+    plain data."""
+    monkeypatch.setenv("COLUMNS", "80")
+    payloads = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: payloads.append(obj) or dumps(obj, **kw))
+    argvs = [r["argv"] for r in RECORDS if "--json" in r["argv"]]
+    for argv in argvs:
+        replay(argv)
+    assert len(payloads) == sum(RECORD_OF[tuple(a)]["code"] == 0 for a in argvs) > 300
+    assert [v for payload in payloads for v in _values_in(payload)] == []
+
+
 def test_snapshot_covers_every_argv():
     assert [r["argv"] for r in RECORDS] == [list(a) for a in ARGVS]
 

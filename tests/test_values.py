@@ -1,18 +1,22 @@
-"""The contract of the library's value types (subclasses of numtheory.Value):
-construction by position and by keyword with every field required, a signature
-that lists the fields, equality and hash by class and fields, no assignment or
-deletion, literal reprs, copies and pickles, the validation that every
-construction runs, and one way to set the fields, each class's compiled _fill."""
+"""The contract of the library's value types (subclasses of numtheory.Value,
+each a tuple of its fields): construction by position and by keyword with
+every field required, a signature that lists the fields, equality and hash by
+class and fields (never equal to a bare tuple), no order, no __dict__, no
+assignment or deletion, literal reprs, copies and pickles, the validation that
+every construction runs, and one way to build a value, tuple.__new__ over its
+fields, with the accessors of a collections.namedtuple."""
 import ast
 import copy
 import glob
 import inspect
 import os
 import pickle
+import sys
 
 import pytest
 
 import gkzeta
+from gkzeta import cli
 from gkzeta.brauer import CSADescriptor, FieldDesc
 from gkzeta.errors import Rejected
 from gkzeta.existence import ExistenceVerdict, WeilOption
@@ -26,7 +30,7 @@ from gkzeta.kummer import (
     ZetaFunction,
 )
 from gkzeta.numtheory import Condition, IntPolynomial, PrimePower, Value
-from gkzeta.weil import WeilDescriptor
+from gkzeta.weil import WeilDescriptor, enumerate_elliptic, validate_elliptic
 
 A1 = ADEType("A", 1)
 
@@ -96,7 +100,7 @@ def test_construction_needs_exactly_the_fields(cls, fields, change):
 @parametrize
 def test_signature_lists_the_fields(cls, fields, change):
     params = inspect.signature(cls).parameters.values()
-    assert [p.name for p in params] == list(cls.__slots__) == list(fields)
+    assert [p.name for p in params] == list(cls._fields) == list(fields)
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     assert all(p.default is p.empty for p in params)
 
@@ -119,6 +123,26 @@ def test_equality_needs_the_same_class():
     assert FieldDesc("Q", 0) != StabilizerTable("Q", 0)
     assert IntPolynomial((1, 2)) != (1, 2)
     assert {PrimePower(3, 2): 1}.get((3, 2)) is None
+    # an answer, not NotImplemented: the reflected tuple.__eq__ would compare the fields
+    assert PrimePower(3, 2).__eq__((3, 2)) is False
+    assert PrimePower(3, 2).__ne__((3, 2)) is True
+
+
+@parametrize
+def test_values_are_not_ordered(cls, fields, change):
+    a, b = cls(**fields), cls(**{**fields, change[0]: change[1]})
+    for other in (b, tuple(b)):
+        for less in (lambda: a < other, lambda: a <= other, lambda: a > other,
+                     lambda: a >= other, lambda: other < a):
+            with pytest.raises(TypeError):
+                less()
+
+
+@parametrize
+def test_no_instance_dict(cls, fields, change):
+    """A subclass that forgot __slots__ = () would give its values a __dict__."""
+    assert "__slots__" in cls.__dict__ and cls.__slots__ == ()
+    assert not hasattr(cls(**fields), "__dict__")
 
 
 @parametrize
@@ -134,25 +158,43 @@ def test_no_assignment_or_deletion(cls, fields, change):
     assert {f: getattr(v, f) for f in fields} == fields
 
 
-# the types that validate or normalize, whose own __init__ ends in self._fill
+# the types that validate or normalize, whose own __new__ ends in tuple.__new__
 VALIDATING = {PrimePower, IntPolynomial, FieldDesc, CSADescriptor, ADEType, SingularOrbit,
               NSCharPoly}
 
 
-def test_generated_constructors_set_the_slots_directly():
-    classes = [cls for cls, _, _ in CASES] + [Condition]
+def _builds_by_tuple_new(func):
+    """func builds its value by tuple.__new__, named as such or bound to a
+    global, and never reaches __setattr__."""
+    names = func.__code__.co_names
+    return "__setattr__" not in names and (("tuple" in names and "__new__" in names) or any(
+        func.__globals__.get(n) is tuple.__new__ for n in names))
+
+
+def test_one_construction_path():
+    """Every value is built by one tuple.__new__ over its fields: a type that
+    only stores them gets namedtuple's generated __new__, the validating types
+    write a __new__ that ends in tuple.__new__, and the trusted paths call it
+    directly. No class has an __init__."""
+    classes = [cls for cls, _, _ in CASES]
     for cls in classes:
-        assert cls._fill.__code__.co_filename == f"<{cls.__qualname__}._fill>"
-    generated = {cls for cls, _, _ in CASES if cls.__init__ is cls._fill}
-    assert generated == {cls for cls, _, _ in CASES} - VALIDATING
-    trusted, from_q = IntPolynomial._trusted.__func__, PrimePower.from_q.__func__
-    for func in [cls._fill for cls in classes] + [trusted, from_q]:
-        assert object.__setattr__ not in func.__globals__.values()
-        assert "__setattr__" not in func.__code__.co_names
+        assert "__new__" in cls.__dict__ and cls.__init__ is object.__init__
+    written = {cls for cls in classes if cls.__new__.__code__.co_filename == inspect.getfile(cls)}
+    assert written == VALIDATING
+    trusted = [IntPolynomial._trusted.__func__, PrimePower.from_q.__func__, enumerate_elliptic,
+               cli.cmd_exists]
+    for func in [cls.__new__ for cls in written] + trusted:
+        assert _builds_by_tuple_new(func), func.__qualname__
+    q = PrimePower(7, 1)
+    assert enumerate_elliptic(q) == [validate_elliptic(q, b) for b in range(-5, 6)]
+    assert IntPolynomial._trusted((7, 0, 1)) == IntPolynomial((7, 0, 1))
+    assert PrimePower.from_q(17 ** 3) == PrimePower(17, 3)
     values = [cls(**fields) for cls, fields, _ in CASES] + [
-        IntPolynomial._trusted((7, 0, 1)), PrimePower.from_q(17 ** 3), Condition("p > 2")]
+        IntPolynomial._trusted((7, 0, 1)), PrimePower.from_q(17 ** 3), enumerate_elliptic(q)[0]]
     for v in values:
-        for f in v.__slots__:
+        assert tuple(v) == tuple(getattr(v, f) for f in v._fields)
+    for v in values + [Condition("p > 2")]:
+        for f in getattr(v, "_fields", v.__slots__):
             with pytest.raises(AttributeError):
                 setattr(v, f, getattr(v, f))
             with pytest.raises(AttributeError):
@@ -186,8 +228,8 @@ def test_copy_and_pickle_keep_the_value(cls, fields, change):
 
 
 def test_no_module_sets_a_field_through_object():
-    """Every field is set by a compiled _fill: no module under src/gkzeta
-    reaches object.__setattr__."""
+    """A value's fields are set by tuple.__new__ and a Condition's by its
+    slots' own setters: no module under src/gkzeta reaches object.__setattr__."""
     uses = []
     for path in sorted(glob.glob(os.path.join(os.path.dirname(gkzeta.__file__), "*.py"))):
         with open(path, encoding="utf-8") as f:
@@ -196,6 +238,29 @@ def test_no_module_sets_a_field_through_object():
                  if isinstance(n, ast.Attribute) and n.attr == "__setattr__"
                  and isinstance(n.value, ast.Name) and n.value.id == "object"]
     assert uses == []
+
+
+def test_no_module_imports_a_private_stdlib_name():
+    """Every standard-library name that src/gkzeta imports is public: the
+    value types take their accessors from collections.namedtuple, not from a
+    private helper such as collections._tuplegetter, which may change between
+    Python versions."""
+    private = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gkzeta.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 0:
+                modules, names = [n.module], [a.name for a in n.names]
+            elif isinstance(n, ast.Import):
+                modules, names = [a.name for a in n.names], []
+            else:
+                continue
+            stdlib = [m for m in modules if m.split(".")[0] in sys.stdlib_module_names]
+            private += [(os.path.basename(path), n.lineno, name) for m in stdlib
+                        for name in m.split(".") + names
+                        if name.startswith("_") and not name.startswith("__")]
+    assert private == []
 
 
 def test_construction_normalizes():
