@@ -252,6 +252,15 @@ PARSER_TEXTS = (
     ["embed-check", "--group", "C8", "--p", "4"],
 )
 
+# notations whose point count 1 + q Tr + q^2 is negative; appended after
+# PARSER_TEXTS
+NEGATIVE_COUNT = (
+    ["zeta-assemble", "--q", "9", "--notation", "2^22"],
+    ["zeta-assemble", "--q", "9", "--notation", "3^22"],
+    ["zeta-assemble", "--q", "3", "--notation", "1^2,2^20"],
+    ["zeta-assemble", "--q", "9", "--notation", "1,2^21"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -282,7 +291,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(HALF_FORMS)
     + _with_json(EMPTY_TERM)
     + _with_json(EPS_UNREAD)
-    + PARSER_TEXTS)) if argv not in PINNED)
+    + PARSER_TEXTS
+    + _with_json(NEGATIVE_COUNT))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
