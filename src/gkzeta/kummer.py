@@ -264,9 +264,13 @@ def trace_of(cp: NSCharPoly) -> int:
 
 def k3_point_count(q: PrimePower, cp: NSCharPoly) -> int:
     """|X(F_q)| = 1 + q * Tr + q^2 for a surface whose cohomology is
-    spanned by divisor classes."""
+    spanned by divisor classes (Lefschetz trace formula); a notation for
+    which this is negative is no surface's over F_q, and is rejected."""
     qq = q.q
-    return 1 + qq * trace_of(cp) + qq * qq
+    n = 1 + qq * trace_of(cp) + qq * qq
+    if n < 0:
+        raise Rejected(f"{cp} gives |X(F_{qq})| = {n} < 0", "Lefschetz trace formula")
+    return n
 
 
 class ZetaFunction(Value):
