@@ -33,6 +33,17 @@ class WeilOption(Value):
     _fields = ("shape", "poly", "condition", "satisfied")
 
 
+# every verdict that exists_over_even_degree, exists_over_prime_field and
+# katsura_refinement return is built here, at import, once: equal verdicts
+# are one object, and a call only picks one by its conditions' outcomes
+_VERDICTS = {}
+
+
+def _shared(*fields) -> ExistenceVerdict:
+    v = ExistenceVerdict(*fields)
+    return _VERDICTS.setdefault(v, v)
+
+
 # the paper's refinement of Katsura's theorem: the one clause p != +-1 mod n
 # of G's element order n in {5, 8, 12}, or None for a group with none; it
 # decides column II of the even-degree table and the quotient refinement
@@ -46,17 +57,22 @@ _CLAUSE = {g: next((Condition(f"p != +-1 mod {n}")
 
 _EVEN_CITE = "even-degree classification"
 # the answer of every group whose two columns hold for every p
-_EVEN_ALWAYS = ExistenceVerdict(True, True, _EVEN_CITE, (("any p coprime to |G|", True),), ())
+_EVEN_ALWAYS = _shared(True, True, _EVEN_CITE, (("any p coprime to |G|", True),), ())
 
 
 # built once from the refinement clause of G: the shared verdict for a group
-# with none, else the row each call evaluates at p: column I (rigid action
-# exists), p != 1 mod n for a cyclic G and the clause otherwise, column II
-# (rigid and symplectic), the clause, and column II's printed text; C2 is
-# not classified here
-_EVEN_TABLE = {g: _EVEN_ALWAYS if c is None else (
-                   Condition(f"p != 1 mod {c.modulus}") if is_cyclic(g) else c,
-                   c, f"symplectic: {c}")
+# with none, else column I (rigid action exists), p != 1 mod n for a cyclic G
+# and the clause otherwise, column II (rigid and symplectic), the clause, and
+# the verdict of each outcome, indexed [column I holds][column II holds]; C2
+# is not classified here
+def _even_row(rigid: Condition, sympl: Condition):
+    return rigid, sympl, tuple(tuple(
+        _shared(r, s, _EVEN_CITE, ((rigid.text, r), (f"symplectic: {sympl}", s)), ())
+        for s in (False, True)) for r in (False, True))
+
+
+_EVEN_TABLE = {g: _EVEN_ALWAYS if c is None else _even_row(
+                   Condition(f"p != 1 mod {c.modulus}") if is_cyclic(g) else c, c)
                for g, c in _CLAUSE.items() if order(g) > 2}
 
 # the groups of the even-degree classification; the M(2, H_p) embedding
@@ -74,25 +90,29 @@ def exists_over_even_degree(g: GroupId, p: int) -> ExistenceVerdict:
         raise Rejected(f"{g} is not covered by the even-degree classification")
     if row is _EVEN_ALWAYS:
         return row
-    rigid, sympl, sympl_text = row
-    r, s = rigid.holds(p), sympl.holds(p)
-    return ExistenceVerdict(r, s, _EVEN_CITE, ((rigid.text, r), (sympl_text, s)), ())
+    rigid, sympl, verdicts = row
+    return verdicts[rigid.holds(p)][sympl.holds(p)]
 
 
 # ---------------------------------------------------------------------------
 # prime fields
 
-_PRIME_FIELD = {
-    G.C2: Condition("any p"), G.C3: Condition("any p"),
-    G.C4: Condition("any p"), G.C6: Condition("any p"),
-    G.Q8: Condition("p != 2"), G.SL2F3: Condition("p != 2"),
-    G.Q12: Condition("p > 3"),
-}
-
-# built once: the verdict shared by every group outside the list
 _PRIME_CITE = "prime-field sufficiency"
-_OUTSIDE_PRIME_FIELD = ExistenceVerdict(
+# built once: the verdict shared by every group outside the list
+_OUTSIDE_PRIME_FIELD = _shared(
     None, None, _PRIME_CITE, (("group outside the prime-field sufficiency list", False),), ())
+
+
+# a listed group's condition and its verdict when it fails and when it holds
+def _prime_row(text: str):
+    cond = Condition(text)
+    return cond, tuple(_shared(val, val, _PRIME_CITE, ((text, ok),), ())
+                       for ok, val in ((False, None), (True, True)))
+
+
+_ANY_P, _ODD_P = _prime_row("any p"), _prime_row("p != 2")
+_PRIME_FIELD = {G.C2: _ANY_P, G.C3: _ANY_P, G.C4: _ANY_P, G.C6: _ANY_P,
+                G.Q8: _ODD_P, G.SL2F3: _ODD_P, G.Q12: _prime_row("p > 3")}
 
 
 def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
@@ -100,12 +120,11 @@ def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
 
     Cases outside the sufficiency list come back undetermined, not refuted.
     """
-    cond = _PRIME_FIELD.get(g)
-    if cond is None:
+    row = _PRIME_FIELD.get(g)
+    if row is None:
         return _OUTSIDE_PRIME_FIELD
-    ok = cond.holds(p)
-    val = True if ok else None
-    return ExistenceVerdict(val, val, _PRIME_CITE, ((cond.text, ok),), ())
+    cond, verdicts = row
+    return verdicts[cond.holds(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +184,21 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
 
 _REFINE_CITE = "quotient refinement"
 # the answer of every direct group
-_REFINE_ALWAYS = ExistenceVerdict(True, True, _REFINE_CITE,
-                                  (("group in the unconditional list", True),), ())
+_REFINE_ALWAYS = _shared(True, True, _REFINE_CITE, (("group in the unconditional list", True),), ())
 
-# built once: a group's one clause, or the shared verdict for a group with
-# none, the seven direct groups C2, C3, C4, C6, Q8, Q12 and SL2F3
-_REFINE_ROWS = {g: _REFINE_ALWAYS if c is None else c for g, c in _CLAUSE.items()}
+
+# a group's one clause and the verdict of each outcome, indexed [field
+# degree odd][clause holds]
+def _refine_row(c: Condition):
+    return c, tuple(tuple(
+        _shared(even and holds, even and holds, _REFINE_CITE,
+                (("field degree even", even), (c.text, holds)), ())
+        for holds in (False, True)) for even in (True, False))
+
+
+# built once: a group's row, or the shared verdict for a group with no
+# clause, the seven direct groups C2, C3, C4, C6, Q8, Q12 and SL2F3
+_REFINE_ROWS = {g: _REFINE_ALWAYS if c is None else _refine_row(c) for g, c in _CLAUSE.items()}
 
 
 def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
@@ -190,7 +218,5 @@ def katsura_refinement(g: GroupId, q: PrimePower) -> ExistenceVerdict:
         raise Rejected(f"{g} is not in the quotient-construction list")
     if row is _REFINE_ALWAYS:
         return row
-    even, holds = not q.degree_is_odd, row.holds(p)
-    val = even and holds
-    return ExistenceVerdict(val, val, _REFINE_CITE,
-                            (("field degree even", even), (row.text, holds)), ())
+    clause, verdicts = row
+    return verdicts[q.degree_is_odd][clause.holds(p)]

@@ -18,11 +18,13 @@ from .numtheory import (
     cyclotomic,
     divisors,
     euler_phi,
+    is_prime,
     moebius,
 )
 
 G = GroupId
-_ONE_MINUS_T = (IntPolynomial._trusted((1, -1)), 1)  # k3_zeta's factor (1 - t), shared
+_new = tuple.__new__  # builds a value from the tuple of its fields
+_ONE_MINUS_T = (_new(IntPolynomial, ((1, -1),)), 1)  # k3_zeta's factor (1 - t), shared
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,25 @@ def ns_rank_bound(cfg: SingularConfig) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 # the degree-22 characteristic polynomial in cyclotomic notation
 
+def _order_rows(bound: int) -> dict:
+    """{r: (mu(r), phi(r), Phi_r reversed)} for every r with phi(r) <= bound:
+    the products of coprime prime powers p^k whose phi(p^k) = p^(k-1) (p - 1)
+    multiply to at most bound, so p <= bound + 1."""
+    phi = {1: 1}
+    for p in filter(is_prime, range(2, bound + 2)):
+        for r, n in list(phi.items()):  # the r so far are coprime to p
+            pk, f = p, p - 1
+            while n * f <= bound:
+                phi[r * pk], pk, f = n * f, pk * p, f * p
+    return {r: (moebius(r), n, cyclotomic(r).coeffs[::-1]) for r, n in phi.items()}
+
+
+# one row per cyclotomic order that a notation can name, built at import: a
+# part (r, d) needs phi(r) | d <= 22, and phi(r) >= sqrt(r/2), so every such
+# r is at most 2 * 22^2 (43 orders, the largest 66)
+_ORDERS = _order_rows(22)
+
+
 class NSCharPoly(Value):
     """det(t - F/q | NS) as its parts (r, d_r), one per order r, with d_r the
     total degree of the cyclotomic factor Phi_r^(d_r / phi(r)); printed in
@@ -160,9 +181,10 @@ class NSCharPoly(Value):
                 raise Rejected(f"order {r} repeated in notation")
             if r < 1 or d < 1:
                 raise Rejected("orders and degrees must be positive")
-            # phi(r) >= sqrt(r/2) > d if r > 2d^2; a part with d > 22 is
-            # rejected below whatever phi(r) is, so no r > 2 * 22^2 is factored
-            if d <= 22 and (r > 2 * d * d or d % euler_phi(r)):
+            # an order outside _ORDERS has phi(r) > 22; a part with d > 22
+            # is rejected below whatever phi(r) is, so no r is factored
+            row = _ORDERS.get(r)
+            if d <= 22 and (row is None or d % row[1]):
                 raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
             total, last = total + d, r
         if total != 22:
@@ -259,7 +281,11 @@ def assemble_ns(orbits, h_part: dict) -> NSCharPoly:
 
 def trace_of(cp: NSCharPoly) -> int:
     """Trace of the normalized Frobenius on NS: sum of mu(r) d_r / phi(r)."""
-    return sum([moebius(r) * d // euler_phi(r) for r, d in cp.parts])
+    tr = 0
+    for r, d in cp.parts:
+        mu, phi, _ = _ORDERS[r]
+        tr += mu * d // phi
+    return tr
 
 
 def k3_point_count(q: PrimePower, cp: NSCharPoly) -> int:
@@ -295,12 +321,12 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
     factors = [_ONE_MINUS_T]
     for r, d in cp.parts:
         # Phi_r reversed, at q t: the last coefficient is +-q^phi(r), not 0
-        c = cyclotomic(r).coeffs[::-1]
-        while len(powers) < len(c):
+        _, phi, c = _ORDERS[r]
+        while len(powers) <= phi:
             powers.append(powers[-1] * qq)
-        factors.append((IntPolynomial._trusted(tuple(map(mul, c, powers))), d // (len(c) - 1)))
-    factors.append((IntPolynomial._trusted((1, -powers[2])), 1))
-    return ZetaFunction(tuple(factors))
+        factors.append((_new(IntPolynomial, (tuple(map(mul, c, powers)),)), d // phi))
+    factors.append((_new(IntPolynomial, ((1, -powers[2]),)), 1))
+    return _new(ZetaFunction, (tuple(factors),))
 
 
 def artin_check(q: PrimePower, cp: NSCharPoly) -> bool:

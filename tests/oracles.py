@@ -11,8 +11,10 @@ from math import gcd, isqrt
 
 from gkzeta.brauer import CSADescriptor, FieldDesc, Place
 from gkzeta.errors import Rejected
-from gkzeta.groups import GroupId as G, rigid_algebra
+from gkzeta.existence import ExistenceVerdict
+from gkzeta.groups import GroupId as G, order, rigid_algebra
 from gkzeta.numtheory import (
+    Condition,
     IntPolynomial,
     PrimePower,
     cyclotomic,
@@ -862,3 +864,60 @@ def class_equation_failures(g, entries) -> list[int]:
     return [m for m, fix in FIXED_POINTS.items()
             if sum(n * ELEMENT_ORDERS[h].get(m, 0) for h, n in entries)
             != ELEMENT_ORDERS[g].get(m, 0) * fix]
+
+
+# ---------------------------------------------------------------------------
+# existence verdicts, built afresh on every call from the paper's tables as
+# typed here: the even-degree, prime-field and refinement classifications
+
+# the one element order n in {5, 8, 12} of each configuration group that has
+# one, whose clause p != +-1 mod n refines Katsura's theorem
+CLAUSE_ORDER = {G.C5: 5, G.C10: 5, G.Q20: 5, G.SL2F5: 5,
+                G.C8: 8, G.Q16: 8, G.ESL2F3: 8, G.C12: 12, G.Q24: 12}
+EVEN_GROUPS = (G.C3, G.C4, G.C5, G.C6, G.C8, G.C10, G.C12, G.Q8, G.Q12, G.Q16, G.Q20,
+               G.Q24, G.SL2F3, G.ESL2F3, G.SL2F5)
+DIRECT_GROUPS = (G.C2, G.C3, G.C4, G.C6, G.Q8, G.Q12, G.SL2F3)
+PRIME_FIELD_CONDITIONS = {G.C2: "any p", G.C3: "any p", G.C4: "any p", G.C6: "any p",
+                          G.Q8: "p != 2", G.SL2F3: "p != 2", G.Q12: "p > 3"}
+
+
+def fresh_even_verdict(g, p: int) -> ExistenceVerdict:
+    cite = "even-degree classification"
+    if g not in EVEN_GROUPS:
+        raise Rejected(f"{g} is not covered by the even-degree classification")
+    n = CLAUSE_ORDER.get(g)
+    if n is None:
+        return ExistenceVerdict(True, True, cite, (("any p coprime to |G|", True),), ())
+    sympl = Condition(f"p != +-1 mod {n}")
+    rigid = Condition(f"p != 1 mod {n}") if g.value.startswith("C") else sympl
+    r, s = rigid.holds(p), sympl.holds(p)
+    return ExistenceVerdict(r, s, cite, ((rigid.text, r), (f"symplectic: {sympl.text}", s)), ())
+
+
+def fresh_prime_field_verdict(g, p: int) -> ExistenceVerdict:
+    cite = "prime-field sufficiency"
+    text = PRIME_FIELD_CONDITIONS.get(g)
+    if text is None:
+        return ExistenceVerdict(None, None, cite,
+                                (("group outside the prime-field sufficiency list", False),), ())
+    ok = Condition(text).holds(p)
+    val = True if ok else None
+    return ExistenceVerdict(val, val, cite, ((text, ok),), ())
+
+
+def fresh_refinement_verdict(g, q: PrimePower) -> ExistenceVerdict:
+    cite = "quotient refinement"
+    p = q.p
+    if p == 2:
+        raise Rejected("p = 2 is excluded from the refinement")
+    if order(g) % p == 0:
+        raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
+    if g in DIRECT_GROUPS:
+        return ExistenceVerdict(True, True, cite, (("group in the unconditional list", True),), ())
+    n = CLAUSE_ORDER.get(g)
+    if n is None:
+        raise Rejected(f"{g} is not in the quotient-construction list")
+    clause = Condition(f"p != +-1 mod {n}")
+    even, holds = q.n % 2 == 0, clause.holds(p)
+    return ExistenceVerdict(even and holds, even and holds, cite,
+                            (("field degree even", even), (clause.text, holds)), ())

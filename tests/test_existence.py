@@ -15,6 +15,7 @@ from gkzeta.existence import (
 from gkzeta.groups import CONFIG_GROUPS, GroupId as G, facts, order, rigid_algebra
 from gkzeta.kummer import trace_table
 from gkzeta.numtheory import PrimePower, is_prime
+from oracles import fresh_even_verdict, fresh_prime_field_verdict, fresh_refinement_verdict
 
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
 
@@ -238,24 +239,34 @@ class TestStoredRows:
     typed tables they are built from."""
 
     def test_refinement_rows_follow_the_element_orders(self):
+        # a row is the clause and its verdicts, indexed [degree odd][holds]
         assert set(existence._REFINE_ROWS) == set(CONFIG_GROUPS)
         for g in CONFIG_GROUPS:
             row = existence._REFINE_ROWS[g]
             if g in REFINE_DIRECT:
                 assert row is existence._REFINE_ALWAYS, g
             else:
+                clause, verdicts = row
                 orders = sorted(facts(g).cyclic_subgroup_orders & {5, 8, 12})
-                assert [row.text] == [f"p != +-1 mod {n}" for n in orders], g
+                assert [clause.text] == [f"p != +-1 mod {n}" for n in orders], g
+                for odd in (False, True):
+                    for holds in (False, True):
+                        assert verdicts[odd][holds].conditions == (
+                            ("field degree even", not odd), (clause.text, holds)), g
 
     def test_even_rows_keep_the_table_conditions(self):
-        # column II prints as its condition's text after "symplectic: "
+        # column II prints as its condition's text after "symplectic: "; a
+        # row is the two conditions and their verdicts, indexed by outcome
         assert set(_EVEN_TABLE) == set(EVEN_TABLE_LITERAL)
         for g, row in _EVEN_TABLE.items():
             if g in EVEN_ALWAYS:
                 assert row is existence._EVEN_ALWAYS, g
             else:
-                _, sympl, sympl_text = row
-                assert sympl_text == f"symplectic: {sympl.text}", g
+                rigid, sympl, verdicts = row
+                for r in (False, True):
+                    for s in (False, True):
+                        assert verdicts[r][s].conditions == (
+                            (rigid.text, r), (f"symplectic: {sympl.text}", s)), g
 
     SHARED = (
         ("_EVEN_TABLE", exists_over_even_degree, EVEN_ALWAYS,
@@ -292,6 +303,53 @@ class TestStoredRows:
             v.exists_rigid = not v.exists_rigid
         with pytest.raises(AttributeError):
             del v.conditions
+
+    # every integer p below 2000, primes and composites alike, with its
+    # fields F_p, F_p^2 and F_p^3 built without a primality test
+    FIELDS = [(p, [tuple.__new__(PrimePower, (p, n)) for n in (1, 2, 3)]) for p in range(1, 2000)]
+
+    @staticmethod
+    def _answers(oracle: bool):
+        """(group, p, answer) of every call of the three classifications,
+        an answer being the verdict or the rejection's text, beside the
+        oracle's answer when one is given."""
+        def call(f, *args):
+            try:
+                return f(*args)
+            except Rejected as exc:
+                return "rejected", str(exc)
+
+        for g in G:
+            for p, fields in TestStoredRows.FIELDS:
+                for f, arg, want in ((exists_over_even_degree, p, fresh_even_verdict),
+                                     (exists_over_prime_field, p, fresh_prime_field_verdict),
+                                     *((katsura_refinement, q, fresh_refinement_verdict)
+                                       for q in fields)):
+                    yield g, p, call(f, g, arg), oracle and call(want, g, arg)
+
+    def test_answers_equal_fresh_verdicts_and_share_one_object(self):
+        # each answer equals, field by field, a verdict built afresh at p the
+        # way the library once built every answer; equal answers are one
+        # object, and it refuses assignment
+        shared = {}
+        for g, p, got, want in self._answers(oracle=True):
+            assert type(got) is type(want), (g, p)
+            assert [repr(x) for x in got] == [repr(x) for x in want], (g, p)
+            if isinstance(got, ExistenceVerdict):
+                assert shared.setdefault(got, got) is got, (g, p)
+        assert len(shared) == 35
+        for v in shared.values():
+            for field in ExistenceVerdict._fields:
+                with pytest.raises(AttributeError):
+                    setattr(v, field, None)
+
+    def test_no_verdict_is_built_per_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an ExistenceVerdict was built during a call")
+
+        monkeypatch.setattr(existence, "ExistenceVerdict", refuse)
+        answered = sum(1 for _ in self._answers(oracle=False))
+        assert answered == len(G) * len(self.FIELDS) * 5
 
 
 class TestTraceTableConsistency:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkzeta import kummer
 from gkzeta.groups import GroupId as G
 from gkzeta.kummer import (
     ADEType,
@@ -21,7 +23,7 @@ from gkzeta.kummer import (
     trace_of,
     trace_table,
 )
-from gkzeta.numtheory import PrimePower, euler_phi, moebius
+from gkzeta.numtheory import PrimePower, cyclotomic, euler_phi, moebius
 
 from oracles import (
     ns_polynomial,
@@ -32,6 +34,22 @@ from oracles import (
     series_mul,
     zeta_factor,
 )
+
+
+def _random_notation(rng, orders) -> NSCharPoly:
+    """A valid notation: distinct orders r, each with a positive multiple of
+    phi(r), of total degree 22."""
+    while True:
+        parts, left = {}, 22
+        while left:
+            fits = [r for r in orders if euler_phi(r) <= left and r not in parts]
+            if not fits:
+                break
+            r = rng.choice(fits)
+            parts[r] = euler_phi(r) * rng.randint(1, left // euler_phi(r))
+            left -= parts[r]
+        if not left:
+            return NSCharPoly(tuple(parts.items()))
 
 
 class TestADE:
@@ -212,17 +230,38 @@ class TestTraceAndPoints:
                                    PrimePower(3, 194)), ids=str)
     def test_zeta_factors_match_the_oracle(self, q):
         # every order r with phi(r) <= 22 (all have r <= 2 * 22^2), as r^phi(r)
-        # beside 1^(22 - phi(r))
+        # beside 1^(22 - phi(r)); the notations of both trace tables; and
+        # random valid notations. The per-order rows that trace_of,
+        # k3_point_count and k3_zeta read are exactly these orders
         orders = [r for r in range(1, 2 * 22 * 22 + 1) if euler_phi(r) <= 22]
         assert len(orders) == 43 and orders[-1] == 66
+        assert kummer._ORDERS == {r: (moebius(r), euler_phi(r), cyclotomic(r).coeffs[::-1])
+                                  for r in orders}
+        notations = []
         for r in orders:
             parts = {1: 22 - euler_phi(r), r: euler_phi(r)} if r > 1 else {1: 22}
-            cp = NSCharPoly(tuple((s, d) for s, d in parts.items() if d))
+            notations.append(NSCharPoly(tuple((s, d) for s, d in parts.items() if d)))
+        notations += [parse_zeta_notation(row.notation)
+                      for parity in ("even", "odd") for row in trace_table(parity)]
+        rng = random.Random(q.q % 1000003)
+        notations += [_random_notation(rng, orders) for _ in range(200)]
+        negative = 0
+        for cp in notations:
             want = [([1, -1], 1)] + [(zeta_factor(s, q.q), d // euler_phi(s))
                                      for s, d in cp.parts] + [([1, -q.q ** 2], 1)]
             got = k3_zeta(q, cp).denominator
-            assert [(list(f.coeffs), m) for f, m in got] == want, r
-            assert all(f.coeffs[-1] != 0 for f, _ in got), r
+            assert [(list(f.coeffs), m) for f, m in got] == want, cp
+            assert all(f.coeffs[-1] != 0 for f, _ in got), cp
+            tr = sum(moebius(r) * d // euler_phi(r) for r, d in cp.parts)
+            assert trace_of(cp) == tr, cp
+            count = 1 + q.q * tr + q.q ** 2
+            if count < 0:
+                negative += 1
+                with pytest.raises(Rejected, match=r" < 0$"):
+                    k3_point_count(q, cp)
+            else:
+                assert k3_point_count(q, cp) == count, cp
+        assert (negative > 0) == (q.q < 23)  # Tr >= -22
 
     def test_reverse_and_scale_oracle(self):
         assert reciprocal([9, -3, 1]) == [1, -3, 9]
