@@ -310,9 +310,9 @@ class TestStoredRows:
 
     @staticmethod
     def _answers(oracle: bool):
-        """(group, p, answer) of every call of the three classifications,
-        an answer being the verdict or the rejection's text, beside the
-        oracle's answer when one is given."""
+        """(group, p, answer, oracle's answer) of every call of the three
+        classifications, an answer being the verdict or the rejection's
+        text; the oracle's answer is False unless oracle is set."""
         def call(f, *args):
             try:
                 return f(*args)
