@@ -4,10 +4,11 @@ Every rigid algebra is a field, a quaternion algebra, or M(2, .) of one of
 these, so every local invariant is 0 or 1/2. An algebra is stored as a center
 (a small number field given symbolically), a degree, and the places of the
 center where it ramifies, each with invariant 1/2. The rigid group algebras
-themselves are rows of a table in groups; this module holds their type.
-Operations: reciprocity validation, and the embedding test of the rigid
-group algebras into M(2, H_p): a condition on p, read once per group from the
-parity of a local degree of the algebra's center at p.
+are rows of a table in groups; the two types here store a row as given, and
+the tests check every row (tests/oracles.py builds them with every check).
+Operation: the embedding test of the rigid group algebras into M(2, H_p), a
+condition on p read once per group from the parity of a local degree of the
+algebra's center at p.
 """
 from __future__ import annotations
 
@@ -15,49 +16,15 @@ from functools import cache
 
 from .errors import Rejected
 from .groups import rigid_algebra
-from .numtheory import Condition, Value, euler_phi, is_prime, squarefree_part
+from .numtheory import Condition, Value, is_prime
 
-
-# ---------------------------------------------------------------------------
-# fields
 
 class FieldDesc(Value):
-    """A small number field: Q, Q(sqrt(d)) or Q(zeta_m)."""
+    """A small number field: Q (param 0), Q(sqrt(param)) for a squarefree
+    param, or Q(zeta_param) for param >= 3, param != 2 mod 4."""
 
     __slots__ = ()
     _fields = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc'
-
-    def __new__(cls, kind: str, param: int):
-        if kind == "Q":
-            if param:
-                raise ValueError("Q takes no parameter")
-        elif kind == "quad":
-            if param in (0, 1) or squarefree_part(param) != param:
-                raise ValueError(f"{param} is not a valid squarefree discriminant base")
-        elif kind == "cyc":
-            if param < 3 or param % 4 == 2:
-                raise ValueError(f"cyclotomic index {param} is not in canonical form")
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-        return tuple.__new__(cls, (kind, param))
-
-    @property
-    def degree(self) -> int:
-        if self.kind == "Q":
-            return 1
-        if self.kind == "quad":
-            return 2
-        return euler_phi(self.param)
-
-    @property
-    def is_totally_real(self) -> bool:
-        if self.kind == "quad":
-            return self.param > 0
-        return self.kind == "Q"
-
-    @property
-    def real_place_count(self) -> int:
-        return self.degree if self.is_totally_real else 0
 
     def __str__(self):
         if self.kind == "Q":
@@ -67,46 +34,15 @@ class FieldDesc(Value):
         return f"Q(zeta_{self.param})"
 
 
-# ---------------------------------------------------------------------------
-# places: ('inf', i) for real places, ('fin', p, j) for primes over p
-
-Place = tuple
-
-
-def _place_key(pl: Place):
-    return (0, pl[1], 0) if pl[0] == "inf" else (1, pl[1], pl[2])
-
-
-# ---------------------------------------------------------------------------
-# algebras
-
 class CSADescriptor(Value):
-    """A central simple algebra: center, degree, and the sorted places where
-    it ramifies, each with local invariant 1/2 (the others have 0).
+    """A central simple algebra: center, degree, and the places where it
+    ramifies, each with local invariant 1/2 (the others have 0). A place is
+    ('inf', i), the i-th real place, or ('fin', p, j), the j-th place over p;
+    the real places come first, then the finite ones by (p, j).
     """
 
     __slots__ = ()
     _fields = ("center", "degree", "ramified")
-
-    def __new__(cls, center: FieldDesc, degree: int, ramified: tuple):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        ramified = tuple(sorted(ramified, key=_place_key))
-        seen = set()
-        for pl in ramified:
-            if pl in seen:
-                raise ValueError(f"duplicate place {pl}")
-            seen.add(pl)
-            if degree % 2:
-                raise ValueError(f"invariant 1/2 has period not dividing the degree {degree}")
-            if pl[0] == "inf" and pl[1] >= center.real_place_count:
-                raise ValueError(f"center {center} has no real place #{pl[1]}")
-            if pl[0] == "fin" and not is_prime(pl[1]):
-                raise ValueError(f"{pl[1]} is not prime")
-        if len(ramified) % 2:
-            # Hilbert reciprocity: the invariants 1/2 sum to an integer
-            raise ValueError(f"local invariants sum to {len(ramified)}/2, not an integer")
-        return tuple.__new__(cls, (center, degree, ramified))
 
     @property
     def invariants(self) -> tuple:
@@ -125,7 +61,7 @@ class CSADescriptor(Value):
         return f"CSA(center={self.center}, degree={self.degree}, inv={{{invs}}})"
 
 
-def _place_str(pl: Place) -> str:
+def _place_str(pl: tuple) -> str:
     if pl[0] == "inf":
         return "oo" if pl[1] == 0 else f"oo_{pl[1]}"
     return str(pl[1]) if pl[2] == 0 else f"{pl[1]}_{pl[2]}"
@@ -161,8 +97,9 @@ def _embedding_condition(g) -> Condition | str:
     alg = rigid_algebra(g)
     c = alg.center
     if alg.degree == 1 and c.kind == "cyc" and c.param in (3, 4, 5, 8, 12):
-        if c.degree == 2:
-            # quartic M(2, H_p) contains M(2, K) for every quadratic K
+        if c.param in (3, 4):
+            # phi(3) = phi(4) = 2: quartic M(2, H_p) contains M(2, K) for
+            # every quadratic K
             return Condition("any p")
         # Q(zeta_m) of degree 4 is a maximal subfield iff it splits H_p: its
         # places are complex, so iff e*f is even at p. A p | m ramifies with

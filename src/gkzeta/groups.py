@@ -4,10 +4,10 @@ the binary tetrahedral/octahedral/icosahedral groups and a few
 characteristic-special extensions.
 
 All group facts are hardcoded, the rigid group algebras too: one table row
-each, which brauer's types validate on the first call per group. Nothing
-else here checks them at run time; the structural checks (Sylow counts,
+each. Nothing checks them at run time: the structural checks (Sylow counts,
 torsion fixed points, the class equation) are in tests/test_groups.py, and
-the paper's construction of each algebra is in tests/oracles.py.
+the paper's construction of each algebra, with the checks on every row, is
+in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -164,8 +164,8 @@ def rigid_algebra(g: GroupId) -> brauer.CSADescriptor:
     """The image of Q[G] acting on the rigid part: a field, a quaternion
     algebra, or a 2x2 matrix algebra over one of these.
 
-    Read from its _RIGID row and validated on the first call per group, then
-    shared: the descriptor is frozen.
+    Read from its _RIGID row on the first call per group, then shared: the
+    descriptor is frozen.
     """
     # imported here, so that importing groups does not load brauer
     from .brauer import CSADescriptor, FieldDesc

@@ -109,18 +109,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def squarefree_part(d: int) -> int:
-    """The squarefree integer with the same square class as d."""
-    if d == 0:
-        raise ValueError("0 has no square class")
-    sign = -1 if d < 0 else 1
-    out = 1
-    for p, e in factorize(abs(d)).items():
-        if e % 2:
-            out *= p
-    return sign * out
-
-
 # ---------------------------------------------------------------------------
 # value types
 

@@ -1,6 +1,8 @@
 """Independent oracles used by the tests: brute-force scans and exact
 power-series arithmetic, implemented separately from the library code.
-Some are the library's earlier, slower algorithms, kept as references.
+Some are the library's earlier, slower algorithms, kept as references, and
+the builders of the algebra types keep the checks that the library, which
+builds them only from its constant table, leaves to the tests.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from gkzeta.brauer import CSADescriptor, FieldDesc, Place
+from gkzeta.brauer import CSADescriptor, FieldDesc
 from gkzeta.errors import Rejected
 from gkzeta.existence import ExistenceVerdict
 from gkzeta.groups import GroupId as G, order, rigid_algebra
@@ -22,7 +24,6 @@ from gkzeta.numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    squarefree_part,
 )
 from gkzeta.weil import (
     ENUMERATE_LIMIT,
@@ -43,6 +44,18 @@ def legendre(a: int, p: int) -> int:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
+
+
+def squarefree_part(d: int) -> int:
+    """The squarefree integer with the same square class as d."""
+    if d == 0:
+        raise ValueError("0 has no square class")
+    sign = -1 if d < 0 else 1
+    out = 1
+    for p, e in factorize(abs(d)).items():
+        if e % 2:
+            out *= p
+    return sign * out
 
 
 def mult_order(a: int, m: int) -> int:
@@ -609,6 +622,77 @@ def ns_polynomial(cp) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# the algebra types built with every check: the library's FieldDesc and
+# CSADescriptor store their fields as given, since its only source of them is
+# the constant table groups._RIGID, and these builders check what they store
+
+# ('inf', i) for the i-th real place, ('fin', p, j) for the j-th place over p
+Place = tuple
+
+
+def make_field(kind: str, param: int) -> FieldDesc:
+    """FieldDesc(kind, param), with the parameter in canonical form."""
+    if kind == "Q":
+        if param:
+            raise ValueError("Q takes no parameter")
+    elif kind == "quad":
+        if param in (0, 1) or squarefree_part(param) != param:
+            raise ValueError(f"{param} is not a valid squarefree discriminant base")
+    elif kind == "cyc":
+        if param < 3 or param % 4 == 2:
+            raise ValueError(f"cyclotomic index {param} is not in canonical form")
+    else:
+        raise ValueError(f"unknown field kind {kind!r}")
+    return FieldDesc(kind, param)
+
+
+def field_degree(k: FieldDesc) -> int:
+    if k.kind == "Q":
+        return 1
+    if k.kind == "quad":
+        return 2
+    return euler_phi(k.param)
+
+
+def is_totally_real(k: FieldDesc) -> bool:
+    if k.kind == "quad":
+        return k.param > 0
+    return k.kind == "Q"
+
+
+def real_place_count(k: FieldDesc) -> int:
+    return field_degree(k) if is_totally_real(k) else 0
+
+
+def _place_key(pl: Place):
+    return (0, pl[1], 0) if pl[0] == "inf" else (1, pl[1], pl[2])
+
+
+def make_csa(center: FieldDesc, degree: int, ramified) -> CSADescriptor:
+    """CSADescriptor(center, degree, ramified), with the places sorted into
+    the canonical order (real places first, then the finite ones by (p, j)),
+    each a place of the center, and with Hilbert reciprocity."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    ramified = tuple(sorted(ramified, key=_place_key))
+    seen = set()
+    for pl in ramified:
+        if pl in seen:
+            raise ValueError(f"duplicate place {pl}")
+        seen.add(pl)
+        if degree % 2:
+            raise ValueError(f"invariant 1/2 has period not dividing the degree {degree}")
+        if pl[0] == "inf" and pl[1] >= real_place_count(center):
+            raise ValueError(f"center {center} has no real place #{pl[1]}")
+        if pl[0] == "fin" and not is_prime(pl[1]):
+            raise ValueError(f"{pl[1]} is not prime")
+    if len(ramified) % 2:
+        # Hilbert reciprocity: the invariants 1/2 sum to an integer
+        raise ValueError(f"local invariants sum to {len(ramified)}/2, not an integer")
+    return CSADescriptor(center, degree, ramified)
+
+
+# ---------------------------------------------------------------------------
 # the paper's construction of the rigid algebras (the library reads them from
 # a table): the fields, the places, H_p, H_infty and the matrix algebras
 
@@ -620,18 +704,18 @@ def _canonical_cyclotomic_index(m: int) -> int:
 
 
 def rationals() -> FieldDesc:
-    return FieldDesc("Q", 0)
+    return make_field("Q", 0)
 
 
 def quadratic(d: int) -> FieldDesc:
-    return FieldDesc("quad", squarefree_part(d))
+    return make_field("quad", squarefree_part(d))
 
 
 def cyclotomic_field(m: int) -> FieldDesc:
     m = _canonical_cyclotomic_index(m)
     if m <= 2:
         return rationals()
-    return FieldDesc("cyc", m)
+    return make_field("cyc", m)
 
 
 def real_cyclotomic(m: int) -> FieldDesc:
@@ -658,25 +742,25 @@ def fin_place(p: int, j: int = 0) -> Place:
 
 def field_algebra(k: FieldDesc) -> CSADescriptor:
     """The field itself, seen as a degree-1 algebra."""
-    return CSADescriptor(k, 1, ())
+    return make_csa(k, 1, ())
 
 
 def matrix_over(a: CSADescriptor, n: int) -> CSADescriptor:
     """M(n, A): same Brauer class, degree multiplied by n."""
-    return CSADescriptor(a.center, a.degree * n, a.ramified)
+    return make_csa(a.center, a.degree * n, a.ramified)
 
 
 def make_hp(p: int) -> CSADescriptor:
     """The quaternion algebra over Q ramified exactly at p and infinity."""
-    return CSADescriptor(rationals(), 2, (inf_place(), fin_place(p)))
+    return make_csa(rationals(), 2, (inf_place(), fin_place(p)))
 
 
 def make_h_infty(k: FieldDesc) -> CSADescriptor:
     """The quaternion algebra over a totally real field k ramified exactly
     at all real places (an even number of them, by reciprocity)."""
-    if not k.is_totally_real:
+    if not is_totally_real(k):
         raise ValueError(f"{k} is not totally real")
-    return CSADescriptor(k, 2, tuple(inf_place(i) for i in range(k.real_place_count)))
+    return make_csa(k, 2, tuple(inf_place(i) for i in range(real_place_count(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +779,10 @@ def m2_hp(p: int) -> CSADescriptor:
 
 def _local_degrees_inf(l: FieldDesc) -> list[int]:
     """Local degrees [L_w : R] over the real place of Q."""
-    if l.is_totally_real:
-        return [1] * l.degree
+    if is_totally_real(l):
+        return [1] * field_degree(l)
     # totally imaginary cases here: cyc, or quad with d < 0
-    return [2] * (l.degree // 2)
+    return [2] * (field_degree(l) // 2)
 
 
 def _local_degrees_fin(l: FieldDesc, p: int) -> list[int]:
@@ -726,7 +810,7 @@ def extend_scalars(a: CSADescriptor, l: FieldDesc) -> CSADescriptor:
         if pl[0] == "inf":
             degs = _local_degrees_inf(l)
             for i, d in enumerate(degs):
-                if l.is_totally_real:
+                if is_totally_real(l):
                     w = inf_place(i)
                 else:
                     continue  # complex place kills every invariant
@@ -740,7 +824,7 @@ def extend_scalars(a: CSADescriptor, l: FieldDesc) -> CSADescriptor:
                 if v:
                     new.append((fin_place(p, j), v))
     assert all(v == Fraction(1, 2) for _, v in new), new
-    return CSADescriptor(l, a.degree, tuple(w for w, _ in new))
+    return make_csa(l, a.degree, tuple(w for w, _ in new))
 
 
 def field_embeds_in_csa(l: FieldDesc, a: CSADescriptor) -> bool:
@@ -749,9 +833,9 @@ def field_embeds_in_csa(l: FieldDesc, a: CSADescriptor) -> bool:
     Requires [L : center] = degree(A); L embeds iff A tensor L splits.
     """
     if a.center == rationals():
-        if l.degree != a.degree:
+        if field_degree(l) != a.degree:
             raise ValueError(
-                f"[{l}:Q] = {l.degree} != degree {a.degree}: not a maximal-subfield test")
+                f"[{l}:Q] = {field_degree(l)} != degree {a.degree}: not a maximal-subfield test")
         return is_split(extend_scalars(a, l))
     # relative case: L a CM quadratic extension of the totally real center,
     # algebra ramified only at real places (which all become complex in L)
@@ -794,7 +878,7 @@ def rigid_embeds_by_invariants(g, p: int) -> bool:
     alg = rigid_algebra(g)
     c = alg.center
     if alg.degree == 1 and c.kind == "cyc" and c.param in (3, 4, 5, 8, 12):
-        if c.degree == 2:
+        if field_degree(c) == 2:
             # quartic M(2, H_p) contains M(2, K) for every quadratic K
             return True
         return field_embeds_in_csa(c, m2_hp(p))

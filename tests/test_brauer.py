@@ -3,23 +3,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkzeta.brauer import CSADescriptor, rigid_embeds_in_m2hp
+from gkzeta.brauer import rigid_embeds_in_m2hp
 from gkzeta.errors import Rejected
 from gkzeta.groups import GroupId as G
 from gkzeta.numtheory import is_prime
 
-# the paper's constructions of the algebras, and the scalar extension, split
-# and maximal-subfield tests, live on as the oracle
+# the paper's constructions of the algebras with every check on the types, and
+# the scalar extension, split and maximal-subfield tests, live on as the oracle
 from oracles import (
     cyclotomic_field,
     extend_scalars,
     field_algebra,
+    field_degree,
     field_embeds_in_csa,
     fin_place,
     hp_into_hinfty,
     inf_place,
     is_split,
+    is_totally_real,
     m2_hp,
+    make_csa,
     make_h_infty,
     make_hp,
     matrix_over,
@@ -27,6 +30,7 @@ from oracles import (
     rationals,
     real_cyclotomic,
     rigid_embeds_by_invariants,
+    squarefree_part,
 )
 
 HALF = Fraction(1, 2)
@@ -38,8 +42,8 @@ class TestFields:
         assert cyclotomic_field(6) == cyclotomic_field(3)
         assert cyclotomic_field(10) == cyclotomic_field(5)
         assert cyclotomic_field(2) == rationals()
-        assert cyclotomic_field(4).degree == 2
-        assert cyclotomic_field(8).degree == 4
+        assert field_degree(cyclotomic_field(4)) == 2
+        assert field_degree(cyclotomic_field(8)) == 4
 
     def test_real_cyclotomic(self):
         assert real_cyclotomic(8) == quadratic(2)
@@ -56,11 +60,16 @@ class TestFields:
             quadratic(1)
 
     def test_total_reality(self):
-        assert quadratic(5).is_totally_real
-        assert not quadratic(-3).is_totally_real
-        assert not cyclotomic_field(5).is_totally_real
-        assert real_cyclotomic(12).is_totally_real
-        assert real_cyclotomic(12).degree == 2
+        assert is_totally_real(quadratic(5))
+        assert not is_totally_real(quadratic(-3))
+        assert not is_totally_real(cyclotomic_field(5))
+        assert is_totally_real(real_cyclotomic(12))
+        assert field_degree(real_cyclotomic(12)) == 2
+
+    def test_squarefree_part(self):
+        assert squarefree_part(12) == 3
+        assert squarefree_part(-8) == -2
+        assert squarefree_part(7) == 7
 
 
 class TestConstructorsAndReciprocity:
@@ -83,13 +92,13 @@ class TestConstructorsAndReciprocity:
 
     def test_reciprocity_violation(self):
         with pytest.raises(ValueError, match=r"^local invariants sum to 1/2, not an integer$"):
-            CSADescriptor(rationals(), 2, (fin_place(5),))
+            make_csa(rationals(), 2, (fin_place(5),))
 
     def test_period_divides_degree(self):
         # invariant 1/2 has period 2, which does not divide the degree 1
         with pytest.raises(ValueError,
                            match=r"^invariant 1/2 has period not dividing the degree 1$"):
-            CSADescriptor(rationals(), 1, (inf_place(), fin_place(5)))
+            make_csa(rationals(), 1, (inf_place(), fin_place(5)))
 
     def test_matrix_over_keeps_class(self):
         m = matrix_over(make_hp(5), 2)

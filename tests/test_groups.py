@@ -6,6 +6,7 @@ import pytest
 from gkzeta.numtheory import cyclotomic, euler_phi
 from gkzeta.groups import (
     _FACTS,
+    _RIGID,
     CONFIG_GROUPS,
     GroupFacts,
     GroupId as G,
@@ -22,6 +23,9 @@ from oracles import (
     SYLOW_COUNTS,
     class_equation_failures,
     cyclotomic_field,
+    field_degree,
+    make_csa,
+    make_field,
     make_h_infty,
     make_hp,
     matrix_over,
@@ -211,4 +215,13 @@ class TestRigidAlgebra:
     def test_dims(self):
         for g in G:
             alg = rigid_algebra(g)
-            assert alg.degree ** 2 * alg.center.degree in (1, 2, 4, 8, 16)
+            assert alg.degree ** 2 * field_degree(alg.center) in (1, 2, 4, 8, 16)
+
+    @pytest.mark.parametrize("g", list(G), ids=str)
+    def test_row_passes_every_check_in_canonical_order(self, g):
+        # the library stores a row as given, so the row itself must hold its
+        # places in the order that the checked builder sorts them into
+        kind, param, degree, ramified = _RIGID[g]
+        alg = make_csa(make_field(kind, param), degree, ramified)
+        assert alg == rigid_algebra(g)
+        assert alg.ramified == ramified

@@ -17,7 +17,6 @@ from gkzeta.numtheory import (
     iroot,
     is_prime,
     moebius,
-    squarefree_part,
 )
 
 from oracles import (
@@ -116,11 +115,6 @@ class TestPrimes:
         assert valuation(48, 2) == 4
         assert valuation(-27, 3) == 3
         assert valuation(5, 3) == 0
-
-    def test_squarefree_part(self):
-        assert squarefree_part(12) == 3
-        assert squarefree_part(-8) == -2
-        assert squarefree_part(7) == 7
 
 
 def _outcome(f, q):

@@ -4,9 +4,9 @@ The import-graph guard keeps `import gkzeta.cli` light: it loads neither
 dataclasses, inspect, fractions nor json, and no layer besides errors and
 numtheory; each subcommand then loads only the layers it uses, and neither
 dataclasses, inspect nor fractions (the value types' constructors are
-compiled without the first two; brauer stores an algebra by its ramified
-places, each with invariant 1/2, and weil prints its slopes as text, so no
-Fraction is built), and json only for --json. The smoke test runs one
+compiled without the first two; brauer's two types store an algebra's table
+row as given, its ramified places each with invariant 1/2, and weil prints
+its slopes as text, so no Fraction is built), and json only for --json. The smoke test runs one
 golden argv per subcommand through `python -m gkzeta.cli`, which catches
 import-order and circular-import faults that the in-process golden replay,
 with every layer already imported, cannot see. A reader that closes the
