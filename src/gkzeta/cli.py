@@ -56,7 +56,7 @@ def _quadratic(s: str) -> IntPolynomial:
         raise argparse.ArgumentTypeError(f"{s!r} is not a comma-separated list of integers")
 
 
-def _notation(s: str) -> kummer.NSCharPoly:
+def _notation(s: str):  # a kummer.NSCharPoly
     from . import kummer
 
     try:
@@ -65,7 +65,7 @@ def _notation(s: str) -> kummer.NSCharPoly:
         raise argparse.ArgumentTypeError(f"{s!r} is not a notation such as 1^20,2^2: {exc}")
 
 
-def _group(s: str) -> groups.GroupId:
+def _group(s: str):  # a groups.GroupId
     from . import groups
 
     try:
@@ -195,7 +195,7 @@ def cmd_exists(args):
     ]
 
 
-def _rho(cfg: kummer.SingularConfig) -> str:
+def _rho(cfg) -> str:  # cfg: a kummer.SingularConfig
     from . import kummer
 
     bound, exact = kummer.ns_rank_bound(cfg)
@@ -217,7 +217,7 @@ def cmd_sing_config(args):
     return query, {"result": rows}
 
 
-def _parse_orbit(spec: str) -> kummer.SingularOrbit:
+def _parse_orbit(spec: str):  # a kummer.SingularOrbit
     # format: ADE,count,degree,action  e.g.  A3,2,2,trivial
     from . import kummer
 

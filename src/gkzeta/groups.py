@@ -160,9 +160,9 @@ _RIGID = {
 
 
 @cache
-def rigid_algebra(g: GroupId) -> brauer.CSADescriptor:
-    """The image of Q[G] acting on the rigid part: a field, a quaternion
-    algebra, or a 2x2 matrix algebra over one of these.
+def rigid_algebra(g: GroupId):
+    """The image of Q[G] acting on the rigid part, as a brauer.CSADescriptor:
+    a field, a quaternion algebra, or a 2x2 matrix algebra over one of these.
 
     Read from its _RIGID row on the first call per group, then shared: the
     descriptor is frozen.

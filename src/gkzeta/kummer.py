@@ -168,13 +168,14 @@ _ORDERS = _order_rows(22)
 class NSCharPoly(Value):
     """det(t - F/q | NS) as its parts (r, d_r), one per order r, with d_r the
     total degree of the cyclotomic factor Phi_r^(d_r / phi(r)); printed in
-    the notation that parse_zeta_notation reads."""
+    the notation that parse_zeta_notation reads. The parts are (int, int)
+    pairs, stored sorted as given."""
 
     __slots__ = ()
     _fields = ("parts",)  # sorted ((r, d_r), ...)
 
     def __new__(cls, parts):
-        items = tuple(sorted((int(r), int(d)) for r, d in parts))
+        items = tuple(sorted(parts))
         total, last = 0, None
         for r, d in items:
             if r == last:

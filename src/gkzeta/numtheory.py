@@ -27,18 +27,25 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         3317044064679887385961981)
 _MR_BOUND = _PSI[-1]
 _TRIAL = (2, 3, 5, 7, 11, 13)
+# Below _ONE_BASE_BOUND the one base _ONE_BASE, reduced mod n, decides every
+# n that passes the trial division: 341531 = 239 * 1429 is the least strong
+# pseudoprime to it (checked against a sieve by the tests).
+_ONE_BASE = 9345883071009581737  # = 47 * 98207 * 2024790248953
+_ONE_BASE_BOUND = 341531
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, proven for all n < 3317044064679887385961981
     (about 3.317e24).
 
-    n is tested to the first k + 1 prime bases 2, 3, 5, ..., 41, where k
-    counts the psi_j <= n: below psi_{k+1}, the least strong pseudoprime to
-    the first k + 1 prime bases, those bases decide (OEIS A014233;
-    Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster, Math. Comp. 86, 2017).
-    A False answer is a proof at any size; at or above the bound, an n that
-    passes all 13 bases raises ValueError.
+    Below 341531, n is tested to the one base 9345883071009581737 mod n,
+    which takes one modular power. Above, n is tested to the first k + 1
+    prime bases 2, 3, 5, ..., 41, where k counts the psi_j <= n: below
+    psi_{k+1}, the least strong pseudoprime to the first k + 1 prime bases,
+    those bases decide (OEIS A014233; Jaeschke, Math. Comp. 61, 1993;
+    Sorenson-Webster, Math. Comp. 86, 2017). A False answer is a proof at
+    any size; at or above the bound, an n that passes all 13 bases raises
+    ValueError.
     """
     if n < 2:
         return False
@@ -46,8 +53,11 @@ def is_prime(n: int) -> bool:
         return n in _TRIAL
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    # n > 13 here, so every base used is below n
-    for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
+    # n > 13 here, so every base of _MR_BASES is below n. The one base is
+    # 0 mod n only for n = 47 and 98207, which divide it and are prime; base 1
+    # takes their place, and every n passes it.
+    for a in ((_ONE_BASE % n or 1,) if n < _ONE_BASE_BOUND
+              else _MR_BASES[:bisect_right(_PSI, n) + 1]):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -308,6 +308,29 @@ class TestAssembly:
             assemble_ns([SingularOrbit(ADEType("A", 1), 1, 1, "trivial")], {1: 2, 2: 2})
 
 
+class TestPartsAreInts:
+    # NSCharPoly stores its parts as given, so both builders must give ints
+    @staticmethod
+    def _ints(cp):
+        return all(type(x) is int for part in cp.parts for x in part)
+
+    def test_parse_zeta_notation(self):
+        texts = [row.notation for parity in ("even", "odd") for row in trace_table(parity)]
+        for s in texts + ["1^21,2", " 2^2 , 1^20", "1^10,3^12", "1^2,5^20"]:
+            assert self._ints(parse_zeta_notation(s)), s
+
+    def test_assemble_ns(self):
+        for g, orbits in (
+                (G.C4, [SingularOrbit(ADEType("A", 3), 2, 1, "trivial"),
+                        SingularOrbit(ADEType("A", 3), 2, 2, "trivial"),
+                        SingularOrbit(ADEType("A", 1), 2, 1, "trivial"),
+                        SingularOrbit(ADEType("A", 1), 4, 2, "trivial")]),
+                (G.Q8, [SingularOrbit(ADEType("D", 4), 2, 1, "trivial"),
+                        SingularOrbit(ADEType("A", 3), 3, 1, "trivial"),
+                        SingularOrbit(ADEType("A", 1), 2, 1, "trivial")])):
+            assert self._ints(assemble_ns(orbits, invariant_h_poly(g, -1))), g
+
+
 class TestTraceTables:
     def test_row_counts(self):
         assert len(trace_table("even")) == 9

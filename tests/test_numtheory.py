@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from gkzeta.numtheory import (
     cyclotomic,
     divisors,
     _MR_BOUND,
+    _ONE_BASE,
+    _ONE_BASE_BOUND,
     _PSI,
     _is_power_residue,
     euler_phi,
@@ -106,6 +109,33 @@ class TestPrimes:
             assert is_prime(p)
             for m in (17, 19 * 23, 10 ** 30 + 1, 2 ** 14000 + 1):
                 assert not is_prime(p * m), (p, m)
+
+    def test_one_power_below_the_one_base_bound(self, monkeypatch):
+        # every n < 341531 that passes the trial division is decided by one
+        # Miller-Rabin power, to the one base _ONE_BASE mod n
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(numtheory, "pow", counting, raising=False)
+        assert _ONE_BASE_BOUND == 341531
+        for n in range(17, _ONE_BASE_BOUND):
+            if gcd(n, 30030) == 1:
+                calls.clear()
+                is_prime(n)
+                assert len(calls) == 1, n
+
+    def test_least_pseudoprime_to_the_one_base(self):
+        assert _ONE_BASE_BOUND == 239 * 1429
+        assert not is_prime(341531)
+
+    def test_primes_dividing_the_one_base(self):
+        # the base is 0 mod n for these two; a zero base would call them composite
+        assert _ONE_BASE == 47 * 98207 * 2024790248953
+        assert is_prime(47)
+        assert is_prime(98207)
 
     def test_matches_sieve_below_10_6(self):
         sieve = prime_sieve(10 ** 6)
