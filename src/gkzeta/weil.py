@@ -5,6 +5,7 @@ zeta functions, all in exact integer arithmetic.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from math import isqrt
 
 from .errors import Rejected
@@ -107,10 +108,10 @@ def _supersingular_case(p: int, qq: int, r: int, b: int) -> str | None:
 
 _new = tuple.__new__  # builds a value from the tuple of its fields
 
-# enumerate_elliptic classifies all 4 sqrt(q) + 1 traces in one pass; at this
-# limit that takes about 0.03 s, 0.7 us a class, of which the cyclic garbage
-# collector takes a third or more (median of 7 calls at q = 99999989, CPython
-# 3.11.7 on a 2-CPU x86-64 VM)
+# enumerate_elliptic builds all 4 sqrt(q) + 1 classes; at this limit that
+# takes about 0.044 s, 1.1 us a class, of which the cyclic garbage collector
+# takes about half (median of 7 processes at q = 99999989, each the median of
+# 7 rounds of 3 calls; CPython 3.11.7 on a 2-CPU x86-64 VM)
 ENUMERATE_LIMIT = 10 ** 8
 
 
@@ -121,15 +122,23 @@ def enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
     if qq > ENUMERATE_LIMIT:
         raise Rejected(f"q = {qq} is above the enumeration limit {ENUMERATE_LIMIT}",
                        "elliptic isogeny classification")
-    r, bound = isqrt(qq), isqrt(4 * qq)
-    out = []
-    for b in range(-bound, bound + 1):
-        case = "ordinary" if b % p else _supersingular_case(p, qq, r, b)
-        if case is None:
-            continue
-        # WeilDescriptor(q, IntPolynomial._trusted((qq, -b, 1)), case) in two C
-        # calls: f = t^2 - b t + q needs no normalization
-        out.append(_new(WeilDescriptor, (q, _new(IntPolynomial, ((qq, -b, 1),)), case)))
+    r, bound, s = isqrt(qq), isqrt(4 * qq), isqrt(p * qq)
+    # each b prime to p is ordinary: list -b for ascending b, drop the multiples
+    # of p, the first at index bound % p, and build the classes with no Python loop
+    first = bound % p
+    minus_bs = list(range(bound, -bound - 1, -1))
+    del minus_bs[first::p]
+    out = list(map(_new, repeat(WeilDescriptor), zip(repeat(q), map(
+        _new, repeat(IntPolynomial), zip(zip(repeat(qq), minus_bs, repeat(1)))),
+        repeat("ordinary"))))
+    # a supersingular trace is 0, +-r, +-2r or +-isqrt(pq) (Waterhouse); each
+    # realized one goes back where the del took it from, the largest first
+    for b in sorted({0, r, -r, 2 * r, -2 * r, s, -s}, reverse=True):
+        case = _supersingular_case(p, qq, r, b) if b % p == 0 and b * b <= 4 * qq else None
+        if case is not None:
+            j = b + bound  # b's index before the del, which took (j - first) // p below it
+            out.insert(j - (j - first) // p,
+                       WeilDescriptor(q, IntPolynomial._trusted((qq, -b, 1)), case))
     return out
 
 
@@ -175,13 +184,13 @@ def validate_surface_simple(q: PrimePower, a1: int, a2: int) -> WeilDescriptor:
     """Validate the simple abelian surface isogeny class over F_q of the
     irreducible quartic f = t^4 + a1 t^3 + a2 t^2 + a1 q t + q^2."""
     p, qq = q.p, q.q
-    f = IntPolynomial([qq * qq, a1 * qq, a2, a1, 1])
     if a1 * a1 > 16 * qq:
         raise Rejected(f"a1^2 = {a1 * a1} > 16q = {16 * qq}")
     if 4 * a2 > a1 * a1 + 8 * qq:
         raise Rejected(f"4a2 = {4 * a2} > a1^2 + 8q = {a1 * a1 + 8 * qq}")
     if a2 + 2 * qq < 0 or (a2 + 2 * qq) ** 2 < 4 * a1 * a1 * qq:
         raise Rejected("roots are not Weil numbers: (a2 + 2q)^2 < 4 a1^2 q")
+    f = IntPolynomial([qq * qq, a1 * qq, a2, a1, 1])
     if not _quartic_is_irreducible(qq, a1, a2):
         raise Rejected(f"{f} is reducible over Q")
 
@@ -288,16 +297,18 @@ def abelian_zeta(w: WeilDescriptor) -> list[IntPolynomial]:
     qq = w.q.q
     a1, c = _real_weil(w)
     f = w.poly
-    p0 = IntPolynomial([1, -1])
-    p1 = IntPolynomial._trusted(f.coeffs[::-1])  # f(0) = q^dim != 0
+    trusted = IntPolynomial._trusted
+    p0 = trusted((1, -1))
+    p1 = trusted(f.coeffs[::-1])  # f(0) = q^dim != 0
     if w.dim == 1:
-        return [p0, p1, IntPolynomial([1, -qq])]
+        return [p0, p1, trusted((1, -qq))]
     # the products of two roots are q, q and the roots of t^2 - u t + q^2 and
-    # t^2 - v t + q^2, with u + v = c and u v = q (a1^2 - 2 a2) = q (a1^2 - 2c - 4q)
+    # t^2 - v t + q^2, with u + v = c and u v = q (a1^2 - 2 a2) = q (a1^2 - 2c - 4q), so
+    # P2 = (1 - q t)^2 (1 - c t + m t^2 - q^2 c t^3 + q^4 t^4) with m = u v + 2 q^2, expanded
     q2 = qq * qq
-    p2 = IntPolynomial([1, -2 * qq, q2]) * IntPolynomial(
-        [1, -c, qq * (a1 * a1 - 2 * c - 2 * qq), -q2 * c, q2 * q2])
+    m = qq * (a1 * a1 - 2 * c - 2 * qq)
+    e1, e2 = -c - 2 * qq, m + 2 * qq * c + q2
+    p2 = trusted((1, e1, e2, -2 * qq * (qq * c + m), q2 * e2, q2 * q2 * e1, q2 * q2 * q2))
     # products of three roots are q^2 / (single root): P3(t) = f(q^2 t) / f(0)
-    p3 = IntPolynomial([1] + [a * qq ** (2 * i - 2) for i, a in enumerate(f.coeffs) if i])
-    p4 = IntPolynomial([1, -q2])
-    return [p0, p1, p2, p3, p4]
+    p3 = trusted((1,) + tuple(a * qq ** (2 * i - 2) for i, a in enumerate(f.coeffs) if i))
+    return [p0, p1, p2, p3, trusted((1, -q2))]

@@ -509,6 +509,18 @@ def point_count_by_power_sums(w: WeilDescriptor, r: int) -> int:
     return n
 
 
+def p2_by_product(w: WeilDescriptor) -> IntPolynomial:
+    """P_2 of a surface as the library built it before it expanded the
+    product: (1 - q t)^2 (1 - c t + m t^2 - q^2 c t^3 + q^4 t^4), with
+    (a1, c) read off f = t^4 + a1 t^3 + (c + 2q) t^2 + ... and
+    m = q (a1^2 - 2c - 2q), multiplied out by IntPolynomial.__mul__."""
+    qq = w.q.q
+    a1, c = w.poly[3], w.poly[2] - 2 * qq
+    q2 = qq * qq
+    return IntPolynomial([1, -2 * qq, q2]) * IntPolynomial(
+        [1, -c, qq * (a1 * a1 - 2 * c - 2 * qq), -q2 * c, q2 * q2])
+
+
 def exterior_square_by_power_sums(w: WeilDescriptor) -> IntPolynomial:
     """P_2 = prod (1 - alpha_i alpha_j t) over i < j: the products
     alpha_i alpha_j have power sums (s_k^2 - s_2k) / 2."""

@@ -2,6 +2,7 @@ import pickle
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     classify_newton,
     evaluate,
     exterior_square_by_power_sums,
+    p2_by_product,
     brute_elliptic_traces,
     brute_quartic_is_irreducible,
     newton_slopes,
@@ -140,10 +142,31 @@ class TestEllipticOracle:
         for q in prime_powers_upto(2999):
             self.assert_enumeration_matches_oracle(q)
 
-    @pytest.mark.parametrize("qq", [99991, 3 ** 10, 2 ** 16, 99999989],
-                             ids=["99991", "3^10", "2^16", "99999989"])
+    # 2^25 and 3^15 have the ss-d traces +-sqrt(pq), 2^26 and 3^16 the
+    # ss-inseparable +-2 sqrt(q) at both ends of the list
+    @pytest.mark.parametrize("qq", [99991, 3 ** 10, 2 ** 16, 99999989,
+                                    2 ** 25, 2 ** 26, 3 ** 15, 3 ** 16],
+                             ids=["99991", "3^10", "2^16", "99999989",
+                                  "2^25", "2^26", "3^15", "3^16"])
     def test_enumeration_matches_oracle_at_large_q(self, qq):
         self.assert_enumeration_matches_oracle(PrimePower.from_q(qq))
+
+    def test_supersingular_step_is_asked_at_most_seven_times(self, monkeypatch):
+        # a supersingular trace is 0, +-r, +-2r or +-isqrt(pq) (Waterhouse), so
+        # enumerate_elliptic asks about at most seven b, however many
+        # multiples of p lie in the Weil interval
+        calls = []
+        case = weil._supersingular_case
+
+        def counting(*args):
+            calls.append(args)
+            return case(*args)
+
+        monkeypatch.setattr(weil, "_supersingular_case", counting)
+        for q in prime_powers_upto(2999) + [PrimePower.from_q(qq) for qq in (2 ** 16, 3 ** 10, 99991)]:
+            calls.clear()
+            enumerate_elliptic(q)
+            assert len(calls) <= 7, q
 
     def test_validation_matches_oracle(self):
         checked = 0
@@ -466,6 +489,30 @@ def test_point_count_matches_power_sums(w, r):
 @settings(max_examples=300, deadline=None)
 def test_p2_matches_exterior_square(w):
     assert abelian_zeta(w)[2] == exterior_square_by_power_sums(w)
+
+
+def test_p2_matches_the_product_below_200():
+    # every simple quartic class and every square class over every q < 200
+    cases = Counter()
+
+    def check(validate, *args):
+        try:
+            w = validate(*args)
+        except Rejected:
+            return
+        assert abelian_zeta(w)[2] == p2_by_product(w), w
+        cases[w.case] += 1
+
+    for q in prime_powers_upto(199):
+        qq, r = q.q, isqrt(q.q)
+        for a1, a2 in weil_box(qq):
+            check(validate_surface_simple, q, a1, a2)
+        for b, c0 in product((0, r, -r), (qq, -qq)):
+            check(validate_surface_square, q, IntPolynomial([c0, -b, 1]))
+    assert cases == {
+        "ordinary": 537607, "mixed": 7764, "ss-i": 47, "ss-ii": 9, "ss-iii": 51, "ss-iv": 49,
+        "ss-v": 8, "ss-vi": 16, "ss-vii": 4, "ss-viii": 8, "ss-square-odd": 51,
+        "ss-square-even-b0": 2, "ss-square-even-bsqrt": 4}
 
 
 def test_point_count_at_large_r_matches_closed_forms():
