@@ -76,8 +76,8 @@ _EVEN_TABLE = {g: _EVEN_ALWAYS if c is None else _even_row(
                for g, c in _CLAUSE.items() if order(g) > 2}
 
 # the groups of the even-degree classification; the M(2, H_p) embedding
-# condition derived from local degrees (brauer._embedding_condition) covers
-# the same groups, and column I reads as that condition
+# condition derived from local degrees (brauer._EMBEDDING) covers the
+# same groups, and column I reads as that condition
 EVEN_DEGREE_GROUPS = frozenset(_EVEN_TABLE)
 
 

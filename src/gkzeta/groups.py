@@ -3,16 +3,16 @@ fixed-point-collapsing actions: cyclic groups, binary dihedral groups,
 the binary tetrahedral/octahedral/icosahedral groups and a few
 characteristic-special extensions.
 
-All group facts are hardcoded, the rigid group algebras too: one table row
-each. Nothing checks them at run time: the structural checks (Sylow counts,
-torsion fixed points, the class equation) are in tests/test_groups.py, and
-the paper's construction of each algebra, with the checks on every row, is
-in tests/oracles.py.
+All group facts are hardcoded, the rigid group algebras too: one
+CSADescriptor each, built at import from its table row and stored as given,
+its ramified places in canonical order. Nothing checks them at run time: the
+structural checks (Sylow counts, torsion fixed points, the class equation)
+are in tests/test_groups.py, and the paper's construction of each algebra,
+with the checks on every row, is in tests/oracles.py.
 """
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
 
 from .numtheory import Value
 
@@ -138,37 +138,85 @@ CONFIG_GROUPS = tuple(g for g, f in _FACTS.items() if f.stabilizer_tables)
 
 
 # ---------------------------------------------------------------------------
-# rigid group algebras (Katsura 1987; Fujiki 1988): (center kind, center
-# parameter, degree, ramified places). C_n gives Q(zeta_n); Q_4n the
-# quaternion algebra H_infty(Q(zeta_2n)^+), which is H_2 or H_3 over Q for
-# n = 2, 3; ('inf', i) is the i-th real place, ('fin', p, 0) the place over p
+# rigid group algebras
+
+class FieldDesc(Value):
+    """A small number field: Q (param 0), Q(sqrt(param)) for a squarefree
+    param, or Q(zeta_param) for param >= 3, param != 2 mod 4."""
+
+    __slots__ = ()
+    _fields = ("kind", "param")  # kind: 'Q' | 'quad' | 'cyc'
+
+    def __str__(self):
+        if self.kind == "Q":
+            return "Q"
+        if self.kind == "quad":
+            return f"Q(sqrt({self.param}))"
+        return f"Q(zeta_{self.param})"
+
+
+class CSADescriptor(Value):
+    """A central simple algebra: center, degree, and the places where it
+    ramifies, each with local invariant 1/2 (the others have 0). A place is
+    ('inf', i), the i-th real place, or ('fin', p, j), the j-th place over p;
+    the real places come first, then the finite ones by (p, j).
+    """
+
+    __slots__ = ()
+    _fields = ("center", "degree", "ramified")
+
+    @property
+    def invariants(self) -> tuple:
+        """((place, Fraction(1, 2)), ...): the ramified places with their
+        invariants, for callers that do Q/Z arithmetic."""
+        from fractions import Fraction
+
+        return tuple((pl, Fraction(1, 2)) for pl in self.ramified)
+
+    def __str__(self):
+        if not self.ramified:
+            if self.degree == 1:
+                return str(self.center)
+            return f"M({self.degree}, {self.center})"
+        invs = ", ".join(f"{_place_str(pl)}: 1/2" for pl in self.ramified)
+        return f"CSA(center={self.center}, degree={self.degree}, inv={{{invs}}})"
+
+
+def _place_str(pl: tuple) -> str:
+    if pl[0] == "inf":
+        return "oo" if pl[1] == 0 else f"oo_{pl[1]}"
+    return str(pl[1]) if pl[2] == 0 else f"{pl[1]}_{pl[2]}"
+
+
+# the image of Q[G] acting on the rigid part (Katsura 1987; Fujiki 1988), by
+# (center kind, center parameter, degree, ramified places). C_n gives
+# Q(zeta_n); Q_4n the quaternion algebra H_infty(Q(zeta_2n)^+), which is H_2
+# or H_3 over Q for n = 2, 3; ('inf', i) is the i-th real place, ('fin', p, 0)
+# the place over p
 
 _H2, _H3, _H5 = ((("inf", 0), ("fin", p, 0)) for p in (2, 3, 5))  # H_p over Q
 _HINF = (("inf", 0), ("inf", 1))  # H_infty over a real quadratic field
 
+
+def _alg(kind, param, degree, ramified=()):
+    return CSADescriptor(FieldDesc(kind, param), degree, ramified)
+
+
 _RIGID = {
-    G.C2: ("Q", 0, 1, ()), G.C3: ("cyc", 3, 1, ()), G.C4: ("cyc", 4, 1, ()),
-    G.C5: ("cyc", 5, 1, ()), G.C6: ("cyc", 3, 1, ()), G.C8: ("cyc", 8, 1, ()),
-    G.C10: ("cyc", 5, 1, ()), G.C12: ("cyc", 12, 1, ()),
-    G.Q8: ("Q", 0, 2, _H2), G.Q12: ("Q", 0, 2, _H3), G.Q16: ("quad", 2, 2, _HINF),
-    G.Q20: ("quad", 5, 2, _HINF), G.Q24: ("quad", 3, 2, _HINF),
-    G.SL2F3: ("Q", 0, 2, _H2), G.ESL2F3: ("quad", 2, 2, _HINF),
-    G.SL2F5: ("quad", 5, 2, _HINF),
-    G.C5_C8: ("Q", 0, 4, _H5), G.C3_C8: ("cyc", 4, 2, ()), G.C3xQ8: ("cyc", 3, 2, ()),
-    G.C3_Q16: ("Q", 0, 4, _H3), G.ESL2F5: ("Q", 0, 4, _H5),
+    G.C2: _alg("Q", 0, 1), G.C3: _alg("cyc", 3, 1), G.C4: _alg("cyc", 4, 1),
+    G.C5: _alg("cyc", 5, 1), G.C6: _alg("cyc", 3, 1), G.C8: _alg("cyc", 8, 1),
+    G.C10: _alg("cyc", 5, 1), G.C12: _alg("cyc", 12, 1),
+    G.Q8: _alg("Q", 0, 2, _H2), G.Q12: _alg("Q", 0, 2, _H3),
+    G.Q16: _alg("quad", 2, 2, _HINF), G.Q20: _alg("quad", 5, 2, _HINF),
+    G.Q24: _alg("quad", 3, 2, _HINF),
+    G.SL2F3: _alg("Q", 0, 2, _H2), G.ESL2F3: _alg("quad", 2, 2, _HINF),
+    G.SL2F5: _alg("quad", 5, 2, _HINF),
+    G.C5_C8: _alg("Q", 0, 4, _H5), G.C3_C8: _alg("cyc", 4, 2), G.C3xQ8: _alg("cyc", 3, 2),
+    G.C3_Q16: _alg("Q", 0, 4, _H3), G.ESL2F5: _alg("Q", 0, 4, _H5),
 }
 
 
-@cache
-def rigid_algebra(g: GroupId):
-    """The image of Q[G] acting on the rigid part, as a brauer.CSADescriptor:
-    a field, a quaternion algebra, or a 2x2 matrix algebra over one of these.
-
-    Read from its _RIGID row on the first call per group, then shared: the
-    descriptor is frozen.
-    """
-    # imported here, so that importing groups does not load brauer
-    from .brauer import CSADescriptor, FieldDesc
-
-    kind, param, degree, ramified = _RIGID[g]
-    return CSADescriptor(FieldDesc(kind, param), degree, ramified)
+def rigid_algebra(g: GroupId) -> CSADescriptor:
+    """The image of Q[G] acting on the rigid part: a field, a quaternion
+    algebra, or a 2x2 matrix algebra over one of these."""
+    return _RIGID[g]

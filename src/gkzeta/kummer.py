@@ -217,9 +217,13 @@ def exceptional_charpoly(orbit: SingularOrbit) -> dict[int, int]:
 
     A trivial-action orbit of degree d contributes phi(r) at each r | d for
     every node of one fiber; a rational chain-flip on A_m splits into
-    ceil(m/2) invariant classes and floor(m/2) swapped pairs.
+    ceil(m/2) invariant classes and floor(m/2) swapped pairs. An orbit of
+    more than 22 nodes is rejected before its degree is factored.
     """
     _check_action(orbit)
+    if orbit.nodes > 22:
+        raise Rejected("an orbit has more than 22 exceptional nodes",
+                       "rank NS(X) <= b_2(X) = 22")
     out: dict[int, int] = {}
     if orbit.graph_action == "trivial":
         for r in divisors(orbit.degree):

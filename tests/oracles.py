@@ -11,10 +11,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from gkzeta.brauer import CSADescriptor, FieldDesc
 from gkzeta.errors import Rejected
 from gkzeta.existence import ExistenceVerdict
-from gkzeta.groups import GroupId as G, order, rigid_algebra
+from gkzeta.groups import CSADescriptor, FieldDesc, GroupId as G, order, rigid_algebra
 from gkzeta.numtheory import (
     Condition,
     IntPolynomial,

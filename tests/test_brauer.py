@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -228,3 +231,52 @@ class TestLocalDegreeOracle:
             errors.append(info.value)
         assert errors[0] is not errors[1]
         assert errors[0].reason == errors[1].reason == "Q is not among the tabulated embedding rows"
+
+
+# run in a fresh interpreter, prints every rigid algebra and every embedding
+# answer (the value's repr or the error) as JSON; with the argument "stub" it
+# first replaces the types they are built from by stubs that raise
+BUILT_ONCE_PROBE = """
+import json, sys
+from gkzeta import brauer, groups, numtheory
+from gkzeta.groups import GroupId
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a per-group value was built during a call")
+
+if sys.argv[1:] == ["stub"]:
+    for module in (numtheory, groups, brauer):
+        for name in ("FieldDesc", "CSADescriptor", "Condition"):
+            if hasattr(module, name):
+                setattr(module, name, refuse)
+
+def answer(f, *args):
+    try:
+        return repr(f(*args))
+    except ValueError as exc:  # Rejected included
+        return f"{type(exc).__name__}: {exc}"
+
+print(json.dumps([answer(groups.rigid_algebra, g) for g in GroupId]
+                 + [answer(brauer.rigid_embeds_in_m2hp, g, p)
+                    for g in GroupId for p in (2, 3, 5, 7, 10007)]))
+"""
+
+
+def _built_once_probe(*args):
+    from test_startup import environment
+
+    done = subprocess.run([sys.executable, "-c", BUILT_ONCE_PROBE, *args], env=environment(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_nothing_per_group_is_built_per_call():
+    # each algebra and each condition is built at import: with the types
+    # that build them refusing, every call answers or rejects as before
+    want = _built_once_probe()
+    answers = json.loads(want)
+    assert len(answers) == len(G) * 6
+    assert {"True", "False"} <= set(answers)
+    assert sum(a.startswith("Rejected: ") for a in answers) == 6 * 5
+    assert _built_once_probe("stub") == want

@@ -89,7 +89,7 @@ class TestEvenDegree:
     def test_embedding_condition_is_column_one(self, g):
         # the condition derived from the algebra's center, against the one
         # derived from the element orders: equal texts decide alike at every p
-        cond = brauer._embedding_condition(g)
+        cond = brauer._EMBEDDING[g]
         if g in EVEN_DEGREE_GROUPS:
             row = _EVEN_TABLE[g]
             assert str(cond) == ("any p" if row is existence._EVEN_ALWAYS else str(row[0]))

@@ -136,6 +136,20 @@ class TestExceptionalCharpoly:
         with pytest.raises(Rejected):
             exceptional_charpoly(SingularOrbit(ADEType("A", 3), 2, 2, "chain-flip"))
 
+    def test_more_than_22_nodes_rejected_before_expansion(self):
+        # the divisors of 10^24 are never listed: the node count is checked first
+        from test_cli import deadline
+
+        assert exceptional_charpoly(SingularOrbit(ADEType("A", 1), 22, 1, "trivial")) == {1: 22}
+        big = 10 ** 24
+        for orbit in (SingularOrbit(ADEType("A", 1), big, big, "trivial"),
+                      SingularOrbit(ADEType("A", 1), 23, 1, "trivial"),
+                      SingularOrbit(ADEType("A", 23), 1, 1, "chain-flip")):
+            with deadline(1), pytest.raises(Rejected) as exc:
+                exceptional_charpoly(orbit)
+            assert exc.value.reason == "an orbit has more than 22 exceptional nodes"
+            assert exc.value.citation == "rank NS(X) <= b_2(X) = 22"
+
 
 class TestInvariantPart:
     def test_cyclic(self):

@@ -4,8 +4,8 @@ The import-graph guard keeps `import gkzeta.cli` light: it loads neither
 dataclasses, inspect, fractions nor json, and no layer besides errors and
 numtheory; each subcommand then loads only the layers it uses, and neither
 dataclasses, inspect nor fractions (the value types' constructors are
-compiled without the first two; brauer's two types store an algebra's table
-row as given, its ramified places each with invariant 1/2, and weil prints
+compiled without the first two; groups' two algebra types store an algebra's
+table row as given, its ramified places each with invariant 1/2, and weil prints
 its slopes as text, so no Fraction is built), and json only for --json. The smoke test runs one
 golden argv per subcommand through `python -m gkzeta.cli`, which catches
 import-order and circular-import faults that the in-process golden replay,
@@ -83,7 +83,7 @@ LOADS = (
     (["sing-config", "--group", "Q8"], ["groups", "kummer"]),
     (["exists", "--group", "C8", "--p", "7"], ["existence", "groups"]),
     (["embed-check", "--group", "C8", "--p", "7"], ["brauer", "groups"]),
-    (["tables", "--which", "rigidalg"], ["brauer", "groups"]),
+    (["tables", "--which", "rigidalg"], ["groups"]),
     (["selftest"], ["brauer", "existence", "groups", "kummer"]),
 )
 
@@ -95,7 +95,7 @@ BRANCH_LOADS = (
     (["tables", "--which", "sing"], ["groups", "kummer"]),
     (["tables", "--which", "sszeta1"], ["groups", "kummer"]),
     (["tables", "--which", "sszeta2", "--p", "3"], ["groups", "kummer"]),
-    (["tables", "--which", "alginj", "--p", "7"], ["brauer", "existence", "groups"]),
+    (["tables", "--which", "alginj", "--p", "7"], ["brauer", "groups"]),
 )
 
 

@@ -19,10 +19,9 @@ import pytest
 
 import gkzeta
 from gkzeta import cli
-from gkzeta.brauer import CSADescriptor, FieldDesc
 from gkzeta.errors import Rejected
 from gkzeta.existence import ExistenceVerdict, WeilOption
-from gkzeta.groups import GroupFacts, GroupId as G, StabilizerTable
+from gkzeta.groups import CSADescriptor, FieldDesc, GroupFacts, GroupId as G, StabilizerTable
 from gkzeta.kummer import (
     ADEType,
     NSCharPoly,
