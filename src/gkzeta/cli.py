@@ -182,7 +182,7 @@ def cmd_exists(args):
         return query, {
             "verdict": {"rigid": v.exists_rigid, "symplectic": v.exists_rigid_symplectic},
             "conditions": [{"condition": t, "holds": val} for t, val in v.conditions],
-            "weil_options": [{"shape": o.shape, "poly": str(o.poly) if o.poly else None,
+            "weil_options": [{"shape": o.shape, "poly": str(o.poly) if o.poly is not None else None,
                               "condition": o.condition, "satisfied": o.satisfied}
                              for o in v.weil_options]}
     return query, [

@@ -164,8 +164,8 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     if order(g) % p == 0:
         raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
 
-    opts = [WeilOption(shape, IntPolynomial([qq * qq, 0, u * qq, 0, 1]), str(cond), cond.holds(p))
-            for shape, u, cond in _ODD_TABLE.get(g, ())]
+    opts = [WeilOption(shape, IntPolynomial._trusted((qq * qq, 0, u * qq, 0, 1)), str(cond),
+                       cond.holds(p)) for shape, u, cond in _ODD_TABLE.get(g, ())]
     special_groups, shape = _SPECIAL_SHAPES.get(p, ((), ""))
     if g in special_groups:
         opts.append(WeilOption(shape, None, f"p = {p} (shape stated ambiguously)", None))

@@ -23,8 +23,8 @@ from .numtheory import (
 )
 
 G = GroupId
-_new = tuple.__new__  # builds a value from the tuple of its fields
-_ONE_MINUS_T = (_new(IntPolynomial, ((1, -1),)), 1)  # k3_zeta's factor (1 - t), shared
+_new = tuple.__new__  # builds a value from its fields, a polynomial from its coefficients
+_ONE_MINUS_T = (_new(IntPolynomial, (1, -1)), 1)  # k3_zeta's factor (1 - t), shared
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,8 @@ def assemble_ns(orbits, h_part: dict) -> NSCharPoly:
         _check_action(orbit)
     n = sum(h_part.values()) + sum(orbit.nodes for orbit in orbits)
     if n != 22:
+        if abs(n) >= 10 ** 2000:  # str(n) could pass CPython's 4300-digit limit
+            raise Rejected("|total degree| >= 10^2000, not 22", "rank NS(X) = b_2(X) = 22")
         raise Rejected(f"total degree {n} != 22")
     total = dict(h_part)
     for orbit in orbits:
@@ -329,8 +331,8 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
         _, phi, c = _ORDERS[r]
         while len(powers) <= phi:
             powers.append(powers[-1] * qq)
-        factors.append((_new(IntPolynomial, (tuple(map(mul, c, powers)),)), d // phi))
-    factors.append((_new(IntPolynomial, ((1, -powers[2]),)), 1))
+        factors.append((_new(IntPolynomial, map(mul, c, powers)), d // phi))
+    factors.append((_new(IntPolynomial, (1, -powers[2])), 1))
     return _new(ZetaFunction, (tuple(factors),))
 
 

@@ -124,7 +124,8 @@ def divisors(n: int) -> list[int]:
 
 class Value(tuple):
     """Base of the library's immutable value types: a value is the tuple of its
-    fields, built by one tuple.__new__ call.
+    fields, built by one tuple.__new__ call. The one exception is IntPolynomial,
+    which is the tuple of its coefficients and has no named fields.
 
     A subclass names its fields in order in _fields and sets __slots__ = (),
     so that its instances have no __dict__. When the class is created, Value
@@ -306,58 +307,56 @@ class Condition:
 # integer polynomials
 
 class IntPolynomial(Value):
-    """Dense integer polynomial, coefficients constant-term first.
-
-    The coefficient tuple never has a trailing zero.
+    """Dense integer polynomial: the tuple of its coefficients, constant term
+    first, with no trailing zero (the zero polynomial is the empty tuple). Its
+    entries are not named fields: coeffs is the bare tuple, and p[i] is the
+    coefficient of t^i, 0 for every i outside range(len(p)), negative i too.
     """
 
     __slots__ = ()
-    _fields = ("coeffs",)
+    _fields = ()
+    coeffs = property(tuple, doc="The coefficients as a bare tuple.")
 
     def __new__(cls, coeffs):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        return tuple.__new__(cls, (tuple(int(c) for c in cs),))
+        return tuple.__new__(cls, map(int, cs))
 
-    # -- constructors ------------------------------------------------------
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(coeffs={tuple(self)!r})"
+
+    def __reduce__(self):
+        return self.__class__, (tuple(self),)
 
     @classmethod
-    def _trusted(cls, coeffs: tuple) -> "IntPolynomial":
-        """Wrap a tuple of ints whose last entry is nonzero, unnormalized."""
-        return tuple.__new__(cls, (coeffs,))
-
-    # -- structure ---------------------------------------------------------
+    def _trusted(cls, coeffs) -> "IntPolynomial":
+        """Wrap ints whose last one is nonzero, unnormalized."""
+        return tuple.__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self[self.degree] == 1  # the zero polynomial reads 0 at degree -1
 
     def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    # -- arithmetic --------------------------------------------------------
+        return tuple.__getitem__(self, i) if 0 <= i < len(self) else 0
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self) + len(other) - 1) if self and other else []
+        for i, a in enumerate(self):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    # -- printing ----------------------------------------------------------
 
     def format(self, ascending: bool = False) -> str:
         """The polynomial in t, highest power first, or constant term first
         (the usual zeta convention) when ascending."""
-        powers = range(len(self.coeffs)) if ascending else range(self.degree, -1, -1)
         terms = []
-        for i in powers:
-            a = self.coeffs[i]
+        for i, a in enumerate(self):
             if a == 0:
                 continue
             mag = "" if abs(a) == 1 and i else str(abs(a))
@@ -365,7 +364,7 @@ class IntPolynomial(Value):
             terms.append(("- " if a < 0 else "+ ") + term)
         if not terms:
             return "0"
-        out = " ".join(terms)
+        out = " ".join(terms if ascending else reversed(terms))
         return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __str__(self):
@@ -414,4 +413,4 @@ def cyclotomic(r: int) -> IntPolynomial:
         elif mu == -1:  # divided by (1 - t^d), i.e. times 1 + t^d + t^2d + ...
             for i in range(d, n + 1):
                 c[i] += c[i - d]
-    return IntPolynomial._trusted(tuple(c))
+    return IntPolynomial._trusted(c)

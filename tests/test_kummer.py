@@ -150,6 +150,20 @@ class TestExceptionalCharpoly:
             assert exc.value.reason == "an orbit has more than 22 exceptional nodes"
             assert exc.value.citation == "rank NS(X) <= b_2(X) = 22"
 
+    def test_unprintable_total_degree_rejected(self):
+        # str() of an int of more than 4300 digits raises a bare ValueError
+        from test_cli import deadline
+
+        for orbits, h_part in (([SingularOrbit(ADEType("A", 1), 10 ** 5000, 1, "trivial")], {}),
+                               ([], {1: -10 ** 5000})):
+            with deadline(1), pytest.raises(Rejected) as exc:
+                assemble_ns(orbits, h_part)
+            assert exc.value.reason == "|total degree| >= 10^2000, not 22"
+            assert exc.value.citation == "rank NS(X) = b_2(X) = 22"
+        with pytest.raises(Rejected) as exc:
+            assemble_ns([SingularOrbit(ADEType("A", 1), 10 ** 1999, 1, "trivial")], {})
+        assert exc.value.reason == f"total degree {10 ** 1999} != 22"
+
 
 class TestInvariantPart:
     def test_cyclic(self):

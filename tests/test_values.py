@@ -1,5 +1,6 @@
 """The contract of the library's value types (subclasses of numtheory.Value,
-each a tuple of its fields): construction by position and by keyword with
+each a tuple of its fields, except IntPolynomial, the tuple of its
+coefficients): construction by position and by keyword with
 every field required, a signature that lists the fields, equality and hash by
 class and fields (never equal to a bare tuple), no order, no __dict__, no
 assignment or deletion, literal reprs, copies and pickles, the validation that
@@ -9,6 +10,7 @@ and one way to build a value, tuple.__new__ over its fields, with the
 accessors of a collections.namedtuple."""
 import ast
 import copy
+import gc
 import glob
 import inspect
 import os
@@ -29,9 +31,18 @@ from gkzeta.kummer import (
     SingularOrbit,
     TraceRow,
     ZetaFunction,
+    k3_zeta,
+    parse_zeta_notation,
+    trace_table,
 )
 from gkzeta.numtheory import Condition, IntPolynomial, PrimePower, Value
-from gkzeta.weil import WeilDescriptor, enumerate_elliptic, validate_elliptic
+from gkzeta.weil import (
+    WeilDescriptor,
+    abelian_zeta,
+    enumerate_elliptic,
+    validate_elliptic,
+    validate_surface_simple,
+)
 
 from oracles import make_csa, make_field
 
@@ -103,7 +114,9 @@ def test_construction_needs_exactly_the_fields(cls, fields, change):
 @parametrize
 def test_signature_lists_the_fields(cls, fields, change):
     params = inspect.signature(cls).parameters.values()
-    assert [p.name for p in params] == list(cls._fields) == list(fields)
+    assert [p.name for p in params] == list(fields)
+    # an IntPolynomial is the tuple of its coefficients, which are not named fields
+    assert list(cls._fields) == ([] if cls is IntPolynomial else list(fields))
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     assert all(p.default is p.empty for p in params)
 
@@ -194,9 +207,12 @@ def test_one_construction_path():
     values = [cls(**fields) for cls, fields, _ in CASES] + [
         IntPolynomial._trusted((7, 0, 1)), PrimePower.from_q(17 ** 3), enumerate_elliptic(q)[0]]
     for v in values:
-        assert tuple(v) == tuple(getattr(v, f) for f in v._fields)
+        if type(v) is IntPolynomial:
+            assert tuple(v) == v.coeffs
+        else:
+            assert tuple(v) == tuple(getattr(v, f) for f in v._fields)
     for v in values + [Condition("p > 2")]:
-        for f in getattr(v, "_fields", v.__slots__):
+        for f in ("coeffs",) if type(v) is IntPolynomial else getattr(v, "_fields", v.__slots__):
             with pytest.raises(AttributeError):
                 setattr(v, f, getattr(v, f))
             with pytest.raises(AttributeError):
@@ -272,6 +288,67 @@ def test_construction_normalizes():
     assert make_csa(q, 2, list(places)) == make_csa(q, 2, places)
     assert NSCharPoly(((2, 2), (1, 20))).parts == ((1, 20), (2, 2))
     assert IntPolynomial([1, True, 0, 0]).coeffs == (1, 1)
+
+
+def _library_polynomials():
+    """Every class of enumerate_elliptic at a prime q and at three prime
+    powers, every factor of abelian_zeta over those fields, on each class and
+    on some simple surfaces, and every factor of k3_zeta on each trace row."""
+    for q in (99991, 2 ** 16, 3 ** 10, 313 ** 2):
+        pp = PrimePower.from_q(q)
+        classes = enumerate_elliptic(pp)
+        for a1 in range(-3, 4):
+            for a2 in range(-3, 4):
+                try:
+                    classes.append(validate_surface_simple(pp, a1, a2))
+                except Rejected:
+                    pass
+        assert any(w.dim == 2 for w in classes)
+        for w in classes:
+            yield w.poly
+            yield from abelian_zeta(w)
+        for row in trace_table("even") + trace_table("odd"):
+            yield from (f for f, _ in k3_zeta(pp, parse_zeta_notation(row.notation)).denominator)
+
+
+def test_a_polynomial_holds_its_coefficients_directly():
+    """Each polynomial the library builds is one tracked object: besides its
+    class, it refers to its coefficient ints and to no inner tuple."""
+    for poly in _library_polynomials():
+        assert type(poly) is IntPolynomial
+        held = [r for r in gc.get_referents(poly) if r is not IntPolynomial]
+        assert all(type(r) is int for r in held), poly
+        assert sorted(held, key=id) == sorted(poly.coeffs, key=id)
+
+
+@pytest.mark.parametrize("coeffs, at", [
+    ((7, 0, 1), [0, 0, 0, 7, 0, 1, 0, 0, 0, 0]),
+    ((1, -1), [0, 0, 0, 1, -1, 0, 0, 0, 0, 0]),
+    ((10 ** 30, 3, -2, 0, 1), [0, 0, 0, 10 ** 30, 3, -2, 0, 1, 0, 0]),
+    ((), [0] * 10),
+])
+def test_polynomial_value_semantics(coeffs, at):
+    P = IntPolynomial(coeffs)
+    assert type(P.coeffs) is tuple and P.coeffs == coeffs
+    assert hash(P) == hash(P.coeffs)
+    assert P != P.coeffs and P.coeffs != P and not P == P.coeffs and not P.coeffs == P
+    assert repr(P) == f"IntPolynomial(coeffs={coeffs!r})"
+    for c in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+        assert type(c) is IntPolynomial and c == P and repr(c) == repr(P)
+    with pytest.raises(AttributeError):
+        P.coeffs = coeffs
+    with pytest.raises(AttributeError):
+        del P.coeffs
+    # p[i] is the coefficient of t^i, and 0 outside range(len(p)), negative i included
+    assert [P[i] for i in range(-3, 7)] == at
+
+
+def test_zero_polynomial():
+    zero, t = IntPolynomial([]), IntPolynomial([0, 1])
+    assert zero == IntPolynomial([0, 0]) and zero.coeffs == ()
+    assert str(zero) == "0" and zero.format(ascending=True) == "0"
+    assert zero.degree == -1 and not zero.is_monic()
+    assert zero * t == zero and t * zero == zero
 
 
 @pytest.mark.parametrize("make, exc, text", [
