@@ -11,7 +11,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 
 # ---------------------------------------------------------------------------
@@ -26,38 +26,36 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         3825123056546413051, 3825123056546413051, 318665857834031151167461,
         3317044064679887385961981)
 _MR_BOUND = _PSI[-1]
-_TRIAL = (2, 3, 5, 7, 11, 13)
-# Below _ONE_BASE_BOUND the one base _ONE_BASE, reduced mod n, decides every
-# n that passes the trial division: 341531 = 239 * 1429 is the least strong
-# pseudoprime to it (checked against a sieve by the tests).
-_ONE_BASE = 9345883071009581737  # = 47 * 98207 * 2024790248953
-_ONE_BASE_BOUND = 341531
+# the 106 primes below 587, the odd numbers less the odd multiples of each odd
+# d < 25 from d^2 on, and 2; their product, a 785-bit primorial, is the
+# trial division of is_prime and PrimePower.from_q in one gcd
+_SMALL_PRIMES = frozenset(range(3, 587, 2)).difference(
+    *(range(d * d, 587, 2 * d) for d in range(3, 25, 2))) | {2}
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, proven for all n < 3317044064679887385961981
     (about 3.317e24).
 
-    Below 341531, n is tested to the one base 9345883071009581737 mod n,
-    which takes one modular power. Above, n is tested to the first k + 1
-    prime bases 2, 3, 5, ..., 41, where k counts the psi_j <= n: below
-    psi_{k+1}, the least strong pseudoprime to the first k + 1 prime bases,
-    those bases decide (OEIS A014233; Jaeschke, Math. Comp. 61, 1993;
+    If gcd(n, _PRIMORIAL) > 1, n is prime iff it is one of the primes below
+    587; else an n < 587^2 is prime. From 587^2 on, n is tested to the
+    first k + 1 prime bases 2, 3, 5, ..., 41, where k counts the psi_j <= n:
+    below psi_{k+1}, the least strong pseudoprime to the first k + 1 prime
+    bases, those bases decide (OEIS A014233; Jaeschke, Math. Comp. 61, 1993;
     Sorenson-Webster, Math. Comp. 86, 2017). A False answer is a proof at
     any size; at or above the bound, an n that passes all 13 bases raises
     ValueError.
     """
     if n < 2:
         return False
-    if gcd(n, 30030) > 1:  # 30030 = 2 * 3 * 5 * 7 * 11 * 13, the primes of _TRIAL
-        return n in _TRIAL
+    if gcd(n, _PRIMORIAL) > 1:
+        return n in _SMALL_PRIMES
+    if n < 344569:  # 587^2
+        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    # n > 13 here, so every base of _MR_BASES is below n. The one base is
-    # 0 mod n only for n = 47 and 98207, which divide it and are prime; base 1
-    # takes their place, and every n passes it.
-    for a in ((_ONE_BASE % n or 1,) if n < _ONE_BASE_BOUND
-              else _MR_BASES[:bisect_right(_PSI, n) + 1]):
+    for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -197,29 +195,31 @@ class PrimePower(Value):
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
-        """q = p^n. If a prime of _TRIAL divides q, q is a prime power iff
-        it is a power of that prime. Otherwise every prime factor of q is at
-        least 17, and n is found one prime exponent l at a time: for
-        l = 2, 3, 5, ... below a quarter of the root's bit length, the root
+        """q = p^n. One gcd of q with the product of the primes below 587
+        tries them all: if it is above 1, q is a prime power iff the gcd is one
+        of those primes and q is a power of it. Otherwise every prime factor
+        of q is at least 587, and n is found one prime exponent l at a time:
+        for l = 2, 3, 5, ... below a ninth of the root's bit length, the root
         (q at first) is replaced by its l-th root while that root is exact.
         q is a prime power iff the last root is prime. That is one integer
-        root per prime below log2(q) / 4, plus one per prime factor of n,
+        root per prime below log2(q) / 9, plus one per prime factor of n,
         and one is_prime; a root of more than 256 bits is first sieved
         (_is_power_residue), and a last root at or above _MR_BOUND, which
         is_prime cannot prove prime, is refused before any power."""
         if q < 1:
             raise ValueError(f"{q} is not a positive integer")
-        for p in _TRIAL:
-            if q % p == 0:
+        p = gcd(q, _PRIMORIAL)
+        if p > 1:
+            if p in _SMALL_PRIMES:
                 root, n = q // p, 1
                 while root % p == 0:
                     root, n = root // p, n + 1
                 if root == 1:
-                    return cls(p, n)
-                raise ValueError(f"{q} is not a prime power")
+                    return tuple.__new__(cls, (p, n))
+            raise ValueError(f"{q} is not a prime power")
         root, n, l = q, 1, 2
-        # an l-th power of an integer of at least 17 has more than 4 l bits
-        while 4 * l < root.bit_length():
+        # an l-th power of an integer of at least 587 > 2^9 has more than 9 l bits
+        while 9 * l < root.bit_length():
             if root.bit_length() <= 256 or _is_power_residue(root, l):
                 r = iroot(root, l)
                 if r ** l == root:

@@ -904,6 +904,39 @@ def rigid_embeds_by_invariants(g, p: int) -> bool:
     raise Rejected(f"{alg} is not among the tabulated embedding rows")
 
 
+def end0_embeds(alg: CSADescriptor, f: IntPolynomial, q: PrimePower) -> bool:
+    """Does alg embed in End^0_{F_q}(A), for the abelian surface A over F_q,
+    q an odd power of a prime p >= 5, whose Frobenius polynomial f is a shape
+    t^4 + u q t^2 + q^2 of the odd-degree table? End^0 is read off f alone
+    (Tate, Invent. Math. 2, 1966; Honda-Tate):
+
+    - f = (t^2 - q)^2: Q(pi) = Q(sqrt(p)) is real and p ramifies in it, so A
+      is simple and End^0 is the quaternion algebra over Q(sqrt(p)) ramified
+      exactly at its two real places;
+    - f = (t^2 + q)^2: Q(pi) = Q(sqrt(-p)), A ~ E^2 and End^0 = M_2(Q(sqrt(-p)));
+    - u = 0, 1 or -1: pi^2 / q is a primitive 4th, 3rd or 6th root of unity,
+      so Q(pi) contains Q(zeta_4) or Q(zeta_3).
+
+    A quadratic field embeds in both squares. A rational quaternion algebra
+    H_{l,oo} embeds in a square's End^0, of the same dimension 8 over Q, iff
+    H_{l,oo} tensor Q(sqrt(+-p)) is End^0: iff l does not split in
+    Q(sqrt(+-p)).
+    """
+    p, qq = q.p, q.q
+    if p < 5 or q.n % 2 == 0:
+        raise ValueError("only odd powers of a prime p >= 5")
+    u = f[2] // qq
+    if f.coeffs != (qq * qq, 0, u * qq, 0, 1) or abs(u) > 2:
+        raise ValueError(f"{f} is not a shape of the odd-degree table")
+    c = alg.center
+    if alg.degree == 1 and c.kind == "cyc" and c.param in (3, 4):
+        return abs(u) == 2 or c == cyclotomic_field(4 if u == 0 else 3)
+    if alg.degree == 2 and c == rationals() and abs(u) == 2:
+        (l,) = [pl[1] for pl in alg.ramified if pl[0] == "fin"]
+        return splitting_in_quadratic(l, -u // 2 * p) != "split"
+    raise ValueError(f"{alg} with {f} is not a case of the odd-degree table")
+
+
 # ---------------------------------------------------------------------------
 # element orders of the stabilizer types, and the class equation of a
 # stabilizer table

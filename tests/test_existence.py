@@ -15,9 +15,15 @@ from gkzeta.existence import (
 from gkzeta.groups import CONFIG_GROUPS, GroupId as G, facts, order, rigid_algebra
 from gkzeta.kummer import trace_table
 from gkzeta.numtheory import PrimePower, is_prime
-from oracles import fresh_even_verdict, fresh_prime_field_verdict, fresh_refinement_verdict
+from oracles import (
+    end0_embeds,
+    fresh_even_verdict,
+    fresh_prime_field_verdict,
+    fresh_refinement_verdict,
+)
 
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
+PRIMES_5_TO_2000 = [p for p in range(5, 2000) if is_prime(p)]
 
 EVEN_TABLE_LITERAL = {
     # group -> (column I predicate, column II predicate)
@@ -169,6 +175,49 @@ class TestOddDegree:
         assert v.exists_rigid is False
         v = exists_over_odd_degree(G.C8, PrimePower(7, 1))
         assert v.exists_rigid is False
+
+    @staticmethod
+    def _end0_comparisons():
+        # (group, p, n, shape, satisfied, End^0 oracle) for every option of
+        # every group at every prime 5 <= p < 2000, n in {1, 3}
+        out = []
+        for g in G:
+            for p in PRIMES_5_TO_2000:
+                for n in (1, 3):
+                    q = PrimePower(p, n)
+                    try:
+                        v = exists_over_odd_degree(g, q)
+                    except Rejected:
+                        continue
+                    alg = rigid_algebra(g)
+                    out += [(g, p, n, o.shape, o.satisfied, end0_embeds(alg, o.poly, q))
+                            for o in v.weil_options]
+        return out
+
+    def test_options_match_end0_except_q12(self):
+        """Each option's condition holds iff the group's rigid algebra embeds
+        in End^0 of the surface with that Frobenius polynomial, which Tate's
+        theorem and Honda-Tate give from the polynomial alone
+        (oracles.end0_embeds), for every group but Q12."""
+        rows = [r for r in self._end0_comparisons() if r[0] is not G.Q12]
+        assert {r[0] for r in rows} == {G.C3, G.C4, G.C6, G.Q8, G.SL2F3}
+        assert [r for r in rows if r[4] is not r[5]] == []
+
+    def test_q12_options_are_the_negation_of_end0(self):
+        """The Q12 row reads swapped against End^0 at every p, both shapes.
+        Q12 acts through H_{3,oo}, which embeds in End^0 of (t^2 - q)^2, the
+        quaternion algebra over Q(sqrt(p)) ramified at its two real places,
+        iff 3 does not split in Q(sqrt(p)), i.e. iff p != 1 mod 3; and in
+        End^0 = M_2(Q(sqrt(-p))) of (t^2 + q)^2 iff 3 does not split in
+        Q(sqrt(-p)), i.e. iff p != 2 mod 3. The row says p != 2 mod 3 and
+        p != 1 mod 3. The yes/no answer is the same, since exactly one option
+        holds either way; which option is printed as available is not. The
+        row is kept as the paper's table is typed here until the source can
+        be checked; this pins the disagreement exactly, so that any other
+        change to the row or the oracle fails."""
+        rows = [r for r in self._end0_comparisons() if r[0] is G.Q12]
+        assert len(rows) == len(PRIMES_5_TO_2000) * 2 * 2
+        assert [r for r in rows if r[4] is not (not r[5])] == []
 
     def test_preconditions(self):
         with pytest.raises(Rejected):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +12,9 @@ from gkzeta.numtheory import (
     cyclotomic,
     divisors,
     _MR_BOUND,
-    _ONE_BASE,
-    _ONE_BASE_BOUND,
+    _PRIMORIAL,
     _PSI,
+    _SMALL_PRIMES,
     _is_power_residue,
     euler_phi,
     iroot,
@@ -99,20 +99,26 @@ class TestPrimes:
                     assert is_prime(n) == prime, k
 
     def test_a_multiple_of_a_trial_prime_takes_no_power(self, monkeypatch):
-        # the trial division by 2, 3, 5, 7, 11 and 13 answers before any
-        # Miller-Rabin power, however large n is
+        # the gcd with the product of the 106 primes below 587 answers before
+        # any Miller-Rabin power, however large n is
         def no_power(*args):
             raise AssertionError(f"Miller-Rabin power {args}")
 
         monkeypatch.setattr(numtheory, "pow", no_power, raising=False)
-        for p in (2, 3, 5, 7, 11, 13):
+        for p in sorted(_SMALL_PRIMES):
             assert is_prime(p)
             for m in (17, 19 * 23, 10 ** 30 + 1, 2 ** 14000 + 1):
                 assert not is_prime(p * m), (p, m)
 
-    def test_one_power_below_the_one_base_bound(self, monkeypatch):
-        # every n < 341531 that passes the trial division is decided by one
-        # Miller-Rabin power, to the one base _ONE_BASE mod n
+    def test_small_primes_are_the_primes_below_587(self):
+        sieve = prime_sieve(600)
+        assert _SMALL_PRIMES == {n for n in range(587) if sieve[n]} and len(_SMALL_PRIMES) == 106
+        assert sieve[587] and is_prime(587)
+        assert _PRIMORIAL == prod(sorted(_SMALL_PRIMES))
+        assert _PRIMORIAL.bit_length() == 785
+
+    @staticmethod
+    def _counting_pow(monkeypatch):
         calls = []
 
         def counting(*args):
@@ -120,22 +126,24 @@ class TestPrimes:
             return pow(*args)
 
         monkeypatch.setattr(numtheory, "pow", counting, raising=False)
-        assert _ONE_BASE_BOUND == 341531
-        for n in range(17, _ONE_BASE_BOUND):
-            if gcd(n, 30030) == 1:
-                calls.clear()
-                is_prime(n)
-                assert len(calls) == 1, n
+        return calls
 
-    def test_least_pseudoprime_to_the_one_base(self):
-        assert _ONE_BASE_BOUND == 239 * 1429
-        assert not is_prime(341531)
+    def test_no_power_below_587_squared(self, monkeypatch):
+        # an n < 587^2 with no prime factor below 587 is prime: the gcd decides
+        calls = self._counting_pow(monkeypatch)
+        for n in range(2, 587 ** 2):
+            is_prime(n)
+        assert calls == []
 
-    def test_primes_dividing_the_one_base(self):
-        # the base is 0 mod n for these two; a zero base would call them composite
-        assert _ONE_BASE == 47 * 98207 * 2024790248953
-        assert is_prime(47)
-        assert is_prime(98207)
+    def test_587_squared_takes_the_miller_rabin_prefix(self, monkeypatch):
+        # 587^2 is the least composite with no prime factor below 587; from it
+        # on n is tested to the bases 2 and 3 (psi_1 = 2047 <= n < psi_2)
+        calls = self._counting_pow(monkeypatch)
+        assert not is_prime(587 ** 2) and 587 ** 2 == 344569
+        assert [(a, n) for a, _, n in calls] == [(2, 344569)]
+        calls.clear()
+        assert is_prime(344587)
+        assert [(a, n) for a, _, n in calls] == [(2, 344587), (3, 344587)]
 
     def test_matches_sieve_below_10_6(self):
         sieve = prime_sieve(10 ** 6)
@@ -176,6 +184,13 @@ class TestPrimePowerByRoots:
         assert [q for q in qs if _outcome(PrimePower.from_q, q)
                 != _outcome(prime_power_by_factorization, q)] == []
 
+    def test_matches_factorization_with_a_small_prime_from_17(self):
+        # q = p^k m with 17 <= p < 587: the gcd with the primorial decides q
+        qs = [p ** k * m for p in sorted(_SMALL_PRIMES) if p >= 17 for k in (1, 2, 3)
+              for m in (1, 2, 3, 17, p, p + 2, 577, 587, 587 ** 2, 1009)]
+        assert [q for q in qs if _outcome(PrimePower.from_q, q)
+                != _outcome(prime_power_by_factorization, q)] == []
+
     def test_near_1e12(self):
         # trial division to 10^12 is out of reach; q = p^k is known by construction
         for p in PRIMES_NEAR_1E12:
@@ -202,21 +217,31 @@ class TestPrimePowerByRoots:
             return is_prime(n)
 
         monkeypatch.setattr(numtheory, "is_prime", counting)
-        for p, k in ((2, 5), (13, 4), (17, 1), (17, 2), (19997, 3), (10 ** 12 + 39, 2)):
+        # a root below 587 is proven by the set of small primes, with no call
+        for p, k in ((2, 5), (13, 4), (17, 1), (17, 2), (577, 2)):
+            calls.clear()
+            q = PrimePower.from_q(p ** k)
+            assert (q.p, q.n, calls) == (p, k, [])
+        for p, k in ((587, 3), (19997, 3), (10 ** 12 + 39, 2)):
             calls.clear()
             q = PrimePower.from_q(p ** k)
             assert (q.p, q.n, calls.count(p)) == (p, k, 1)
 
     def test_huge_q_is_bounded(self):
         # 2^14000 + 1 took seconds in integer roots and in one Miller-Rabin
-        # power on the 14,000-bit root; 2^89 - 1 is prime and above the bound
+        # power on the 14,000-bit root. Its cofactor by 449 has no prime factor
+        # below 587, so it takes the root path; 2^89 - 1 is prime and above the bound
         from test_cli import deadline
 
         refused = "{} is not a prime power p^n with p < 3317044064679887385961981"
         with deadline(2):
-            for q in (2 ** 14000 + 1, 10 ** 4299 + 3, 2 ** 89 - 1, (2 ** 89 - 1) ** 7,
+            for q in ((2 ** 14000 + 1) // 449, 2 ** 89 - 1, (2 ** 89 - 1) ** 7,
                       (10 ** 24 + 7) ** 49 * 10009 ** 3):
                 assert _outcome(PrimePower.from_q, q) == refused.format(q)
+            # 449 divides 2^14000 + 1 and 23 divides 10^4299 + 3: the gcd with
+            # the primorial proves that neither is a prime power
+            for q in (2 ** 14000 + 1, 10 ** 4299 + 3):
+                assert _outcome(PrimePower.from_q, q) == f"{q} is not a prime power"
             for p, k in ((17, 3000), (1000003, 600), (10 ** 24 + 7, 50), (19997, 997)):
                 assert _outcome(PrimePower.from_q, p ** k) == PrimePower(p, k)
 

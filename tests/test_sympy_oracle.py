@@ -12,6 +12,7 @@ from gkzeta.numtheory import (
     cyclotomic,
     factorize,
     iroot,
+    _PSI,
     is_prime,
 )
 
@@ -34,6 +35,10 @@ def test_is_prime():
     primes = [n for n in sample if sympy.isprime(n) and 2 < n < 10 ** 12]
     sample += [a * b for a, b in zip(primes, primes[1:])]
     sample += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 3825123056546413051]
+    # every n near 587^2, where the gcd with the primorial stops deciding, and
+    # near each psi_k < 10^12, from which one more Miller-Rabin base is needed
+    for c in [587 ** 2] + [psi for psi in _PSI if psi < 10 ** 12]:
+        sample += range(c - 500, c + 501)
     for n in sample:
         assert is_prime(n) == sympy.isprime(n), n
 
