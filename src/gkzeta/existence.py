@@ -130,24 +130,30 @@ def exists_over_prime_field(g: GroupId, p: int) -> ExistenceVerdict:
 # ---------------------------------------------------------------------------
 # odd-degree fields
 
-# the admissible Frobenius shapes t^4 + u q t^2 + q^2: (shape, u, condition)
+# the admissible Frobenius shapes t^4 + u q t^2 + q^2 of each group, built
+# once: (shape, u, condition, condition text, "shape: condition" text)
 _SQUARE_ROWS = (("(t^2 - q)^2", -2, Condition("p > 2")), ("(t^2 + q)^2", 2, Condition("p > 2")))
 _C3_ROWS = (("t^4 + q t^2 + q^2", 1, Condition("any p")),
             ("t^4 - q t^2 + q^2", -1, Condition("any p"))) + _SQUARE_ROWS
 _Q8_ROWS = (("(t^2 - q)^2", -2, Condition("p != 1 mod 8")),
             ("(t^2 + q)^2", 2, Condition("p != -1 mod 8")))
-_ODD_TABLE = {
+_ODD_TABLE = {g: tuple((s, u, c, c.text, f"{s}: {c}") for s, u, c in rows) for g, rows in {
     G.C4: (("t^4 + q^2", 0, Condition("any p")),) + _SQUARE_ROWS,
     G.C3: _C3_ROWS, G.C6: _C3_ROWS,
     G.Q8: _Q8_ROWS, G.SL2F3: _Q8_ROWS,
     G.Q12: (("(t^2 - q)^2", -2, Condition("p != 2 mod 3")),
             ("(t^2 + q)^2", 2, Condition("p != 1 mod 3"))),
-}
+}.items()}
 
 # characteristic-special shapes, by p; the exact quartic is left symbolic
 # because the printed shape is ambiguous as stated
 _SPECIAL_SHAPES = {3: ((G.C4, G.C8, G.Q8), "(t^2 +- 3^r ... + q)^2"),
                    2: ((G.C3,), "(t^2 +- 2^r ... + q)^2")}
+# built once: the undetermined option of each (p, group) above, and its text
+_SPECIAL_OPTIONS = {(p, g): (o, (f"{o.shape}: {o.condition}", None))
+                    for p, (groups, shape) in _SPECIAL_SHAPES.items()
+                    for o in (WeilOption(shape, None, f"p = {p} (shape stated ambiguously)", None),)
+                    for g in groups}
 
 
 def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
@@ -164,18 +170,17 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     if order(g) % p == 0:
         raise Rejected(f"p = {p} divides |{g}| = {order(g)}")
 
-    opts = [WeilOption(shape, IntPolynomial._trusted((qq * qq, 0, u * qq, 0, 1)), str(cond),
-                       cond.holds(p)) for shape, u, cond in _ODD_TABLE.get(g, ())]
-    special_groups, shape = _SPECIAL_SHAPES.get(p, ((), ""))
-    if g in special_groups:
-        opts.append(WeilOption(shape, None, f"p = {p} (shape stated ambiguously)", None))
-
-    val = any(o.satisfied is True for o in opts)
-    if not val and any(o.satisfied is None for o in opts):
-        val = None
-    conds = tuple((f"{o.shape}: {o.condition}", o.satisfied) for o in opts)
-    if not opts:
-        conds = (("group matches no odd-degree classification row", False),)
+    opts, conds = [], []
+    for shape, u, cond, text, label in _ODD_TABLE.get(g, ()):
+        ok = cond.holds(p)
+        opts.append(WeilOption(shape, IntPolynomial._trusted((qq * qq, 0, u * qq, 0, 1)), text, ok))
+        conds.append((label, ok))
+    special = _SPECIAL_OPTIONS.get((p, g))
+    if special:
+        opts.append(special[0])
+        conds.append(special[1])
+    val = any(ok for _, ok in conds) or (None if special else False)
+    conds = tuple(conds) or (("group matches no odd-degree classification row", False),)
     return ExistenceVerdict(val, val, "odd-degree classification", conds, tuple(opts))
 
 

@@ -324,15 +324,18 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
     """Zeta function 1 / ((1-t) P2(t) (1-q^2 t)) where P2 collects, for each
     cyclotomic order r, the factor with roots q * zeta_r."""
     qq = q.q
-    powers = [1, qq, qq * qq]
+    q2 = qq * qq
     factors = [_ONE_MINUS_T]
     for r, d in cp.parts:
-        # Phi_r reversed, at q t: the last coefficient is +-q^phi(r), not 0
+        # Phi_r reversed, at q t: the last coefficient is +-q^phi(r), not 0;
+        # written out for the orders 1, 2, 3, 4 and 6, of phi(r) <= 2
         _, phi, c = _ORDERS[r]
-        while len(powers) <= phi:
-            powers.append(powers[-1] * qq)
-        factors.append((_new(IntPolynomial, map(mul, c, powers)), d // phi))
-    factors.append((_new(IntPolynomial, (1, -powers[2])), 1))
+        if phi <= 2:
+            f = (1, c[1] * qq) if phi == 1 else (1, c[1] * qq, c[2] * q2)
+        else:
+            f = map(mul, c, [qq ** i for i in range(phi + 1)])
+        factors.append((_new(IntPolynomial, f), d // phi))
+    factors.append((_new(IntPolynomial, (1, -q2)), 1))
     return _new(ZetaFunction, (tuple(factors),))
 
 

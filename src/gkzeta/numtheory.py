@@ -265,12 +265,13 @@ class Condition:
     as that text: 'any p', 'p > N', 'p != N', 'p = R mod M' or 'p != R mod M',
     where R may read -R or +-R (either of R and -R).
 
-    Each form is read as p > bound, p != excluded, and p mod modulus in
-    residues (negated for !=), with the parts it does not name always true.
+    Each form is read as p > bound, p != excluded, and accepts[p % modulus],
+    a truth table over Z/modulus built once from the residues it names
+    (negated for !=), with the parts it does not name always true.
     Immutable, since table rows share their conditions; equal only to itself.
     """
 
-    __slots__ = ("text", "bound", "excluded", "modulus", "residues", "negated")
+    __slots__ = ("text", "bound", "excluded", "modulus", "accepts")
 
     def __init__(self, text: str):
         m = _CONDITION.fullmatch(text)
@@ -279,8 +280,8 @@ class Condition:
         mod = int(m["m"] or 1)
         r = int(m["r"] or 0)
         residues = {r % mod, -r % mod} if m["sign"] == "+-" else {(-r if m["sign"] else r) % mod}
-        values = (text, int(m["gt"] or 0), int(m["ne"] or 0), mod, frozenset(residues),
-                  m["op"] == "!=")
+        accepts = tuple((i in residues) != (m["op"] == "!=") for i in range(mod))
+        values = (text, int(m["gt"] or 0), int(m["ne"] or 0), mod, accepts)
         for field, value in zip(Condition.__slots__, values):
             getattr(Condition, field).__set__(self, value)  # the slot's own setter
 
@@ -293,8 +294,7 @@ class Condition:
         return Condition, (self.text,)
 
     def holds(self, p: int) -> bool:
-        return (p > self.bound and p != self.excluded
-                and (p % self.modulus in self.residues) != self.negated)
+        return p > self.bound and p != self.excluded and self.accepts[p % self.modulus]
 
     def __str__(self):
         return self.text

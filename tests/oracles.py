@@ -141,6 +141,33 @@ def prime_power_by_factorization(q: int) -> PrimePower:
 
 
 # ---------------------------------------------------------------------------
+# conditions on a prime, read word by word
+
+def condition_by_words(text: str, p: int) -> bool:
+    """Condition(text).holds(p), read from the words of the text by
+    divisibility, without the library's pattern or residue table: 'any p',
+    'p > N', 'p != N', 'p = R mod M' or 'p != R mod M', where R is an integer
+    or +-R. A condition is on a prime, so it is false at every p < 1."""
+    words = text.split(" ")
+    if p < 1:
+        return False
+    if words == ["any", "p"]:
+        return True
+    subject, op, *rest = words
+    if subject != "p" or op not in ("=", "!=", ">"):
+        raise ValueError(f"cannot read {text!r}")
+    if len(rest) == 1:
+        n = int(rest[0])
+        return p > n if op == ">" else p != n
+    r, mod, m = rest
+    if mod != "mod" or op == ">":
+        raise ValueError(f"cannot read {text!r}")
+    targets = (int(r[2:]), -int(r[2:])) if r.startswith("+-") else (int(r),)
+    hit = any((p - t) % int(m) == 0 for t in targets)
+    return hit if op == "=" else not hit
+
+
+# ---------------------------------------------------------------------------
 # elliptic traces by literal condition scan
 
 def brute_elliptic_traces(q: PrimePower) -> list[int]:

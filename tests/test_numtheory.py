@@ -1,5 +1,10 @@
+import copy
+import os
+import pickle
+from collections import Counter
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +29,7 @@ from gkzeta.numtheory import (
 
 from oracles import (
     brute_iroot,
+    condition_by_words,
     cyclotomic_by_division,
     direct_newton_slopes,
     evaluate,
@@ -343,7 +349,7 @@ class TestCondition:
         from gkzeta.kummer import trace_table
 
         cond = trace_table("even")[0].p_condition
-        for field in ("text", "bound", "excluded", "modulus", "residues", "negated", "extra"):
+        for field in ("text", "bound", "excluded", "modulus", "accepts", "extra"):
             with pytest.raises(AttributeError):
                 setattr(cond, field, 10 ** 9)
             with pytest.raises(AttributeError):
@@ -354,6 +360,48 @@ class TestCondition:
     def test_equality_is_identity(self):
         cond = Condition("p > 2")
         assert cond == cond and cond != Condition("p > 2")
+
+    @staticmethod
+    def _table_conditions() -> dict:
+        """Every Condition the library builds at import, by module: found by
+        walking the globals of kummer, existence, brauer and weil through
+        their dicts and tuples, table rows and verdicts included."""
+        from gkzeta import brauer, existence, kummer, weil
+
+        def walk(x, out):
+            if isinstance(x, Condition):
+                out[id(x)] = x
+            elif isinstance(x, dict):
+                for v in x.values():
+                    walk(v, out)
+            elif isinstance(x, (tuple, list, set, frozenset)):
+                for v in x:
+                    walk(v, out)
+
+        found = {}
+        for module in (kummer, existence, brauer, weil):
+            out = found[module.__name__] = {}
+            for value in vars(module).values():
+                walk(value, out)
+        return {name: list(out.values()) for name, out in found.items()}
+
+    def test_every_table_condition_matches_its_words(self):
+        """Each condition the tables hold reads as its text, read word by word
+        (oracles.condition_by_words), at every integer -3 <= p < 10^4,
+        composites included; so do its copies, which print as it does."""
+        found = self._table_conditions()
+        assert {name: len(conds) for name, conds in found.items()} == {
+            "gkzeta.kummer": 18, "gkzeta.existence": 25, "gkzeta.brauer": 15, "gkzeta.weil": 8}
+        conds = [c for cs in found.values() for c in cs]
+        assert {c.text for c in conds} == set(CONDITIONS_LITERAL)
+        ps = range(-3, 10 ** 4)
+        want = {text: [condition_by_words(text, p) for p in ps] for text in CONDITIONS_LITERAL}
+        for cond in conds:
+            copies = (copy.copy(cond), copy.deepcopy(cond), pickle.loads(pickle.dumps(cond)))
+            for c in (cond, *copies):
+                assert type(c) is Condition
+                assert (repr(c), str(c)) == (f"Condition({cond.text!r})", cond.text)
+                assert [c.holds(p) for p in ps] == want[cond.text], cond.text
 
 
 class TestCyclotomic:
@@ -509,3 +557,43 @@ class TestResultant:
         f = IntPolynomial([-1, 0, 1])
         g = IntPolynomial([-1, 1])
         assert resultant(f, g) == 0
+
+
+# ---------------------------------------------------------------------------
+# per-prime answers read what was built at import
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_a_tables_sweep_answer_builds_no_condition_and_no_cyclotomic(monkeypatch):
+    """Answering each prime of tables-sweep with the workload's own calls
+    (bench/workloads.py) constructs no Condition and calls no cyclotomic:
+    every condition and cyclotomic row an answer reads was built at import."""
+    from gkzeta import brauer, existence, groups, kummer, weil
+
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    sweep = workloads.TablesSweep(seed=7)
+    api = SimpleNamespace(**{name.rsplit(".", 1)[1]: fn for name, fn in sweep.functions().items()})
+    built = Counter()
+    init = Condition.__init__
+
+    def counting_init(self, text):
+        built["Condition"] += 1
+        init(self, text)
+
+    def counting_cyclotomic(r):
+        built["cyclotomic"] += 1
+        return cyclotomic(r)
+
+    monkeypatch.setattr(Condition, "__init__", counting_init)
+    for module in (numtheory, groups, brauer, existence, kummer, weil):
+        if getattr(module, "cyclotomic", None) is cyclotomic:
+            monkeypatch.setattr(module, "cyclotomic", counting_cyclotomic)
+    for p in sweep.inputs:
+        assert sweep.check(p, sweep.op(api, p)) is None, p
+    assert built == {}
+    # the counters see a construction and a call
+    Condition("any p"), kummer.cyclotomic(5)
+    assert built == {"Condition": 1, "cyclotomic": 1}
