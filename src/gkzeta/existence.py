@@ -10,6 +10,7 @@ from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, order
 from .numtheory import Condition, IntPolynomial, PrimePower, Value
 
 G = GroupId
+_new = tuple.__new__  # builds a polynomial from its coefficients
 
 
 class ExistenceVerdict(Value):
@@ -173,7 +174,7 @@ def exists_over_odd_degree(g: GroupId, q: PrimePower) -> ExistenceVerdict:
     opts, conds = [], []
     for shape, u, cond, text, label in _ODD_TABLE.get(g, ()):
         ok = cond.holds(p)
-        opts.append(WeilOption(shape, IntPolynomial._trusted((qq * qq, 0, u * qq, 0, 1)), text, ok))
+        opts.append(WeilOption(shape, _new(IntPolynomial, (qq * qq, 0, u * qq, 0, 1)), text, ok))
         conds.append((label, ok))
     special = _SPECIAL_OPTIONS.get((p, g))
     if special:

@@ -2,7 +2,8 @@
 arithmetic of their Neron-Severi Frobenius action: ADE orbit data, rank
 bounds, Frobenius action on resolution graphs, assembly of the degree-22
 characteristic polynomial in cyclotomic notation, traces, point counts and
-zeta functions.
+zeta functions. The one table of cyclotomic orders, mu(r), phi(r) and Phi_r
+for the 43 r with phi(r) <= 22, is built here at import.
 """
 from __future__ import annotations
 
@@ -10,17 +11,7 @@ from operator import mul
 
 from .errors import Rejected
 from .groups import CONFIG_GROUPS, GroupId, facts, is_cyclic, order
-from .numtheory import (
-    Condition,
-    IntPolynomial,
-    PrimePower,
-    Value,
-    cyclotomic,
-    divisors,
-    euler_phi,
-    is_prime,
-    moebius,
-)
+from .numtheory import Condition, IntPolynomial, PrimePower, Value, is_prime
 
 G = GroupId
 _new = tuple.__new__  # builds a value from its fields, a polynomial from its coefficients
@@ -147,16 +138,37 @@ def ns_rank_bound(cfg: SingularConfig) -> tuple[int, bool]:
 # the degree-22 characteristic polynomial in cyclotomic notation
 
 def _order_rows(bound: int) -> dict:
-    """{r: (mu(r), phi(r), Phi_r reversed)} for every r with phi(r) <= bound:
-    the products of coprime prime powers p^k whose phi(p^k) = p^(k-1) (p - 1)
-    multiply to at most bound, so p <= bound + 1."""
-    phi = {1: 1}
+    """{r: (mu(r), phi(r), Phi_r reversed)} for every r with phi(r) <= bound,
+    ascending in r. The r are the products of coprime prime powers p^k whose
+    phi(p^k) = p^(k-1) (p - 1) multiply to at most bound, so p <= bound + 1,
+    and mu(p) = -1, mu(p^k) = 0 for k >= 2 multiply along. Phi_r reversed is
+    the product of the (1 - t^d)^mu(r/d), d | r, as a power series cut at
+    degree phi(r): one pass over the coefficients per d (Arnold-Monagan,
+    Math. Comp. 80, 2011). Each r/d has phi(r/d) <= phi(r), so its mu is in
+    the sieve. For r = 1 the series is 1 - t, and Phi_r is palindromic for
+    r > 1, so the series is Phi_r reversed at every r."""
+    sieve = {1: (1, 1)}
     for p in filter(is_prime, range(2, bound + 2)):
-        for r, n in list(phi.items()):  # the r so far are coprime to p
-            pk, f = p, p - 1
+        for r, (mu, n) in list(sieve.items()):  # the r so far are coprime to p
+            pk, f, mu = p, p - 1, -mu
             while n * f <= bound:
-                phi[r * pk], pk, f = n * f, pk * p, f * p
-    return {r: (moebius(r), n, cyclotomic(r).coeffs[::-1]) for r, n in phi.items()}
+                sieve[r * pk], pk, f, mu = (mu, n * f), pk * p, f * p, 0
+    rows = {}
+    for r in sorted(sieve):
+        n = sieve[r][1]
+        c = [1] + [0] * n
+        for e, (mu, _) in sieve.items():  # mu(r/d) for each d = r/e
+            if r % e:
+                continue
+            d = r // e
+            if mu == 1:  # times (1 - t^d)
+                for i in range(n, d - 1, -1):
+                    c[i] -= c[i - d]
+            elif mu == -1:  # divided by (1 - t^d), i.e. times 1 + t^d + t^2d + ...
+                for i in range(d, n + 1):
+                    c[i] += c[i - d]
+        rows[r] = (*sieve[r], tuple(c))
+    return rows
 
 
 # one row per cyclotomic order that a notation can name, built at import: a
@@ -218,19 +230,18 @@ def exceptional_charpoly(orbit: SingularOrbit) -> dict[int, int]:
     A trivial-action orbit of degree d contributes phi(r) at each r | d for
     every node of one fiber; a rational chain-flip on A_m splits into
     ceil(m/2) invariant classes and floor(m/2) swapped pairs. An orbit of
-    more than 22 nodes is rejected before its degree is factored.
+    more than 22 nodes is rejected first, so that d <= 22 and every r | d
+    has its phi(r) in _ORDERS.
     """
     _check_action(orbit)
     if orbit.nodes > 22:
         raise Rejected("an orbit has more than 22 exceptional nodes",
                        "rank NS(X) <= b_2(X) = 22")
-    out: dict[int, int] = {}
     if orbit.graph_action == "trivial":
-        for r in divisors(orbit.degree):
-            out[r] = out.get(r, 0) + euler_phi(r) * orbit.ade.m * (orbit.count // orbit.degree)
-        return out
+        d, per = orbit.degree, orbit.ade.m * (orbit.count // orbit.degree)
+        return {r: _ORDERS[r][1] * per for r in range(1, d + 1) if d % r == 0}
     m = orbit.ade.m
-    out[1] = (m + 1) // 2 * orbit.count
+    out = {1: (m + 1) // 2 * orbit.count}
     if m // 2:
         out[2] = m // 2 * orbit.count
     return out

@@ -1,21 +1,21 @@
-"""Exact elementary number theory: prime powers, conditions on a prime,
-integer polynomials and cyclotomic polynomials.
+"""Exact elementary number theory: primes, prime powers, conditions on a
+prime and integer polynomials.
 
 Everything here is pure integer arithmetic; no floats anywhere.
 Polynomials are dense coefficient tuples, constant term first, with only the
-operations the library computes with; Phi_r needs no polynomial division.
+operations the library computes with. The cyclotomic orders, with their
+mu(r), phi(r) and Phi_r, are one table in kummer.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd, isqrt, prod
 
 
 # ---------------------------------------------------------------------------
-# primes and factorization
+# primes and integer roots
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_k, the least strong pseudoprime to the first k bases of _MR_BASES
@@ -86,35 +86,6 @@ def iroot(x: int, k: int) -> int:
         if s >= r:
             return r
         r = s
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here are small)."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +282,8 @@ class IntPolynomial(Value):
     first, with no trailing zero (the zero polynomial is the empty tuple). Its
     entries are not named fields: coeffs is the bare tuple, and p[i] is the
     coefficient of t^i, 0 for every i outside range(len(p)), negative i too.
+    Code whose coefficients are ints with a nonzero last one builds it
+    unnormalized, by tuple.__new__(IntPolynomial, coeffs).
     """
 
     __slots__ = ()
@@ -328,11 +301,6 @@ class IntPolynomial(Value):
 
     def __reduce__(self):
         return self.__class__, (tuple(self),)
-
-    @classmethod
-    def _trusted(cls, coeffs) -> "IntPolynomial":
-        """Wrap ints whose last one is nonzero, unnormalized."""
-        return tuple.__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -369,48 +337,3 @@ class IntPolynomial(Value):
 
     def __str__(self):
         return self.format()
-
-
-# ---------------------------------------------------------------------------
-# multiplicative functions
-
-@lru_cache(maxsize=None)
-def euler_phi(r: int) -> int:
-    if r < 1:
-        raise ValueError("euler_phi expects r >= 1")
-    out = r
-    for p in factorize(r):
-        out = out // p * (p - 1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def moebius(r: int) -> int:
-    if r < 1:
-        raise ValueError("moebius expects r >= 1")
-    fac = factorize(r)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(r: int) -> IntPolynomial:
-    """The r-th cyclotomic polynomial. For r > 1, Phi_r is the product of the
-    (1 - t^d)^mu(r/d), d | r, as a power series cut at degree phi(r): one pass
-    over the coefficients per d (Arnold-Monagan, Math. Comp. 80, 2011)."""
-    if r < 1:
-        raise ValueError("cyclotomic expects r >= 1")
-    if r == 1:
-        return IntPolynomial._trusted((-1, 1))
-    n = euler_phi(r)
-    c = [1] + [0] * n
-    for d in divisors(r):
-        mu = moebius(r // d)
-        if mu == 1:  # times (1 - t^d)
-            for i in range(n, d - 1, -1):
-                c[i] -= c[i - d]
-        elif mu == -1:  # divided by (1 - t^d), i.e. times 1 + t^d + t^2d + ...
-            for i in range(d, n + 1):
-                c[i] += c[i - d]
-    return IntPolynomial._trusted(c)

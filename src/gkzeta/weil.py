@@ -11,6 +11,8 @@ from math import isqrt
 from .errors import Rejected
 from .numtheory import Condition, IntPolynomial, PrimePower, Value
 
+_new = tuple.__new__  # builds a value from its fields, a polynomial from its coefficients
+
 
 class NewtonType(Enum):
     ORDINARY = "ordinary"
@@ -54,7 +56,7 @@ class WeilDescriptor(Value):
             return f"quaternion-Hinfty(Q(sqrt({p})))"
         if case.startswith("ss-square-even"):
             # f = P^2 with P = t^2 + (f_3 / 2) t + q
-            P = IntPolynomial._trusted((self.q.q, self.poly[3] // 2, 1))
+            P = _new(IntPolynomial, (self.q.q, self.poly[3] // 2, 1))
             return f"quaternion-over-field(Q[t]/({P}))"
         return f"field(Q[t]/({self.poly}))"
 
@@ -84,7 +86,7 @@ def validate_elliptic(q: PrimePower, b: int) -> WeilDescriptor:
     case = "ordinary" if b % p else _supersingular_case(p, qq, isqrt(qq), b)
     if case is None:
         raise Rejected(f"b = {b} is divisible by p but matches no supersingular case over F_{qq}")
-    return WeilDescriptor(q, IntPolynomial._trusted((qq, -b, 1)), case)
+    return WeilDescriptor(q, _new(IntPolynomial, (qq, -b, 1)), case)
 
 
 def _supersingular_case(p: int, qq: int, r: int, b: int) -> str | None:
@@ -105,8 +107,6 @@ def _supersingular_case(p: int, qq: int, r: int, b: int) -> str | None:
         return "ss-d"
     return None
 
-
-_new = tuple.__new__  # builds a value from its fields, a polynomial from its coefficients
 
 # enumerate_elliptic builds all 4 sqrt(q) + 1 classes; at this limit that
 # takes about 0.027 s, 0.67 us a class, of which the cyclic garbage collector
@@ -137,7 +137,7 @@ def enumerate_elliptic(q: PrimePower) -> list[WeilDescriptor]:
         if case is not None:
             j = b + bound  # b's index before the del, which took (j - first) // p below it
             out.insert(j - (j - first) // p,
-                       WeilDescriptor(q, IntPolynomial._trusted((qq, -b, 1)), case))
+                       WeilDescriptor(q, _new(IntPolynomial, (qq, -b, 1)), case))
     return out
 
 
@@ -296,18 +296,18 @@ def abelian_zeta(w: WeilDescriptor) -> list[IntPolynomial]:
     qq = w.q.q
     a1, c = _real_weil(w)
     f = w.poly
-    trusted = IntPolynomial._trusted
-    p0 = trusted((1, -1))
-    p1 = trusted(f.coeffs[::-1])  # f(0) = q^dim != 0
+    p0 = _new(IntPolynomial, (1, -1))
+    p1 = _new(IntPolynomial, f.coeffs[::-1])  # f(0) = q^dim != 0
     if w.dim == 1:
-        return [p0, p1, trusted((1, -qq))]
+        return [p0, p1, _new(IntPolynomial, (1, -qq))]
     # the products of two roots are q, q and the roots of t^2 - u t + q^2 and
     # t^2 - v t + q^2, with u + v = c and u v = q (a1^2 - 2 a2) = q (a1^2 - 2c - 4q), so
     # P2 = (1 - q t)^2 (1 - c t + m t^2 - q^2 c t^3 + q^4 t^4) with m = u v + 2 q^2, expanded
     q2 = qq * qq
     m = qq * (a1 * a1 - 2 * c - 2 * qq)
     e1, e2 = -c - 2 * qq, m + 2 * qq * c + q2
-    p2 = trusted((1, e1, e2, -2 * qq * (qq * c + m), q2 * e2, q2 * q2 * e1, q2 * q2 * q2))
+    p2 = _new(IntPolynomial, (1, e1, e2, -2 * qq * (qq * c + m),
+                              q2 * e2, q2 * q2 * e1, q2 * q2 * q2))
     # products of three roots are q^2 / (single root): P3(t) = f(q^2 t) / f(0)
-    p3 = trusted((1, *(a * qq ** (2 * i - 2) for i, a in enumerate(f) if i)))
-    return [p0, p1, p2, p3, trusted((1, -q2))]
+    p3 = _new(IntPolynomial, (1, *(a * qq ** (2 * i - 2) for i, a in enumerate(f) if i)))
+    return [p0, p1, p2, p3, _new(IntPolynomial, (1, -q2))]

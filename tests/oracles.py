@@ -14,16 +14,7 @@ from math import gcd, isqrt
 from gkzeta.errors import Rejected
 from gkzeta.existence import ExistenceVerdict
 from gkzeta.groups import CSADescriptor, FieldDesc, GroupId as G, order, rigid_algebra
-from gkzeta.numtheory import (
-    Condition,
-    IntPolynomial,
-    PrimePower,
-    cyclotomic,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-)
+from gkzeta.numtheory import Condition, IntPolynomial, PrimePower, is_prime
 from gkzeta.weil import (
     ENUMERATE_LIMIT,
     NewtonType,
@@ -33,6 +24,55 @@ from gkzeta.weil import (
 
 # ---------------------------------------------------------------------------
 # primes, roots and prime powers by the definitions
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division (inputs here are small)."""
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def euler_phi(r: int) -> int:
+    """Euler's totient, from the factorization of r."""
+    if r < 1:
+        raise ValueError("euler_phi expects r >= 1")
+    out = r
+    for p in factorize(r):
+        out = out // p * (p - 1)
+    return out
+
+
+def moebius(r: int) -> int:
+    """The Moebius function, from the factorization of r."""
+    if r < 1:
+        raise ValueError("moebius expects r >= 1")
+    fac = factorize(r)
+    if any(e > 1 for e in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p."""
@@ -655,7 +695,7 @@ def ns_polynomial(cp) -> IntPolynomial:
     out = IntPolynomial([1])
     for r, d in cp.parts:
         for _ in range(d // euler_phi(r)):
-            out = out * cyclotomic(r)
+            out = out * IntPolynomial(cyclotomic_by_division(r))
     return out
 
 

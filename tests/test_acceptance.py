@@ -6,20 +6,15 @@ from collections import Counter
 
 from gkzeta import brauer, existence, groups, kummer, weil
 from gkzeta.groups import GroupId as G
-from gkzeta.numtheory import (
-    IntPolynomial,
-    PrimePower,
-    cyclotomic,
-    divisors,
-    euler_phi,
-    is_prime,
-)
+from gkzeta.numtheory import IntPolynomial, PrimePower, is_prime
 
 from oracles import (
     SYLOW_COUNTS,
     brute_elliptic_traces,
     cyclotomic_field,
     direct_newton_slopes,
+    divisors,
+    euler_phi,
     extend_scalars,
     field_algebra,
     make_h_infty,
@@ -385,11 +380,12 @@ def test_criterion_8_property_suites():
         if total.denominator != 1:
             ok = False
 
-    # cyclotomic product identity up to 240
-    for r in range(1, 241):
+    # cyclotomic product identity on every order of the table, which holds
+    # each Phi_r reversed
+    for r in kummer._ORDERS:
         prod = IntPolynomial([1])
         for d in divisors(r):
-            prod = prod * cyclotomic(d)
+            prod = prod * IntPolynomial(kummer._ORDERS[d][2][::-1])
         if prod != IntPolynomial([-1] + [0] * (r - 1) + [1]):
             ok = False
 

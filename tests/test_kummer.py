@@ -23,9 +23,13 @@ from gkzeta.kummer import (
     trace_of,
     trace_table,
 )
-from gkzeta.numtheory import PrimePower, cyclotomic, euler_phi, moebius
+from gkzeta.numtheory import PrimePower
 
 from oracles import (
+    cyclotomic_by_division,
+    divisors,
+    euler_phi,
+    moebius,
     ns_polynomial,
     reciprocal,
     scale_arg,
@@ -111,6 +115,18 @@ class TestExceptionalCharpoly:
     def test_trivial_degree_4(self):
         orb = SingularOrbit(ADEType("A", 1), 4, 4, "trivial")
         assert exceptional_charpoly(orb) == {1: 1, 2: 1, 4: 2}
+
+    def test_every_trivial_orbit_of_at_most_22_nodes(self):
+        # every ADE type, count with count * m <= 22 and degree | count: phi(r)
+        # at each r | degree for every node of one fiber, from the oracles
+        types = ([ADEType("A", m) for m in range(1, 23)] + [ADEType("D", m) for m in range(4, 23)]
+                 + [ADEType("E", m) for m in (6, 7, 8)])
+        for ade in types:
+            for count in range(1, 22 // ade.m + 1):
+                for degree in divisors(count):
+                    got = exceptional_charpoly(SingularOrbit(ade, count, degree, "trivial"))
+                    want = {r: euler_phi(r) * ade.m * count // degree for r in divisors(degree)}
+                    assert got == want and sum(got.values()) == ade.m * count, (ade, count, degree)
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_chain_flip_matches_permutation_cycles(self, m):
@@ -263,7 +279,7 @@ class TestTraceAndPoints:
         # k3_point_count and k3_zeta read are exactly these orders
         orders = [r for r in range(1, 2 * 22 * 22 + 1) if euler_phi(r) <= 22]
         assert len(orders) == 43 and orders[-1] == 66
-        assert kummer._ORDERS == {r: (moebius(r), euler_phi(r), cyclotomic(r).coeffs[::-1])
+        assert kummer._ORDERS == {r: (moebius(r), euler_phi(r), cyclotomic_by_division(r)[::-1])
                                   for r in orders}
         notations = []
         for r in orders:

@@ -1,7 +1,9 @@
 """The import graph of the package's modules, read statically from every
 import statement in src/gkzeta, those inside functions included: it has no
 cycle, and groups, the catalog that brauer, kummer and existence read,
-imports no layer but numtheory."""
+imports no layer but numtheory. The same walk reads the other modules each
+file imports: none imports functools, since tables are built at import and
+no answer is cached per call."""
 import ast
 import glob
 import os
@@ -13,26 +15,32 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "src", "gkzeta")
 
 
-def _imported(path: str) -> set:
-    """The package modules that the file imports, by name."""
+def _imported(path: str) -> tuple[set, set]:
+    """The package modules that the file imports, by name, and the top-level
+    names of the other modules it imports."""
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read())
-    out = set()
+    out, other = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and not (node.module or "").startswith("gkzeta"):
+                other.add(node.module.split(".")[0])
                 continue
             # from . import a, b / from .a import x / from gkzeta.a import x
             module = (node.module or "").removeprefix("gkzeta").lstrip(".")
             out.update([module.split(".")[0]] if module else [a.name for a in node.names])
         elif isinstance(node, ast.Import):
-            out.update(a.name.split(".")[1] for a in node.names
-                       if a.name.startswith("gkzeta."))
-    return out
+            for a in node.names:
+                if a.name.startswith("gkzeta."):
+                    out.add(a.name.split(".")[1])
+                else:
+                    other.add(a.name.split(".")[0])
+    return out, other
 
 
-GRAPH = {os.path.basename(path)[:-3]: _imported(path)
-         for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))}
+IMPORTS = {os.path.basename(path)[:-3]: _imported(path)
+           for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))}
+GRAPH = {name: package for name, (package, _) in IMPORTS.items()}
 
 
 def test_every_import_names_a_module_of_the_package():
@@ -53,3 +61,11 @@ def test_the_graph_is_acyclic():
 
 def test_groups_imports_only_numtheory():
     assert GRAPH["groups"] == {"numtheory"}
+
+
+def test_no_module_imports_functools():
+    # a per-call cache (lru_cache, cache) would hold again what a table built
+    # at import holds; the walk reads the standard-library imports, cli's
+    # function-level json included
+    assert {"re", "math", "json"} <= set().union(*(other for _, other in IMPORTS.values()))
+    assert [name for name, (_, other) in IMPORTS.items() if "functools" in other] == []

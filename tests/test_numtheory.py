@@ -9,22 +9,18 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkzeta import numtheory
+from gkzeta import kummer, numtheory
 from gkzeta.numtheory import (
     Condition,
     IntPolynomial,
     PrimePower,
-    cyclotomic,
-    divisors,
     _MR_BOUND,
     _PRIMORIAL,
     _PSI,
     _SMALL_PRIMES,
     _is_power_residue,
-    euler_phi,
     iroot,
     is_prime,
-    moebius,
 )
 
 from oracles import (
@@ -32,8 +28,11 @@ from oracles import (
     condition_by_words,
     cyclotomic_by_division,
     direct_newton_slopes,
+    divisors,
+    euler_phi,
     evaluate,
     legendre,
+    moebius,
     mult_order,
     newton_slopes,
     prime_power_by_factorization,
@@ -285,18 +284,19 @@ class TestPolynomials:
         assert str(IntPolynomial(())) == "0"
 
     def test_no_assignment_or_deletion(self):
-        # cyclotomic is cached, so a change in place would reach every caller
-        c = cyclotomic(3)
+        # every zeta function k3_zeta builds shares its factor 1 - t, so a
+        # change in place would reach every caller
+        c = kummer._ONE_MINUS_T[0]
         with pytest.raises(AttributeError):
             c.coeffs = (1,)
         with pytest.raises(AttributeError):
             del c.coeffs
         with pytest.raises(AttributeError):
             c.extra = 1
-        assert str(cyclotomic(3)) == "t^2 + t + 1"
+        assert str(kummer._ONE_MINUS_T[0]) == "-t + 1"
 
     def test_trusted_constructor_equals_the_normalized_one(self):
-        f = IntPolynomial._trusted((7, -3, 1))
+        f = tuple.__new__(IntPolynomial, (7, -3, 1))
         assert f == IntPolynomial([7, -3, 1]) and hash(f) == hash(IntPolynomial([7, -3, 1]))
         assert str(f) == "t^2 - 3t + 7"
         with pytest.raises(AttributeError):
@@ -404,33 +404,44 @@ class TestCondition:
                 assert [c.holds(p) for p in ps] == want[cond.text], cond.text
 
 
+def _phi_r(r: int) -> IntPolynomial:
+    """Phi_r, read from its row of kummer._ORDERS (which holds it reversed)."""
+    return IntPolynomial(kummer._ORDERS[r][2][::-1])
+
+
 class TestCyclotomic:
+    """The identities of Phi_r on the 43 orders of kummer._ORDERS, the only
+    cyclotomic polynomials the library builds."""
+
     def test_values(self):
-        assert cyclotomic(1) == IntPolynomial([-1, 1])
-        assert cyclotomic(2) == IntPolynomial([1, 1])
-        assert cyclotomic(4) == IntPolynomial([1, 0, 1])
-        assert cyclotomic(12) == IntPolynomial([1, 0, -1, 0, 1])
+        assert _phi_r(1) == IntPolynomial([-1, 1])
+        assert _phi_r(2) == IntPolynomial([1, 1])
+        assert _phi_r(4) == IntPolynomial([1, 0, 1])
+        assert _phi_r(12) == IntPolynomial([1, 0, -1, 0, 1])
+        assert [kummer._ORDERS[r][:2] for r in (1, 2, 4, 6, 30)] == [
+            (1, 1), (-1, 1), (0, 2), (1, 2), (-1, 8)]
 
     def test_degree_is_phi(self):
-        for r in range(1, 121):
-            assert cyclotomic(r).degree == euler_phi(r)
+        for r, (_, phi, _) in kummer._ORDERS.items():
+            assert _phi_r(r).degree == phi == euler_phi(r), r
 
     def test_product_identity_spot(self):
-        for r in (1, 2, 6, 12, 30, 105):
+        # every divisor of an order in the table is in the table
+        for r in kummer._ORDERS:
             prod = IntPolynomial([1])
             for d in divisors(r):
-                prod = prod * cyclotomic(d)
-            assert prod == IntPolynomial([-1] + [0] * (r - 1) + [1])
+                prod = prod * _phi_r(d)
+            assert prod == IntPolynomial([-1] + [0] * (r - 1) + [1]), r
 
     def test_matches_recursive_division(self):
-        for r in range(1, 500):
-            assert cyclotomic(r).coeffs == cyclotomic_by_division(r), r
+        for r in kummer._ORDERS:
+            assert _phi_r(r).coeffs == cyclotomic_by_division(r), r
 
     def test_second_coefficient_is_minus_moebius(self):
         # the sum of primitive r-th roots of unity is mu(r)
-        for r in range(2, 61):
-            f = cyclotomic(r)
-            assert f[f.degree - 1] == -moebius(r)
+        for r, (mu, _, _) in kummer._ORDERS.items():
+            f = _phi_r(r)
+            assert f[f.degree - 1] == -mu == -moebius(r), r
 
 
 class TestMultiplicative:
@@ -567,15 +578,15 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_a_tables_sweep_answer_builds_no_condition_and_no_cyclotomic(monkeypatch):
     """Answering each prime of tables-sweep with the workload's own calls
-    (bench/workloads.py) constructs no Condition and calls no cyclotomic:
-    every condition and cyclotomic row an answer reads was built at import."""
-    from gkzeta import brauer, existence, groups, kummer, weil
-
+    (bench/workloads.py) constructs no Condition and builds no cyclotomic
+    row: every condition and cyclotomic row an answer reads was built at
+    import, and kummer._ORDERS is the same table, unchanged, afterwards."""
     monkeypatch.syspath_prepend(BENCH)
     import workloads
 
     sweep = workloads.TablesSweep(seed=7)
     api = SimpleNamespace(**{name.rsplit(".", 1)[1]: fn for name, fn in sweep.functions().items()})
+    orders, rows = kummer._ORDERS, dict(kummer._ORDERS)
     built = Counter()
     init = Condition.__init__
 
@@ -583,17 +594,11 @@ def test_a_tables_sweep_answer_builds_no_condition_and_no_cyclotomic(monkeypatch
         built["Condition"] += 1
         init(self, text)
 
-    def counting_cyclotomic(r):
-        built["cyclotomic"] += 1
-        return cyclotomic(r)
-
     monkeypatch.setattr(Condition, "__init__", counting_init)
-    for module in (numtheory, groups, brauer, existence, kummer, weil):
-        if getattr(module, "cyclotomic", None) is cyclotomic:
-            monkeypatch.setattr(module, "cyclotomic", counting_cyclotomic)
     for p in sweep.inputs:
         assert sweep.check(p, sweep.op(api, p)) is None, p
     assert built == {}
-    # the counters see a construction and a call
-    Condition("any p"), kummer.cyclotomic(5)
-    assert built == {"Condition": 1, "cyclotomic": 1}
+    assert kummer._ORDERS is orders and kummer._ORDERS == rows
+    # the counter sees a construction
+    Condition("any p")
+    assert built == {"Condition": 1}

@@ -1,22 +1,16 @@
-"""Differential tests of the number-theory primitives against sympy, on
-seeded samples. sympy is an optional oracle: without it these tests skip,
+"""Differential tests of the number-theory primitives, the rows of
+kummer._ORDERS and the factorization oracle against sympy, on seeded
+samples. sympy is an optional oracle: without it these tests skip,
 and the library never imports it."""
 import random
 from math import isqrt
 
 import pytest
 
-from gkzeta import weil
-from gkzeta.numtheory import (
-    IntPolynomial,
-    cyclotomic,
-    factorize,
-    iroot,
-    _PSI,
-    is_prime,
-)
+from gkzeta import kummer, weil
+from gkzeta.numtheory import IntPolynomial, iroot, _PSI, is_prime
 
-from oracles import splitting_in_cyclotomic
+from oracles import factorize, splitting_in_cyclotomic
 
 sympy = pytest.importorskip("sympy")
 T = sympy.Symbol("t")
@@ -60,8 +54,11 @@ def test_iroot():
 
 
 def test_cyclotomic():
-    for r in list(range(1, 81)) + [105, 210, 240, 256]:
-        assert cyclotomic(r).coeffs == coeffs_of(sympy.cyclotomic_poly(r, T)), r
+    # every row of the table: mu(r), phi(r) and Phi_r reversed
+    for r, (mu, phi, c) in kummer._ORDERS.items():
+        want = (sympy.mobius(r), sympy.totient(r), coeffs_of(sympy.cyclotomic_poly(r, T))[::-1])
+        assert (mu, phi, c) == want, r
+    assert len(kummer._ORDERS) == 43
 
 
 def test_splitting_in_cyclotomic_by_dedekind_kummer():

@@ -22,7 +22,7 @@ import pytest
 import gkzeta
 from gkzeta import cli
 from gkzeta.errors import Rejected
-from gkzeta.existence import ExistenceVerdict, WeilOption
+from gkzeta.existence import ExistenceVerdict, WeilOption, exists_over_odd_degree
 from gkzeta.groups import CSADescriptor, FieldDesc, GroupFacts, GroupId as G, StabilizerTable
 from gkzeta.kummer import (
     ADEType,
@@ -196,16 +196,21 @@ def test_one_construction_path():
         assert "__new__" in cls.__dict__ and cls.__init__ is object.__init__
     written = {cls for cls in classes if cls.__new__.__code__.co_filename == inspect.getfile(cls)}
     assert written == VALIDATING
-    trusted = [IntPolynomial._trusted.__func__, PrimePower.from_q.__func__, enumerate_elliptic,
+    trusted = [PrimePower.from_q.__func__, enumerate_elliptic, validate_elliptic,
+               WeilDescriptor.endo.fget, abelian_zeta, exists_over_odd_degree, k3_zeta,
                cli.cmd_exists]
     for func in [cls.__new__ for cls in written] + trusted:
         assert _builds_by_tuple_new(func), func.__qualname__
     q = PrimePower(7, 1)
     assert enumerate_elliptic(q) == [validate_elliptic(q, b) for b in range(-5, 6)]
-    assert IntPolynomial._trusted((7, 0, 1)) == IntPolynomial((7, 0, 1))
+    assert tuple.__new__(IntPolynomial, (7, 0, 1)) == IntPolynomial((7, 0, 1))
+    # the polynomials built unnormalized are the normalized ones
+    polys = abelian_zeta(enumerate_elliptic(q)[0]) + [
+        o.poly for o in exists_over_odd_degree(G.C3, PrimePower(7, 3)).weil_options if o.poly]
+    assert len(polys) > 3 and all(f == IntPolynomial(f) for f in polys)
     assert PrimePower.from_q(17 ** 3) == PrimePower(17, 3)
     values = [cls(**fields) for cls, fields, _ in CASES] + [
-        IntPolynomial._trusted((7, 0, 1)), PrimePower.from_q(17 ** 3), enumerate_elliptic(q)[0]]
+        tuple.__new__(IntPolynomial, (7, 0, 1)), PrimePower.from_q(17 ** 3), enumerate_elliptic(q)[0]]
     for v in values:
         if type(v) is IntPolynomial:
             assert tuple(v) == v.coeffs
