@@ -3,7 +3,9 @@ arithmetic of their Neron-Severi Frobenius action: ADE orbit data, rank
 bounds, Frobenius action on resolution graphs, assembly of the degree-22
 characteristic polynomial in cyclotomic notation, traces, point counts and
 zeta functions. The one table of cyclotomic orders, mu(r), phi(r) and Phi_r
-for the 43 r with phi(r) <= 22, is built here at import.
+for the 43 r with phi(r) <= 22, is built here at import, and from it the
+table of the 146 parts a notation can hold; so are the trace-table rows of
+each class of p mod 12.
 """
 from __future__ import annotations
 
@@ -177,6 +179,19 @@ def _order_rows(bound: int) -> dict:
 _ORDERS = _order_rows(22)
 
 
+def _spell(r: int, d: int) -> str:
+    """The printed text of the part (r, d): r^d, or r alone when d = 1."""
+    return f"{r}^{d}" if d > 1 else str(r)
+
+
+# every part (r, d) a notation can hold, phi(r) | d <= 22 (146 parts), built at
+# import from _ORDERS: its trace mu(r) d / phi(r), Phi_r reversed and the
+# multiplicity d / phi(r) of Phi_r; and each part by its printed text
+_PARTS = {(r, d): (mu * d // phi, c, d // phi)
+          for r, (mu, phi, c) in _ORDERS.items() for d in range(phi, 23, phi)}
+_TEXTS = {_spell(*part): part for part in _PARTS}
+
+
 class NSCharPoly(Value):
     """det(t - F/q | NS) as its parts (r, d_r), one per order r, with d_r the
     total degree of the cyclotomic factor Phi_r^(d_r / phi(r)); printed in
@@ -187,9 +202,21 @@ class NSCharPoly(Value):
     _fields = ("parts",)  # sorted ((r, d_r), ...)
 
     def __new__(cls, parts):
-        items = tuple(sorted(parts))
-        total, last = 0, None
-        for r, d in items:
+        return tuple.__new__(cls, (_notation_parts(parts),))
+
+    def __str__(self):
+        return ",".join(_spell(r, d) for r, d in self.parts)
+
+
+def _notation_parts(parts) -> tuple:
+    """parts sorted, if they make a notation. A part of _PARTS whose order is
+    new is valid on its own; any other part is checked field by field, so
+    that the first fault in sorted order is the one named."""
+    items = tuple(sorted(parts))
+    total, last = 0, None
+    for part in items:
+        if part not in _PARTS or part[0] == last:
+            r, d = part
             if r == last:
                 raise Rejected(f"order {r} repeated in notation")
             if r < 1 or d < 1:
@@ -199,26 +226,44 @@ class NSCharPoly(Value):
             row = _ORDERS.get(r)
             if d <= 22 and (row is None or d % row[1]):
                 raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
-            total, last = total + d, r
-        if total != 22:
-            raise Rejected(f"total degree {total} != 22")
-        return tuple.__new__(cls, (items,))
-
-    def __str__(self):
-        return ",".join(f"{r}^{d}" if d > 1 else str(r) for r, d in self.parts)
+        total, last = total + part[1], part[0]
+    if total != 22:
+        raise Rejected(f"total degree {total} != 22")
+    return items
 
 
 def parse_zeta_notation(s: str) -> NSCharPoly:
     """Parse '1^20,2^2' style notation: comma-separated r^d terms with d the
-    total degree contributed at order r (omitted exponent means d = 1)."""
+    total degree contributed at order r (omitted exponent means d = 1). Each
+    term printed as NSCharPoly prints it is read from _TEXTS."""
+    try:
+        parts = [_TEXTS[term] for term in s.split(",")]
+    except KeyError:
+        parts = _parse_terms(s)
+    return _new(NSCharPoly, (_notation_parts(parts),))
+
+
+def _parse_terms(s: str) -> list:
+    """The parts of s read term by term: r and d are runs of the digits 0-9,
+    with spaces around them allowed."""
     parts = []
     for term in s.split(","):
         term = term.strip()
         if not term:
             raise ValueError("empty term in notation")
         r_s, caret, d_s = term.partition("^")
-        parts.append((int(r_s), int(d_s) if caret else 1))
-    return NSCharPoly(parts)
+        parts.append((_digits(r_s), _digits(d_s) if caret else 1))
+    return parts
+
+
+def _digits(s: str) -> int:
+    """int(s) for a run of the digits 0-9 with spaces around it; a ValueError
+    for anything else, in int's own words when int rejects it too."""
+    n = int(s)
+    t = s.strip()
+    if not (t.isascii() and t.isdigit()):
+        raise ValueError(f"{t!r} is not a run of the digits 0-9")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +345,8 @@ def assemble_ns(orbits, h_part: dict) -> NSCharPoly:
 def trace_of(cp: NSCharPoly) -> int:
     """Trace of the normalized Frobenius on NS: sum of mu(r) d_r / phi(r)."""
     tr = 0
-    for r, d in cp.parts:
-        mu, phi, _ = _ORDERS[r]
-        tr += mu * d // phi
+    for part in cp.parts:
+        tr += _PARTS[part][0]
     return tr
 
 
@@ -337,15 +381,15 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
     qq = q.q
     q2 = qq * qq
     factors = [_ONE_MINUS_T]
-    for r, d in cp.parts:
+    for part in cp.parts:
         # Phi_r reversed, at q t: the last coefficient is +-q^phi(r), not 0;
         # written out for the orders 1, 2, 3, 4 and 6, of phi(r) <= 2
-        _, phi, c = _ORDERS[r]
-        if phi <= 2:
-            f = (1, c[1] * qq) if phi == 1 else (1, c[1] * qq, c[2] * q2)
+        _, c, m = _PARTS[part]
+        if len(c) <= 3:
+            f = (1, c[1] * qq) if len(c) == 2 else (1, c[1] * qq, c[2] * q2)
         else:
-            f = map(mul, c, [qq ** i for i in range(phi + 1)])
-        factors.append((_new(IntPolynomial, f), d // phi))
+            f = map(mul, c, [qq ** i for i in range(len(c))])
+        factors.append((_new(IntPolynomial, f), m))
     factors.append((_new(IntPolynomial, (1, -q2)), 1))
     return _new(ZetaFunction, (tuple(factors),))
 
@@ -398,18 +442,27 @@ _ODD_ROWS = _rows(
 )
 
 
+# the rows that hold at a p >= 3, by p's class mod 12, built at import: every
+# row condition is p > 2 or a congruence mod 3, 4 or 12, so at p >= 3 it holds
+# or fails with p's class, here read at the p = 12 + class
+_EVEN_BY_CLASS, _ODD_BY_CLASS = (tuple(tuple(row for row in rows if row.p_condition.holds(12 + c))
+                                       for c in range(12)) for rows in (_EVEN_ROWS, _ODD_ROWS))
+
+
 def trace_table(parity: str, p: int = None) -> tuple[TraceRow, ...]:
     """Realizable (trace, char. polynomial) pairs for supersingular quotient
     surfaces over fields of the given degree parity, optionally filtered by
     the row conditions at p.  Every row needs an odd p."""
     if parity == "even":
-        rows = _EVEN_ROWS
+        rows, by_class = _EVEN_ROWS, _EVEN_BY_CLASS
     elif parity == "odd":
-        rows = _ODD_ROWS
+        rows, by_class = _ODD_ROWS, _ODD_BY_CLASS
     else:
         raise ValueError("parity must be 'even' or 'odd'")
     if p is None:
         return rows
+    if p > 2:
+        return by_class[p % 12]
     if p == 2:
         return ()
     return tuple(row for row in rows if row.p_condition.holds(p))

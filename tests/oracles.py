@@ -6,6 +6,7 @@ builds them only from its constant table, leaves to the tests.
 """
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -638,6 +639,46 @@ def _bareiss_det(mat: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# the zeta notation read by a pattern
+
+_TERM = re.compile(r"\s*([0-9]+)\s*(?:\^\s*([0-9]+)\s*)?")
+_FIELD = re.compile(r"\s*[0-9]+\s*")
+
+
+def parse_notation_by_terms(s: str) -> tuple[tuple[int, int], ...]:
+    """The sorted parts of parse_zeta_notation(s), or its exception, read by
+    the grammar: comma-separated terms r or r^d, where r and d are runs of the
+    digits 0-9 with spaces around them. A term that does not match is named
+    by its first faulty field, in int's words when int rejects the field
+    too. The parts are then checked in sorted order, phi by factorization."""
+    parts = []
+    for term in s.split(","):
+        m = _TERM.fullmatch(term)
+        if m is None:
+            if not term.strip():
+                raise ValueError("empty term in notation")
+            for field in term.strip().split("^", 1):
+                if not _FIELD.fullmatch(field):
+                    int(field)
+                    raise ValueError(f"{field.strip()!r} is not a run of the digits 0-9")
+            raise AssertionError(f"{term!r} matches field by field")
+        parts.append((int(m[1]), int(m[2] or 1)))
+    parts.sort()
+    orders = [r for r, _ in parts]
+    for i, (r, d) in enumerate(parts):
+        if r in orders[:i]:
+            raise Rejected(f"order {r} repeated in notation")
+        if r < 1 or d < 1:
+            raise Rejected("orders and degrees must be positive")
+        if d <= 22 and d % euler_phi(r):
+            raise Rejected(f"degree {d} at order {r} is not a multiple of phi({r})")
+    total = sum(d for _, d in parts)
+    if total != 22:
+        raise Rejected(f"total degree {total} != 22")
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------

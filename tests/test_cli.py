@@ -384,6 +384,16 @@ class TestSingAndZeta:
         assert code == 2
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("notation, field", [("1^2_2", "2_2"), ("1^+22", "+22"),
+                                                 ("1^\u0662\u0662", "\u0662\u0662"),
+                                                 ("+1^22", "+1")])
+    def test_zeta_assemble_notation_takes_ascii_digits_only(self, capsys, notation, field):
+        # int() reads each of these as 1^22
+        code, out, err = run(capsys, "zeta-assemble", "--q", "9", "--notation", notation)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": {notation!r} is not a notation such as 1^20,2^2: "
+                            f"{field!r} is not a run of the digits 0-9\n")
+
     def test_zeta_assemble_orbits_not_degree_22(self, capsys):
         code, _, err = run(capsys, "zeta-assemble", "--q", "3", "--group", "Q8",
                            "--orbit", "A1,1,1,trivial")

@@ -31,6 +31,7 @@ from oracles import (
     euler_phi,
     moebius,
     ns_polynomial,
+    parse_notation_by_terms,
     reciprocal,
     scale_arg,
     series_from_poly,
@@ -238,6 +239,91 @@ class TestNotation:
         assert str(NSCharPoly(((2, 1), (1, 21)))) == "1^21,2"
 
 
+# every order r with phi(r) <= 22; all have r <= 2 * 22^2
+ORDERS = [r for r in range(1, 2 * 22 * 22 + 1) if euler_phi(r) <= 22]
+
+
+def _outcome(fn, s):
+    """fn(s), or the class and text of the exception it raises."""
+    try:
+        return fn(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _malformed(rng, cp) -> str:
+    """The notation cp written with one or two faults or odd spellings:
+    spaces, r^1, leading zeros, signs, underscores, empty terms, a repeated
+    order, d not a multiple of phi(r), a total other than 22, r > 66, or a
+    zero or negative part."""
+    terms = [[str(r), str(d)] for r, d in cp.parts]  # [r, d] texts; [text] is a term as is
+    for _ in range(rng.randint(1, 2)):
+        t = rng.choice([t for t in terms if len(t) == 2] or [["1", "22"]])
+        i = rng.randrange(2)
+        kind = rng.randrange(11)
+        if kind == 0:
+            t[i] = rng.choice((" ", "\t", "  ")) + t[i] + rng.choice(("", " "))
+        elif kind == 1:
+            terms.append([f"{t[0]}^1"])
+        elif kind == 2:
+            t[i] = "0" * rng.randint(1, 2) + t[i]
+        elif kind == 3:
+            t[i] = rng.choice("+-") + t[i]
+        elif kind == 4:
+            t[i] = t[i][0] + "_" + t[i][1:] if len(t[i]) > 1 else "_" + t[i]
+        elif kind == 5:
+            terms.insert(rng.randint(0, len(terms)), [rng.choice(("", " "))])
+        elif kind == 6:
+            terms.append([t[0], str(rng.randint(1, 22))])
+        elif kind == 7:
+            t[1] += rng.choice(("1", "0"))  # d * 10 + 1 or d * 10
+        elif kind == 8:
+            t[1] = str(rng.randint(1, 30))
+        elif kind == 9:
+            t[0] = str(rng.randint(67, 3000))
+        else:
+            t[i] = rng.choice(("0", "-1", "-" + t[i]))
+    return ",".join(t[0] if len(t) == 1 or t[1] == "1" else "^".join(t) for t in terms)
+
+
+class TestNotationTables:
+    def test_part_table(self):
+        want = {(r, d): (moebius(r) * d // euler_phi(r), cyclotomic_by_division(r)[::-1],
+                         d // euler_phi(r))
+                for r in ORDERS for d in range(1, 23) if d % euler_phi(r) == 0}
+        assert len(want) == 146
+        assert kummer._PARTS == want
+        assert kummer._TEXTS == {(f"{r}^{d}" if d > 1 else f"{r}"): (r, d) for r, d in want}
+
+    def test_parse_agrees_with_the_oracle(self):
+        rng = random.Random(2024)
+        texts = [row.notation for parity in ("even", "odd") for row in trace_table(parity)]
+        texts += list(kummer._TEXTS)
+        valid = [_random_notation(rng, ORDERS) for _ in range(500)]
+        for cp in valid:
+            terms = str(cp).split(",")
+            rng.shuffle(terms)
+            texts.append(",".join(terms))
+        texts += [_malformed(rng, rng.choice(valid)) for _ in range(3000)]
+        texts += ["1^2_2", "1^+22", "1^\u0662\u0662", "1^x", "1^22 ", " 1 ^ 22", "01^022",
+                  "1^21,2^1", "", ",", "1^22,", "-1^22", "1^-22", "0^22", "1^0,1^22",
+                  "67^22", "23^22", "1^", "^22", "1^2^20", "1^22,,", "1^20,2^2,3^0"]
+        messages, parsed = [], 0
+        for s in texts:
+            got = _outcome(lambda s: parse_zeta_notation(s).parts, s)
+            assert got == _outcome(parse_notation_by_terms, s), s
+            if isinstance(got[0], type):
+                messages.append(got[1])
+            else:
+                parsed += 1
+        assert parsed > 500
+        # the corpus reaches every fault
+        for fault in ("empty term", "invalid literal for int()", "not a run of the digits",
+                      "repeated in notation", "must be positive", "not a multiple of phi",
+                      "total degree"):
+            assert any(fault in m for m in messages), fault
+
+
 class TestTraceAndPoints:
     def test_trace_values(self):
         cases = {"1^22": 22, "1^21,2": 20, "1^20,2^2": 18, "1^15,2^7": 8,
@@ -273,22 +359,20 @@ class TestTraceAndPoints:
     @pytest.mark.parametrize("q", (PrimePower(3, 1), PrimePower(3, 2), PrimePower(10007, 3),
                                    PrimePower(3, 194)), ids=str)
     def test_zeta_factors_match_the_oracle(self, q):
-        # every order r with phi(r) <= 22 (all have r <= 2 * 22^2), as r^phi(r)
-        # beside 1^(22 - phi(r)); the notations of both trace tables; and
-        # random valid notations. The per-order rows that trace_of,
-        # k3_point_count and k3_zeta read are exactly these orders
-        orders = [r for r in range(1, 2 * 22 * 22 + 1) if euler_phi(r) <= 22]
-        assert len(orders) == 43 and orders[-1] == 66
+        # every order r with phi(r) <= 22, as r^phi(r) beside 1^(22 - phi(r));
+        # the notations of both trace tables; and random valid notations. The
+        # per-order rows that the part table is built from are exactly these
+        assert len(ORDERS) == 43 and ORDERS[-1] == 66
         assert kummer._ORDERS == {r: (moebius(r), euler_phi(r), cyclotomic_by_division(r)[::-1])
-                                  for r in orders}
+                                  for r in ORDERS}
         notations = []
-        for r in orders:
+        for r in ORDERS:
             parts = {1: 22 - euler_phi(r), r: euler_phi(r)} if r > 1 else {1: 22}
             notations.append(NSCharPoly(tuple((s, d) for s, d in parts.items() if d)))
         notations += [parse_zeta_notation(row.notation)
                       for parity in ("even", "odd") for row in trace_table(parity)]
         rng = random.Random(q.q % 1000003)
-        notations += [_random_notation(rng, orders) for _ in range(200)]
+        notations += [_random_notation(rng, ORDERS) for _ in range(200)]
         negative = 0
         for cp in notations:
             want = [([1, -1], 1)] + [(zeta_factor(s, q.q), d // euler_phi(s))
@@ -398,6 +482,21 @@ class TestTraceTables:
         assert len(even_13) == 8  # 13 = 1 mod 12 kills the trace-0 row
         odd_5 = trace_table("odd", 5)
         assert {r.trace for r in odd_5} == {18, 14, 8, 6, 2, 0}
+
+    def test_class_table_is_the_row_filter(self):
+        # trace_table answers p >= 3 from its class mod 12, which is right
+        # only while every row condition is p > 2 or a congruence mod 3, 4
+        # or 12: a row mod 5 or 8 fails here
+        for parity in ("even", "odd"):
+            rows = trace_table(parity)
+            for row in rows:
+                c = row.p_condition
+                assert c.bound < 3 and c.excluded < 3 and 12 % c.modulus == 0, row
+            for p in range(-3, 10 ** 4):
+                want = () if p == 2 else tuple(row for row in rows if row.p_condition.holds(p))
+                assert trace_table(parity, p) == want, (parity, p)
+        # the even trace-0 row's 'p != 1 mod 12' holds at 2, but no row is realized there
+        assert trace_table("even", 2) == trace_table("odd", 2) == ()
 
     def test_bad_parity(self):
         with pytest.raises(ValueError):

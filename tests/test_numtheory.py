@@ -578,27 +578,38 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_a_tables_sweep_answer_builds_no_condition_and_no_cyclotomic(monkeypatch):
     """Answering each prime of tables-sweep with the workload's own calls
-    (bench/workloads.py) constructs no Condition and builds no cyclotomic
-    row: every condition and cyclotomic row an answer reads was built at
-    import, and kummer._ORDERS is the same table, unchanged, afterwards."""
+    (bench/workloads.py) constructs no Condition, builds no cyclotomic row
+    and parses no notation term by term: every condition, cyclotomic row,
+    notation part and trace-table class an answer reads was built at
+    import, and kummer's tables are the same, unchanged, afterwards."""
     monkeypatch.syspath_prepend(BENCH)
     import workloads
 
     sweep = workloads.TablesSweep(seed=7)
     api = SimpleNamespace(**{name.rsplit(".", 1)[1]: fn for name, fn in sweep.functions().items()})
-    orders, rows = kummer._ORDERS, dict(kummer._ORDERS)
+    names = ("_ORDERS", "_PARTS", "_TEXTS", "_EVEN_BY_CLASS", "_ODD_BY_CLASS")
+    tables = {name: getattr(kummer, name) for name in names}
+    # the class tables are tuples of immutable rows: the same object is the same table
+    copies = {name: copy.copy(table) for name, table in tables.items()}
     built = Counter()
-    init = Condition.__init__
+    init, parse_terms = Condition.__init__, kummer._parse_terms
 
     def counting_init(self, text):
         built["Condition"] += 1
         init(self, text)
 
+    def counting_parse_terms(s):
+        built["_parse_terms"] += 1
+        return parse_terms(s)
+
     monkeypatch.setattr(Condition, "__init__", counting_init)
+    monkeypatch.setattr(kummer, "_parse_terms", counting_parse_terms)
     for p in sweep.inputs:
         assert sweep.check(p, sweep.op(api, p)) is None, p
     assert built == {}
-    assert kummer._ORDERS is orders and kummer._ORDERS == rows
-    # the counter sees a construction
+    for name, table in tables.items():
+        assert getattr(kummer, name) is table and table == copies[name], name
+    # the counters see a construction and a term-by-term parse
     Condition("any p")
-    assert built == {"Condition": 1}
+    kummer.parse_zeta_notation("1^20, 2^2")
+    assert built == {"Condition": 1, "_parse_terms": 1}
