@@ -261,6 +261,14 @@ NEGATIVE_COUNT = (
     ["zeta-assemble", "--q", "9", "--notation", "1,2^21"],
 )
 
+# the tables that no --p filters: the rigid algebras, and each trace table
+# whole (kummer.trace_table(parity)); appended after NEGATIVE_COUNT
+WHOLE_TABLES = (
+    ["tables", "--which", "rigidalg"],
+    ["tables", "--which", "sszeta1"],
+    ["tables", "--which", "sszeta2"],
+)
+
 
 def _with_json(argvs):
     return tuple(argv + tail for argv in argvs for tail in ([], ["--json"]))
@@ -292,7 +300,8 @@ LISTED = PINNED + tuple(argv for argv in map(tuple, (
     + _with_json(EMPTY_TERM)
     + _with_json(EPS_UNREAD)
     + PARSER_TEXTS
-    + _with_json(NEGATIVE_COUNT))) if argv not in PINNED)
+    + _with_json(NEGATIVE_COUNT)
+    + _with_json(WHOLE_TABLES))) if argv not in PINNED)
 
 # the snapshot records each argv once, at its first listing
 ARGVS = tuple(map(list, dict.fromkeys(LISTED)))
@@ -364,6 +373,22 @@ def test_json_payload_holds_no_value(monkeypatch):
 
 def test_snapshot_covers_every_argv():
     assert [r["argv"] for r in RECORDS] == [list(a) for a in ARGVS]
+
+
+def test_every_command_and_table_has_an_answer():
+    """Each subcommand, and tables at each --which choice, has a record that
+    exits 0 in plain text and one that exits 0 with --json; --help, which
+    also exits 0, answers nothing."""
+    from gkzeta.cli import _COMMANDS
+
+    def kind(argv):
+        return argv[0], argv[argv.index("--which") + 1] if "--which" in argv else None
+
+    kinds = {(command, None) for command in _COMMANDS if command != "tables"}
+    kinds |= {("tables", which) for which in _COMMANDS["tables"][3]["--which"]["choices"]}
+    answered = {(kind(r["argv"]), "--json" in r["argv"]) for r in RECORDS
+                if r["code"] == 0 and "--help" not in r["argv"]}
+    assert {(k, as_json) for k in kinds for as_json in (False, True)} - answered == set()
 
 
 def test_snapshot_records_each_argv_once():
