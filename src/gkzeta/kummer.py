@@ -394,15 +394,13 @@ def k3_zeta(q: PrimePower, cp: NSCharPoly) -> ZetaFunction:
     return _new(ZetaFunction, (tuple(factors),))
 
 
-def artin_check(q: PrimePower, cp: NSCharPoly) -> bool:
+def artin_check(q: PrimePower, cp: NSCharPoly) -> None:
     """Reject characteristic polynomials impossible over odd-degree fields:
     the full-rank lattice cannot be entirely Frobenius-invariant, and some
     even cyclotomic order must appear."""
-    if not q.degree_is_odd:
-        return True
-    if all(r % 2 for r, _ in cp.parts):
-        return False
-    return True
+    if q.degree_is_odd and all(r % 2 for r, _ in cp.parts):
+        raise Rejected(f"{cp} is impossible over a field of odd degree",
+                       "odd-degree trace constraint")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ mu(r), phi(r) and Phi_r, are one table in kummer.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import namedtuple
 from math import gcd, isqrt, prod
 
@@ -18,14 +17,9 @@ from math import gcd, isqrt, prod
 # primes and integer roots
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_k, the least strong pseudoprime to the first k bases of _MR_BASES
-# (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster, Math.
-# Comp. 86, 2017). The last one, about 3.317e24, bounds is_prime.
-_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-        341550071728321, 341550071728321, 3825123056546413051,
-        3825123056546413051, 3825123056546413051, 318665857834031151167461,
-        3317044064679887385961981)
-_MR_BOUND = _PSI[-1]
+# the least strong pseudoprime to all 13 bases (Sorenson-Webster, Math. Comp.
+# 86, 2017): below it, the bases decide
+_MR_BOUND = 3317044064679887385961981
 # the 106 primes below 587, the odd numbers less the odd multiples of each odd
 # d < 25 from d^2 on, and 2; their product, a 785-bit primorial, is the
 # trial division of is_prime and PrimePower.from_q in one gcd
@@ -39,13 +33,9 @@ def is_prime(n: int) -> bool:
     (about 3.317e24).
 
     If gcd(n, _PRIMORIAL) > 1, n is prime iff it is one of the primes below
-    587; else an n < 587^2 is prime. From 587^2 on, n is tested to the
-    first k + 1 prime bases 2, 3, 5, ..., 41, where k counts the psi_j <= n:
-    below psi_{k+1}, the least strong pseudoprime to the first k + 1 prime
-    bases, those bases decide (OEIS A014233; Jaeschke, Math. Comp. 61, 1993;
-    Sorenson-Webster, Math. Comp. 86, 2017). A False answer is a proof at
-    any size; at or above the bound, an n that passes all 13 bases raises
-    ValueError.
+    587; else an n < 587^2 is prime. From 587^2 on, n is tested to the 13
+    prime bases 2, 3, 5, ..., 41. A False answer is a proof at any size; at
+    or above the bound, an n that passes all 13 bases raises ValueError.
     """
     if n < 2:
         return False
@@ -55,7 +45,7 @@ def is_prime(n: int) -> bool:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -109,9 +109,8 @@ def _supersingular_case(p: int, qq: int, r: int, b: int) -> str | None:
 
 
 # enumerate_elliptic builds all 4 sqrt(q) + 1 classes; at this limit that
-# takes about 0.027 s, 0.67 us a class, of which the cyclic garbage collector
-# takes about a third (median of 9 processes at q = 99999989, each the best of
-# 7 rounds of 3 calls; CPython 3.11.7 on a 2-CPU x86-64 VM)
+# takes about 0.021 s, 0.52 us a class (median of 9 processes at q = 99999989,
+# each the best of 7 rounds of 3 calls; CPython 3.11.7 on a 2-CPU x86-64 VM)
 ENUMERATE_LIMIT = 10 ** 8
 
 

@@ -161,6 +161,15 @@ def prime_sieve(n: int) -> bytearray:
     return out
 
 
+# psi_k for k = 1..13, the least strong pseudoprime to the first k prime bases
+# 2, 3, 5, ..., 41 (OEIS A014233; Jaeschke, Math. Comp. 61, 1993;
+# Sorenson-Webster, Math. Comp. 86, 2017)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+
+
 def brute_iroot(x: int, k: int) -> int:
     """floor(x^(1/k)) by counting up."""
     r = 0

@@ -559,6 +559,30 @@ class TestTablesAndSelftest:
         assert [r["check"] for r in data["result"] if not r["ok"]] == [
             f"trace row even/{row.notation}"]
 
+    def test_selftest_reports_a_configuration_of_21_nodes(self, capsys, monkeypatch):
+        # kummer.ns_rank_bound rejects more than 20 exceptional nodes: the
+        # check fails, and the other checks still run and print
+        from gkzeta import kummer
+
+        configs = kummer.singular_configs
+        c2 = configs(G.C2)[0]
+        wide = kummer.SingularConfig(G.C2, c2.case, (
+            kummer.SingularOrbit(kummer.ADEType("A", 1), 21, 1, "unknown"),))
+        monkeypatch.setattr(kummer, "singular_configs",
+                            lambda g: (wide,) if g == G.C2 else configs(g))
+        name = f"config C2 case {c2.case or '-'}"
+        code, out, err = run(capsys, "selftest")
+        assert (code, err) == (1, "")
+        assert f"FAIL  {name}\n" in out
+        passed, total = map(int, out.splitlines()[-1].removesuffix(" checks passed").split("/"))
+        assert passed == total - 1 and out.count("FAIL") == 1
+        code, out, err = run(capsys, "selftest", "--json")
+        data = json.loads(out)
+        assert (code, err) == (1, "")
+        assert data["passed"] == data["total"] - 1
+        assert [r for r in data["result"] if not r["ok"]] == [{"check": name, "ok": False}]
+        assert '"ok": false' in out
+
 
 # ---------------------------------------------------------------------------
 # the CLI contract on generated argv: exit 0, 1 with a cited rejection, or 2
@@ -703,6 +727,21 @@ def _output_calls(node):
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "print"
             or isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
             and (n.value.id, n.attr) in {("json", "dumps"), ("sys", "stdout"), ("sys", "stderr")}]
+
+
+def _rejections(node):
+    """The Rejected(...) calls under node."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "Rejected"]
+
+
+def test_only_printable_constructs_a_rejection():
+    # every other rejection, with its text and citation, comes from the library
+    with open(cli.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    printable, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_printable"]
+    assert _rejections(tree) == _rejections(printable) != []
 
 
 def test_only_main_prints():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -401,11 +402,14 @@ class TestTraceAndPoints:
     def test_artin_check(self):
         q_odd = PrimePower(3, 1)
         q_even = PrimePower(3, 2)
-        assert not artin_check(q_odd, parse_zeta_notation("1^22"))
-        assert not artin_check(q_odd, parse_zeta_notation("1^10,3^12"))
-        assert artin_check(q_odd, parse_zeta_notation("1^21,2"))
-        assert artin_check(q_even, parse_zeta_notation("1^22"))
-        assert artin_check(q_even, parse_zeta_notation("1^10,3^12"))
+        for notation in ("1^22", "1^10,3^12"):
+            with pytest.raises(Rejected, match=re.escape(
+                    f"{notation} is impossible over a field of odd degree")) as exc:
+                artin_check(q_odd, parse_zeta_notation(notation))
+            assert exc.value.citation == "odd-degree trace constraint"
+        assert artin_check(q_odd, parse_zeta_notation("1^21,2")) is None
+        assert artin_check(q_even, parse_zeta_notation("1^22")) is None
+        assert artin_check(q_even, parse_zeta_notation("1^10,3^12")) is None
 
 
 class TestAssembly:
@@ -472,7 +476,7 @@ class TestTraceTables:
     def test_odd_rows_pass_artin(self):
         q = PrimePower(3, 1)
         for row in trace_table("odd"):
-            assert artin_check(q, parse_zeta_notation(row.notation))
+            assert artin_check(q, parse_zeta_notation(row.notation)) is None
 
     def test_filtering(self):
         odd_3 = trace_table("odd", 3)

@@ -16,7 +16,6 @@ from gkzeta.numtheory import (
     PrimePower,
     _MR_BOUND,
     _PRIMORIAL,
-    _PSI,
     _SMALL_PRIMES,
     _is_power_residue,
     iroot,
@@ -24,6 +23,7 @@ from gkzeta.numtheory import (
 )
 
 from oracles import (
+    PSI,
     brute_iroot,
     condition_by_words,
     cyclotomic_by_division,
@@ -84,9 +84,11 @@ class TestPrimes:
             is_prime(2 ** 89 - 1)  # a Mersenne prime above the bound
 
     def test_each_psi_k_is_caught(self):
-        # psi_k is a strong pseudoprime to the first k bases; it is the least
-        # input the base prefix must test with k + 1 bases
-        for psi in _PSI[:-1]:
+        # psi_k is the least strong pseudoprime to the first k bases: psi_1 =
+        # 23 * 89 falls to the gcd, every later one below the bound to the 13
+        # bases, which from 587^2 on are all tested
+        assert PSI[-1] == _MR_BOUND
+        for psi in PSI[:-1]:
             assert not is_prime(psi)
 
     # the k <= 200 with 2^k - 1 prime (OEIS A000043) and with 2^k + 1 prime
@@ -140,15 +142,17 @@ class TestPrimes:
             is_prime(n)
         assert calls == []
 
-    def test_587_squared_takes_the_miller_rabin_prefix(self, monkeypatch):
+    def test_from_587_squared_bases_run_in_order_until_a_witness(self, monkeypatch):
         # 587^2 is the least composite with no prime factor below 587; from it
-        # on n is tested to the bases 2 and 3 (psi_1 = 2047 <= n < psi_2)
+        # on n is tested to the 13 bases in order: base 2 witnesses that 587^2
+        # is composite, and the prime 344587 takes all 13
         calls = self._counting_pow(monkeypatch)
         assert not is_prime(587 ** 2) and 587 ** 2 == 344569
         assert [(a, n) for a, _, n in calls] == [(2, 344569)]
         calls.clear()
         assert is_prime(344587)
-        assert [(a, n) for a, _, n in calls] == [(2, 344587), (3, 344587)]
+        assert [(a, n) for a, _, n in calls] == [
+            (a, 344587) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)]
 
     def test_matches_sieve_below_10_6(self):
         sieve = prime_sieve(10 ** 6)

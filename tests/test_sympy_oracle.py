@@ -8,9 +8,9 @@ from math import isqrt
 import pytest
 
 from gkzeta import kummer, weil
-from gkzeta.numtheory import IntPolynomial, iroot, _PSI, is_prime
+from gkzeta.numtheory import IntPolynomial, iroot, is_prime
 
-from oracles import factorize, splitting_in_cyclotomic
+from oracles import PSI, factorize, splitting_in_cyclotomic
 
 sympy = pytest.importorskip("sympy")
 T = sympy.Symbol("t")
@@ -29,9 +29,10 @@ def test_is_prime():
     primes = [n for n in sample if sympy.isprime(n) and 2 < n < 10 ** 12]
     sample += [a * b for a, b in zip(primes, primes[1:])]
     sample += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 3825123056546413051]
-    # every n near 587^2, where the gcd with the primorial stops deciding, and
-    # near each psi_k < 10^12, from which one more Miller-Rabin base is needed
-    for c in [587 ** 2] + [psi for psi in _PSI if psi < 10 ** 12]:
+    # every n near 587^2, where the gcd with the primorial stops deciding and
+    # the 13 Miller-Rabin bases start, and near each psi_k < 10^12, the least
+    # strong pseudoprime to the first k bases
+    for c in [587 ** 2] + [psi for psi in PSI if psi < 10 ** 12]:
         sample += range(c - 500, c + 501)
     for n in sample:
         assert is_prime(n) == sympy.isprime(n), n
