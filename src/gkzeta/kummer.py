@@ -450,7 +450,8 @@ _EVEN_BY_CLASS, _ODD_BY_CLASS = (tuple(tuple(row for row in rows if row.p_condit
 def trace_table(parity: str, p: int = None) -> tuple[TraceRow, ...]:
     """Realizable (trace, char. polynomial) pairs for supersingular quotient
     surfaces over fields of the given degree parity, optionally filtered by
-    the row conditions at p.  Every row needs an odd p."""
+    the row conditions at p.  Every row needs an odd prime p, so a p < 3
+    gets none."""
     if parity == "even":
         rows, by_class = _EVEN_ROWS, _EVEN_BY_CLASS
     elif parity == "odd":
@@ -461,6 +462,4 @@ def trace_table(parity: str, p: int = None) -> tuple[TraceRow, ...]:
         return rows
     if p > 2:
         return by_class[p % 12]
-    if p == 2:
-        return ()
-    return tuple(row for row in rows if row.p_condition.holds(p))
+    return ()

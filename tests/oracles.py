@@ -446,25 +446,6 @@ def series_exp(a, n):
     return out
 
 
-def series_log_coeffs_of_inverse_product(factors, n):
-    """log(1 / prod f_i^{m_i}) as a series, for integer polynomials f_i(0)=1."""
-    acc = [Fraction(0)] * n
-    acc[0] = Fraction(1)
-    for f, m in factors:
-        s = series_from_poly(f, n)
-        for _ in range(m):
-            acc = series_mul(acc, s, n)
-    inv = series_inv(acc, n)
-    # log via  (log g)' = g'/g
-    out = [Fraction(0)] * n
-    deriv = [inv[k] * k for k in range(n)]
-    ginv = series_inv(inv, n)
-    num = series_mul(deriv[1:] + [Fraction(0)], ginv, n)
-    for k in range(1, n):
-        out[k] = num[k - 1] / k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quartic irreducibility by divisor scan
 
@@ -585,16 +566,20 @@ def point_count_by_power_sums(w: WeilDescriptor, r: int) -> int:
     return n
 
 
-def p2_by_product(w: WeilDescriptor) -> IntPolynomial:
-    """P_2 of a surface as the library built it before it expanded the
-    product: (1 - q t)^2 (1 - c t + m t^2 - q^2 c t^3 + q^4 t^4), with
-    (a1, c) read off f = t^4 + a1 t^3 + (c + 2q) t^2 + ... and
-    m = q (a1^2 - 2c - 2q), multiplied out by IntPolynomial.__mul__."""
+def p2_by_product(w: WeilDescriptor) -> tuple[int, ...]:
+    """The coefficients of P_2 of a surface as the library built it before it
+    expanded the product: (1 - q t)^2 (1 - c t + m t^2 - q^2 c t^3 + q^4 t^4),
+    with (a1, c) read off f = t^4 + a1 t^3 + (c + 2q) t^2 + ... and
+    m = q (a1^2 - 2c - 2q), multiplied out as integer tuples."""
     qq = w.q.q
     a1, c = w.poly[3], w.poly[2] - 2 * qq
     q2 = qq * qq
-    return IntPolynomial([1, -2 * qq, q2]) * IntPolynomial(
-        [1, -c, qq * (a1 * a1 - 2 * c - 2 * qq), -q2 * c, q2 * q2])
+    left, right = (1, -2 * qq, q2), (1, -c, qq * (a1 * a1 - 2 * c - 2 * qq), -q2 * c, q2 * q2)
+    out = [0] * 7
+    for i, x in enumerate(left):
+        for j, y in enumerate(right):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def exterior_square_by_power_sums(w: WeilDescriptor) -> IntPolynomial:

@@ -23,6 +23,7 @@ from oracles import (
 )
 
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
+PRIMES_2000 = [p for p in range(2, 2000) if is_prime(p)]
 PRIMES_5_TO_2000 = [p for p in range(5, 2000) if is_prime(p)]
 
 EVEN_TABLE_LITERAL = {
@@ -169,6 +170,33 @@ class TestOddDegree:
         assert pairs == [(3, G.C4), (3, G.C8), (3, G.Q8), (2, G.C3)]
         for p, g in pairs:
             assert order(g) % p, (p, g)
+
+    def test_answer_is_read_off_its_options_at_every_prime(self):
+        # every group, every prime p < 2000, n in {1, 3}: the conditions are
+        # the options' "shape: condition" labels, the answer is True if an
+        # option holds, else None if one is undetermined, else False, and
+        # the undetermined special shape appears only where the paper puts it
+        special = set()
+        for g in G:
+            for p in PRIMES_2000:
+                for n in (1, 3):
+                    try:
+                        v = exists_over_odd_degree(g, PrimePower(p, n))
+                    except Rejected:
+                        continue
+                    opts = v.weil_options
+                    assert v.conditions == (
+                        tuple((f"{o.shape}: {o.condition}", o.satisfied) for o in opts)
+                        or (("group matches no odd-degree classification row", False),))
+                    oks = [o.satisfied for o in opts]
+                    want = True if any(oks) else None if None in oks else False
+                    assert v.exists_rigid is want and v.exists_rigid_symplectic is want, (g, p, n)
+                    for o in opts:
+                        assert (o.poly is None) == (o.satisfied is None), (g, p, n, o)
+                        if o.poly is None:
+                            special.add((p, g, n))
+        assert special == {(p, g, n) for p, g in ((3, G.C4), (3, G.C8), (3, G.Q8), (2, G.C3))
+                           for n in (1, 3)}
 
     def test_no_row_groups_refuted(self):
         v = exists_over_odd_degree(G.Q16, PrimePower(7, 1))

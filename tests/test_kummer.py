@@ -497,10 +497,11 @@ class TestTraceTables:
                 c = row.p_condition
                 assert c.bound < 3 and c.excluded < 3 and 12 % c.modulus == 0, row
             for p in range(-3, 10 ** 4):
-                want = () if p == 2 else tuple(row for row in rows if row.p_condition.holds(p))
+                want = () if p < 3 else tuple(row for row in rows if row.p_condition.holds(p))
                 assert trace_table(parity, p) == want, (parity, p)
-        # the even trace-0 row's 'p != 1 mod 12' holds at 2, but no row is realized there
-        assert trace_table("even", 2) == trace_table("odd", 2) == ()
+        # the even trace-0 row's 'p != 1 mod 12' holds at 2, and the odd
+        # 'p = 1 mod 4' rows at 1, but no row is realized below p = 3
+        assert trace_table("even", 2) == trace_table("odd", 2) == trace_table("odd", 1) == ()
 
     def test_bad_parity(self):
         with pytest.raises(ValueError):

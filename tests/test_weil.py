@@ -500,7 +500,7 @@ def test_p2_matches_the_product_below_200():
             w = validate(*args)
         except Rejected:
             return
-        assert abelian_zeta(w)[2] == p2_by_product(w), w
+        assert abelian_zeta(w)[2].coeffs == p2_by_product(w), w
         cases[w.case] += 1
 
     for q in prime_powers_upto(199):
